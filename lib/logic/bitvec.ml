@@ -1,65 +1,97 @@
-type t = { len : int; data : int64 array }
+(* Words are unboxed in [Bytes]: word [w] at byte offset [w lsl 3], native
+   byte order. A vector always has at least one word. *)
+type words = Bytes.t
+type t = { len : int; data : words }
 
-let nwords len = (len + 63) / 64
+external load : words -> int -> int64 = "%caml_bytes_get64u"
+external store : words -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let nwords len = max 1 ((len + 63) / 64)
 
 let create len =
   assert (len >= 0);
-  { len; data = Array.make (max 1 (nwords len)) 0L }
+  { len; data = Bytes.make (8 * nwords len) '\000' }
 
 let length t = t.len
 let words t = t.data
 
-(* Mask clearing bits past [len] in the last word. *)
+(* The low [n] bits set, for [n] in [0, 63]. *)
+let low_bits n = Int64.sub (Int64.shift_left 1L n) 1L
+
+(* Mask clearing bits past [len] in the last word; all of it when the
+   vector is empty. *)
 let tail_mask len =
-  let r = len land 63 in
-  if r = 0 then -1L else Int64.sub (Int64.shift_left 1L r) 1L
+  if len = 0 then 0L
+  else
+    let r = len land 63 in
+    if r = 0 then -1L else low_bits r
 
 let clamp t =
-  if t.len > 0 then begin
-    let last = nwords t.len - 1 in
-    t.data.(last) <- Int64.logand t.data.(last) (tail_mask t.len)
-  end
+  let o = (nwords t.len - 1) lsl 3 in
+  store t.data o (Int64.logand (load t.data o) (tail_mask t.len))
 
+(* Single bits go through the bounds-checked accessors, which read the
+   same native-endian words. *)
 let get t i =
   assert (i >= 0 && i < t.len);
-  Int64.logand (Int64.shift_right_logical t.data.(i lsr 6) (i land 63)) 1L = 1L
+  let x = Bytes.get_int64_ne t.data ((i lsr 6) lsl 3) in
+  Int64.logand (Int64.shift_right_logical x (i land 63)) 1L = 1L
 
 let set t i b =
   assert (i >= 0 && i < t.len);
-  let w = i lsr 6 and m = Int64.shift_left 1L (i land 63) in
-  t.data.(w) <-
-    (if b then Int64.logor t.data.(w) m else Int64.logand t.data.(w) (Int64.lognot m))
+  let o = (i lsr 6) lsl 3 and m = Int64.shift_left 1L (i land 63) in
+  let x = Bytes.get_int64_ne t.data o in
+  Bytes.set_int64_ne t.data o
+    (if b then Int64.logor x m else Int64.logand x (Int64.lognot m))
 
 let fill_random rng t =
-  for w = 0 to Array.length t.data - 1 do
-    t.data.(w) <- Prng.next64 rng
+  for w = 0 to nwords t.len - 1 do
+    store t.data (w lsl 3) (Prng.next64 rng)
   done;
   clamp t
 
-let map2 f a b =
+(* One loop per operation: passing [Int64.logand] as an argument would box
+   both operands of every call. *)
+let logand a b =
   assert (a.len = b.len);
   let r = create a.len in
-  for w = 0 to Array.length r.data - 1 do
-    r.data.(w) <- f a.data.(w) b.data.(w)
+  for w = 0 to nwords a.len - 1 do
+    let o = w lsl 3 in
+    store r.data o (Int64.logand (load a.data o) (load b.data o))
   done;
-  clamp r;
   r
 
-let logand = map2 Int64.logand
-let logor = map2 Int64.logor
-let logxor = map2 Int64.logxor
+let logor a b =
+  assert (a.len = b.len);
+  let r = create a.len in
+  for w = 0 to nwords a.len - 1 do
+    let o = w lsl 3 in
+    store r.data o (Int64.logor (load a.data o) (load b.data o))
+  done;
+  r
+
+let logxor a b =
+  assert (a.len = b.len);
+  let r = create a.len in
+  for w = 0 to nwords a.len - 1 do
+    let o = w lsl 3 in
+    store r.data o (Int64.logxor (load a.data o) (load b.data o))
+  done;
+  r
 
 let lognot a =
   let r = create a.len in
-  for w = 0 to Array.length r.data - 1 do
-    r.data.(w) <- Int64.lognot a.data.(w)
+  for w = 0 to nwords a.len - 1 do
+    let o = w lsl 3 in
+    store r.data o (Int64.lognot (load a.data o))
   done;
   clamp r;
   r
 
-let equal a b = a.len = b.len && a.data = b.data
+let equal a b = a.len = b.len && Bytes.equal a.data b.data
 
-let popcount_word x =
+(* Inlined so that the word stays unboxed at the call sites below. *)
+let[@inline] popcount_word x =
   let x = Int64.sub x (Int64.logand (Int64.shift_right_logical x 1) 0x5555555555555555L) in
   let x =
     Int64.add
@@ -69,36 +101,37 @@ let popcount_word x =
   let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
   Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
 
-let popcount t = Array.fold_left (fun acc w -> acc + popcount_word w) 0 t.data
+let popcount t =
+  let count = ref 0 in
+  for w = 0 to nwords t.len - 1 do
+    count := !count + popcount_word (load t.data (w lsl 3))
+  done;
+  !count
 
+(* Bit i of [x lxor (x lsr 1)] compares bits i and i+1 of a word. For every
+   word but the last, bit 0 of the next word is shifted in on top, so bit 63
+   compares across the seam and the whole word counts; the last word counts
+   only its first (len - 1) mod 64 comparisons. *)
 let transitions t =
   if t.len <= 1 then 0
   else begin
+    let last = nwords t.len - 1 in
     let count = ref 0 in
-    let last_word = nwords t.len - 1 in
-    for w = 0 to last_word do
-      let x = t.data.(w) in
-      (* Toggles inside the word: bit i vs bit i+1. *)
-      let shifted = Int64.shift_right_logical x 1 in
-      let inner = Int64.logxor x shifted in
-      (* The top comparison of the word pairs bit 63 with the next word's bit 0
-         (or is out of range for the final partial word); mask it out here and
-         handle the seam below. *)
-      let valid_bits = if w = last_word then (t.len - 1) land 63 else 63 in
-      let mask =
-        if valid_bits = 0 then 0L else Int64.sub (Int64.shift_left 1L valid_bits) 1L
+    for w = 0 to last - 1 do
+      let o = w lsl 3 in
+      let x = load t.data o in
+      let next =
+        Int64.logor (Int64.shift_right_logical x 1)
+          (Int64.shift_left (load t.data (o + 8)) 63)
       in
-      count := !count + popcount_word (Int64.logand inner mask);
-      if w < last_word then begin
-        let hi = Int64.shift_right_logical x 63 in
-        let lo = Int64.logand t.data.(w + 1) 1L in
-        if hi <> lo then incr count
-      end
+      count := !count + popcount_word (Int64.logxor x next)
     done;
-    !count
+    let x = load t.data (last lsl 3) in
+    let inner = Int64.logxor x (Int64.shift_right_logical x 1) in
+    !count + popcount_word (Int64.logand inner (low_bits ((t.len - 1) land 63)))
   end
 
-let copy t = { len = t.len; data = Array.copy t.data }
+let copy t = { len = t.len; data = Bytes.copy t.data }
 
 let pp ppf t =
   for i = t.len - 1 downto 0 do

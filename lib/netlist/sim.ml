@@ -5,133 +5,160 @@ module T = Runtime.Telemetry
 type result = { num_patterns : int; node_values : B.t array }
 
 (* ------------------------------------------------------------------ *)
+(* Cover kernel. A cover is an OR of cubes, a cube an AND of literals
+   over whole fanin vectors. It is evaluated one literal at a time with
+   the word range as the innermost loop, so each pass is a straight
+   load-op-store over unboxed words and allocates nothing. *)
+
+type cube = { pos : B.words array; neg : B.words array }
+type cover = cube array
+
+let cover_of_cubes cubes srcs =
+  let pick mask =
+    let rec go i acc =
+      if i < 0 then acc
+      else go (i - 1) (if (mask lsr i) land 1 = 1 then srcs.(i) :: acc else acc)
+    in
+    Array.of_list (go (Array.length srcs - 1) [])
+  in
+  Array.of_list
+    (List.map (fun { TT.pos; neg } -> { pos = pick pos; neg = pick neg }) cubes)
+
+let cover_cubes = Array.length
+
+(* Literal [k] of a cube: its positive literals, then its negative ones,
+   which [flip] complements. *)
+let lit c k =
+  let np = Array.length c.pos in
+  if k < np then c.pos.(k) else c.neg.(k - np)
+
+let flip c k = if k < Array.length c.pos then 0L else -1L
+
+let fill dst x lo hi =
+  for w = lo to hi do
+    B.store dst (w lsl 3) x
+  done
+
+(* dst := lit *)
+let set_lit dst src flip lo hi =
+  for w = lo to hi do
+    let o = w lsl 3 in
+    B.store dst o (Int64.logxor (B.load src o) flip)
+  done
+
+(* dst := dst & lit *)
+let and_lit dst src flip lo hi =
+  for w = lo to hi do
+    let o = w lsl 3 in
+    B.store dst o (Int64.logand (B.load dst o) (Int64.logxor (B.load src o) flip))
+  done
+
+(* dst := dst | lit *)
+let or_lit dst src flip lo hi =
+  for w = lo to hi do
+    let o = w lsl 3 in
+    B.store dst o (Int64.logor (B.load dst o) (Int64.logxor (B.load src o) flip))
+  done
+
+(* dst := dst | (acc & lit) *)
+let or_and_lit dst acc src flip lo hi =
+  for w = lo to hi do
+    let o = w lsl 3 in
+    B.store dst o
+      (Int64.logor (B.load dst o)
+         (Int64.logand (B.load acc o) (Int64.logxor (B.load src o) flip)))
+  done
+
+(* dst := dst ^ src *)
+let xor_into dst src lo hi =
+  for w = lo to hi do
+    let o = w lsl 3 in
+    B.store dst o (Int64.logxor (B.load dst o) (B.load src o))
+  done
+
+(* The first cube is built in [dst]; every later one is built in
+   [scratch] and ORed into [dst] by the pass of its last literal.
+   [scratch] is shared by a whole sweep: concurrent chunks own disjoint
+   word ranges of it. *)
+let eval_cover cover ~dst ~scratch ~lo ~len =
+  let hi = lo + len - 1 in
+  if Array.length cover = 0 then fill dst 0L lo hi;
+  for j = 0 to Array.length cover - 1 do
+    let c = cover.(j) in
+    let n = Array.length c.pos + Array.length c.neg in
+    if n = 0 then fill dst (-1L) lo hi
+    else if j = 0 then begin
+      set_lit dst (lit c 0) (flip c 0) lo hi;
+      for k = 1 to n - 1 do
+        and_lit dst (lit c k) (flip c k) lo hi
+      done
+    end
+    else if n = 1 then or_lit dst (lit c 0) (flip c 0) lo hi
+    else begin
+      set_lit scratch (lit c 0) (flip c 0) lo hi;
+      for k = 1 to n - 2 do
+        and_lit scratch (lit c k) (flip c k) lo hi
+      done;
+      or_and_lit dst scratch (lit c (n - 1)) (flip c (n - 1)) lo hi
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Flat compiled form. The netlist is lowered once per [run] into an
-   instruction array over the raw int64 word buffers (inputs alias the
-   stimulus vectors, every other node gets a preallocated vector), and
-   the kernel below evaluates a word range with pure array arithmetic —
-   no allocation, no dispatch beyond one match per instruction per
-   chunk. Word-level bitwise ops are word-local, so evaluating disjoint
-   word ranges on different domains produces exactly the sequential
-   result; tail bits past [num_patterns] are clamped once at the end. *)
+   instruction array over the word buffers (inputs alias the stimulus
+   vectors, every other node gets a preallocated vector). Every gate but
+   XOR/XNOR lowers to a cover. All passes are word-local, so evaluating
+   disjoint word ranges on different domains produces exactly the
+   sequential result; tail bits past [num_patterns] are clamped once at
+   the end. *)
 
-type kind =
-  | Kconst of bool
-  | Kbuf
-  | Knot
-  | Kand
-  | Kor
-  | Kxor
-  | Knand
-  | Knor
-  | Kxnor
-  | Kmux
-  | Kmaj
-  | Klut of TT.cube array
+type instr =
+  | Cover of B.words * cover
+  | Parity of B.words * B.words array * int64  (** XOR of the fanins, then flip *)
 
-type instr = { dst : int64 array; srcs : int64 array array; kind : kind }
+(* The empty cube is constant 1, the empty cover constant 0. *)
+let lower (op : Netlist.op) dst srcs =
+  let cover cubes = Some (Cover (dst, cubes)) in
+  let each ~negated =
+    Array.map
+      (fun s -> if negated then { pos = [||]; neg = [| s |] } else { pos = [| s |]; neg = [||] })
+      srcs
+  in
+  match op with
+  | Netlist.Input -> None
+  | Netlist.Constant b -> cover (if b then [| { pos = [||]; neg = [||] } |] else [||])
+  | Netlist.Buf | Netlist.And -> cover [| { pos = srcs; neg = [||] } |]
+  | Netlist.Not | Netlist.Nor -> cover [| { pos = [||]; neg = srcs } |]
+  | Netlist.Or -> cover (each ~negated:false)
+  | Netlist.Nand -> cover (each ~negated:true)
+  | Netlist.Xor -> Some (Parity (dst, srcs, 0L))
+  | Netlist.Xnor -> Some (Parity (dst, srcs, -1L))
+  | Netlist.Mux ->
+      (* fanins [s; a; b]: s & b | ~s & a *)
+      cover
+        [| { pos = [| srcs.(0); srcs.(2) |]; neg = [||] };
+           { pos = [| srcs.(1) |]; neg = [| srcs.(0) |] } |]
+  | Netlist.Maj ->
+      let pair i j = { pos = [| srcs.(i); srcs.(j) |]; neg = [||] } in
+      cover [| pair 0 1; pair 0 2; pair 1 2 |]
+  | Netlist.Lut tt -> cover (cover_of_cubes (TT.isop tt) srcs)
 
 let compile t node_values =
   let rev = ref [] in
   Netlist.iter_nodes t (fun id op fanins ->
-      let kind =
-        match (op : Netlist.op) with
-        | Netlist.Input -> None
-        | Netlist.Constant b -> Some (Kconst b)
-        | Netlist.Buf -> Some Kbuf
-        | Netlist.Not -> Some Knot
-        | Netlist.And -> Some Kand
-        | Netlist.Or -> Some Kor
-        | Netlist.Xor -> Some Kxor
-        | Netlist.Nand -> Some Knand
-        | Netlist.Nor -> Some Knor
-        | Netlist.Xnor -> Some Kxnor
-        | Netlist.Mux -> Some Kmux
-        | Netlist.Maj -> Some Kmaj
-        | Netlist.Lut tt -> Some (Klut (Array.of_list (TT.isop tt)))
-      in
-      match kind with
-      | None -> ()
-      | Some kind ->
-          rev :=
-            {
-              dst = B.words node_values.(id);
-              srcs = Array.map (fun f -> B.words node_values.(f)) fanins;
-              kind;
-            }
-            :: !rev);
+      let srcs = Array.map (fun f -> B.words node_values.(f)) fanins in
+      Option.iter (fun i -> rev := i :: !rev) (lower op (B.words node_values.(id)) srcs));
   Array.of_list (List.rev !rev)
 
-(* Identity-seeded folds match the sequential [fold_map2] semantics:
-   all-ones is the identity of AND, zero of OR and XOR, so a zero-fanin
-   gate yields the identity and an n-ary gate the plain fold. *)
-let eval_range instrs ~lo ~len =
-  let hi = lo + len - 1 in
-  let nary dst srcs init op negate =
-    let n = Array.length srcs in
-    for w = lo to hi do
-      let acc = ref init in
-      for i = 0 to n - 1 do
-        acc := op !acc srcs.(i).(w)
-      done;
-      dst.(w) <- (if negate then Int64.lognot !acc else !acc)
-    done
-  in
+let eval_range instrs ~scratch ~lo ~len =
   Array.iter
-    (fun { dst; srcs; kind } ->
-      match kind with
-      | Kconst b ->
-          let v = if b then -1L else 0L in
-          for w = lo to hi do
-            dst.(w) <- v
-          done
-      | Kbuf ->
-          let a = srcs.(0) in
-          for w = lo to hi do
-            dst.(w) <- a.(w)
-          done
-      | Knot ->
-          let a = srcs.(0) in
-          for w = lo to hi do
-            dst.(w) <- Int64.lognot a.(w)
-          done
-      | Kand -> nary dst srcs (-1L) Int64.logand false
-      | Kor -> nary dst srcs 0L Int64.logor false
-      | Kxor -> nary dst srcs 0L Int64.logxor false
-      | Knand -> nary dst srcs (-1L) Int64.logand true
-      | Knor -> nary dst srcs 0L Int64.logor true
-      | Kxnor -> nary dst srcs 0L Int64.logxor true
-      | Kmux ->
-          let s = srcs.(0) and a = srcs.(1) and b = srcs.(2) in
-          for w = lo to hi do
-            let sw = s.(w) in
-            dst.(w) <-
-              Int64.logor (Int64.logand sw b.(w))
-                (Int64.logand (Int64.lognot sw) a.(w))
-          done
-      | Kmaj ->
-          let a = srcs.(0) and b = srcs.(1) and c = srcs.(2) in
-          for w = lo to hi do
-            let aw = a.(w) and bw = b.(w) and cw = c.(w) in
-            dst.(w) <-
-              Int64.logor (Int64.logand aw bw)
-                (Int64.logor (Int64.logand aw cw) (Int64.logand bw cw))
-          done
-      | Klut cubes ->
-          let ncubes = Array.length cubes and nsrc = Array.length srcs in
-          for w = lo to hi do
-            let acc = ref 0L in
-            for c = 0 to ncubes - 1 do
-              let { TT.pos; neg } = cubes.(c) in
-              let prod = ref (-1L) in
-              for i = 0 to nsrc - 1 do
-                if (pos lsr i) land 1 = 1 then
-                  prod := Int64.logand !prod srcs.(i).(w)
-                else if (neg lsr i) land 1 = 1 then
-                  prod := Int64.logand !prod (Int64.lognot srcs.(i).(w))
-              done;
-              acc := Int64.logor !acc !prod
-            done;
-            dst.(w) <- !acc
+    (function
+      | Cover (dst, c) -> eval_cover c ~dst ~scratch ~lo ~len
+      | Parity (dst, srcs, flip) ->
+          let hi = lo + len - 1 in
+          set_lit dst srcs.(0) flip lo hi;
+          for i = 1 to Array.length srcs - 1 do
+            xor_into dst srcs.(i) lo hi
           done)
     instrs
 
@@ -155,11 +182,12 @@ let run ?domains t input_vectors =
   in
   Array.iteri (fun i id -> node_values.(id) <- input_vectors.(i)) ins;
   let instrs = compile t node_values in
+  let scratch = B.words (B.create num_patterns) in
   let wpv = words_per_vec num_patterns in
   let t0 = if T.enabled () then T.now () else 0.0 in
   let stats =
     Runtime.Dpool.run ?domains ~units:wpv (fun ~worker ~lo ~len ->
-        eval_range instrs ~lo ~len;
+        eval_range instrs ~scratch ~lo ~len;
         if T.enabled () then begin
           T.count "sim.words_evaluated" (Array.length instrs * len);
           T.count
@@ -180,7 +208,7 @@ let run ?domains t input_vectors =
 let random_stimulus ?domains ?(seed = 42L) ~inputs ~patterns () =
   let vecs = Array.init inputs (fun _ -> B.create patterns) in
   if inputs > 0 then begin
-    let wpv = Array.length (B.words vecs.(0)) in
+    let wpv = words_per_vec patterns in
     (* One unit = one storage word, numbered in the exact order the
        sequential per-vector fill consumes PRNG draws; jumping the
        generator to a chunk's first draw keeps the parallel fill
@@ -191,7 +219,7 @@ let random_stimulus ?domains ?(seed = 42L) ~inputs ~patterns () =
            let rng = Logic.Prng.create seed in
            Logic.Prng.jump rng lo;
            for u = lo to lo + len - 1 do
-             (B.words vecs.(u / wpv)).(u mod wpv) <- Logic.Prng.next64 rng
+             B.store (B.words vecs.(u / wpv)) ((u mod wpv) lsl 3) (Logic.Prng.next64 rng)
            done));
     Array.iter B.clamp vecs
   end;

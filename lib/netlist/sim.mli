@@ -4,13 +4,13 @@
     the paper (Section 4): input vectors are packed 64 per machine word, and
     the whole netlist is evaluated with word-level logic operations.
 
-    The netlist is first lowered to a flat instruction stream over raw
-    word buffers (no per-gate allocation in the inner loop), then the
-    pattern axis is sharded into word-aligned chunks across domains with
-    {!Runtime.Dpool}. Word-level bitwise operations are word-local, so
-    the result is bit-identical for any domain count — including the
-    random stimulus, whose PRNG stream is split per chunk with
-    {!Logic.Prng.jump}. [?domains] defaults to
+    The netlist is first lowered to a flat instruction stream over the
+    unboxed word buffers (every gate but XOR/XNOR becomes a {!cover}; no
+    allocation in the inner loop), then the pattern axis is sharded into
+    word-aligned chunks across domains with {!Runtime.Dpool}. Word-level
+    bitwise operations are word-local, so the result is bit-identical for
+    any domain count — including the random stimulus, whose PRNG stream
+    is split per chunk with {!Logic.Prng.jump}. [?domains] defaults to
     {!Runtime.Dpool.default_domains} ([--domains N] on the CLI); small
     pattern counts fall back to a sequential loop. *)
 
@@ -48,3 +48,32 @@ val toggle_rate : result -> int -> float
     treating patterns as consecutive clock cycles. *)
 
 val output_values : Netlist.t -> result -> (string * Logic.Bitvec.t) array
+
+(** {1 Cover kernel}
+
+    The word kernel of both simulators, shared with
+    [Techmap.Mapped.simulate]: a cover (an OR of cubes, each an AND of
+    literal vectors) evaluated over a word range one literal at a time,
+    the words as the innermost loop. *)
+
+type cover
+
+val cover_of_cubes : Logic.Truthtable.cube list -> Logic.Bitvec.words array -> cover
+(** [cover_of_cubes cubes srcs] lowers [cubes] (variable [i] = [srcs.(i)],
+    e.g. from {!Logic.Truthtable.isop}) to per-cube arrays of positive and
+    negative literal vectors. *)
+
+val cover_cubes : cover -> int
+
+val eval_cover :
+  cover ->
+  dst:Logic.Bitvec.words ->
+  scratch:Logic.Bitvec.words ->
+  lo:int ->
+  len:int ->
+  unit
+(** Writes the cover's value to words [lo, lo + len) of [dst] and uses
+    the same words of [scratch], a vector of [dst]'s size, for products
+    after the first; allocates nothing. Disjoint word ranges may run
+    concurrently over the same [dst] and [scratch]. Tail bits past the
+    vector length may come out set: {!Logic.Bitvec.clamp} after. *)

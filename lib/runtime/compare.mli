@@ -51,7 +51,7 @@ val compare_profiles :
   ?tol:tolerances -> base:Telemetry.profile -> Telemetry.profile -> item list
 (** [compare_profiles ~base cur]: span wall-clock items (seconds), then
     counter items, then distribution means ([sim.patterns_per_s],
-    [sim.parallel_speedup], ...), each name sorted. Distribution drift is
+    [estimate.patterns_per_s], ...), each name sorted. Distribution drift is
     one-sided: only a mean dropping more than [dist_rtol] regresses. *)
 
 val compare_manifests :

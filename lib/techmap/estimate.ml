@@ -47,19 +47,21 @@ let static_components (m : Mapped.t) ~probs =
         Hashtbl.replace char_cache name (ioff, ig);
         (ioff, ig)
   in
+  (* A net feeds several pins; ask [probs] once per net (NaN = not yet). *)
+  let net_probs = Array.make m.Mapped.num_nets Float.nan in
+  let prob net =
+    if Float.is_nan net_probs.(net) then net_probs.(net) <- probs net;
+    net_probs.(net)
+  in
   let static = ref 0.0 and gate_leak = ref 0.0 in
   Array.iter
     (fun (c : Mapped.cell) ->
       let ioff_by_vector, ig_by_vector = char_of c.Mapped.gate in
-      let pin_probs = Array.map probs c.Mapped.inputs in
+      let pin_probs = Array.map prob c.Mapped.inputs in
       static := !static +. (expected_current pin_probs ioff_by_vector *. vdd);
       gate_leak := !gate_leak +. (expected_current pin_probs ig_by_vector *. vdd))
     m.Mapped.cells;
   (!static, !gate_leak)
-
-(* Calibration size for the observed parallel speedup: big enough that
-   per-word cost dominates, small next to the 640 K-pattern sweep. *)
-let calibration_patterns = 65_536
 
 let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     ?(wire_cap_per_fanout = 0.0) (m : Mapped.t) =
@@ -81,32 +83,7 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     T.count "estimate.patterns_simulated" patterns;
     T.count "estimate.cells_simulated" (Array.length m.Mapped.cells);
     if dt > 0.0 then
-      T.observe "estimate.patterns_per_s" (float_of_int patterns /. dt);
-    (* Observed speedup vs. a single domain, from a short sequential
-       calibration run on a fresh stimulus slice. Telemetry is switched
-       off around it so the calibration inflates no counters. *)
-    let requested =
-      match domains with
-      | Some d -> d
-      | None -> Runtime.Dpool.default_domains ()
-    in
-    if requested > 1 && dt > 0.0 && patterns >= calibration_patterns then begin
-      let cal = min patterns calibration_patterns in
-      let cal_stim =
-        Nets.Sim.random_stimulus ~domains:1 ~seed
-          ~inputs:(Array.length m.Mapped.pi_nets) ~patterns:cal ()
-      in
-      T.set_enabled false;
-      let c0 = T.now () in
-      ignore (Mapped.simulate ~domains:1 m cal_stim);
-      let cdt = T.now () -. c0 in
-      T.set_enabled true;
-      if cdt > 0.0 then begin
-        let rate_seq = float_of_int cal /. cdt in
-        let rate_par = float_of_int patterns /. dt in
-        T.observe "sim.parallel_speedup" (rate_par /. rate_seq)
-      end
-    end
+      T.observe "estimate.patterns_per_s" (float_of_int patterns /. dt)
   end;
   let toggle net =
     if patterns <= 1 then 0.0

@@ -32,15 +32,14 @@ val run :
 (** [wire_cap_per_fanout] adds lumped interconnect capacitance per driven
     pin (default 0, the paper's assumption). The Monte-Carlo sweep shards
     across [?domains] (default {!Runtime.Dpool.default_domains});
-    reported figures are bit-identical for any domain count. With
-    telemetry enabled and more than one domain, a short sequential
-    calibration run feeds the [sim.parallel_speedup] distribution. *)
+    reported figures are bit-identical for any domain count. *)
 
 val static_components : Mapped.t -> probs:(int -> float) -> float * float
 (** [(static, gate_leak)] powers in W of every cell, weighting each cell's
     characterized per-input-vector currents by the given per-net
-    1-probabilities (independence assumption). Shared by the combinational
-    and the sequential estimators. *)
+    1-probabilities (independence assumption). [probs] is called once per
+    net that drives a cell pin. Shared by the combinational and the
+    sequential estimators. *)
 
 val pp_report : Format.formatter -> report -> unit
 

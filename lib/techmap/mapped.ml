@@ -1,6 +1,7 @@
 module G = Cell.Genlib
 module B = Logic.Bitvec
 module T = Logic.Truthtable
+module Sim = Nets.Sim
 
 type cell = { gate : G.gate; inputs : int array; output : int }
 
@@ -63,55 +64,39 @@ let simulate ?domains t stimulus =
   Array.iter
     (fun (net, b) -> if b then values.(net) <- B.lognot (B.create npat))
     t.const_nets;
-  (* Preallocate every cell output, then lower the topo-ordered cells to
-     (cover, fanin words, output words) triples so the kernel below is
-     raw word loops — covers cached per gate name. The word axis shards
-     across domains: word-level ops are word-local, so any domain count
-     produces bit-identical values. *)
+  (* Preallocate every cell output, then lower each topo-ordered cell's
+     ISOP cover (cached per gate name) to literal vectors once, so the
+     sweep below is the allocation-free cover kernel of [Nets.Sim]. The
+     word axis shards across domains: word-level ops are word-local, so
+     any domain count produces bit-identical values. *)
   Array.iter (fun c -> values.(c.output) <- B.create npat) t.cells;
   let cover_cache = Hashtbl.create 32 in
-  let cover_of gate =
+  let cubes_of gate =
     let name = gate.G.cell.Cell.Cells.name in
     match Hashtbl.find_opt cover_cache name with
     | Some cubes -> cubes
     | None ->
-        let cubes = Array.of_list (T.isop (Cell.Cells.tt gate.G.cell)) in
+        let cubes = T.isop (Cell.Cells.tt gate.G.cell) in
         Hashtbl.replace cover_cache name cubes;
         cubes
   in
   let kernels =
     Array.map
       (fun c ->
-        ( cover_of c.gate,
-          Array.map (fun net -> B.words values.(net)) c.inputs,
+        ( Sim.cover_of_cubes (cubes_of c.gate)
+            (Array.map (fun net -> B.words values.(net)) c.inputs),
           B.words values.(c.output) ))
       t.cells
   in
+  let scratch = B.words (B.create npat) in
   let nwords = max 1 ((npat + 63) / 64) in
   let cubes_per_word =
-    Array.fold_left (fun acc (cubes, _, _) -> acc + Array.length cubes) 0 kernels
+    Array.fold_left (fun acc (cover, _) -> acc + Sim.cover_cubes cover) 0 kernels
   in
   let stats =
     Runtime.Dpool.run ?domains ~units:nwords (fun ~worker ~lo ~len ->
-        let hi = lo + len - 1 in
         Array.iter
-          (fun (cubes, pin_words, out_words) ->
-            let ncubes = Array.length cubes and pins = Array.length pin_words in
-            for w = lo to hi do
-              let acc = ref 0L in
-              for ci = 0 to ncubes - 1 do
-                let cube = cubes.(ci) in
-                let prod = ref (-1L) in
-                for pin = 0 to pins - 1 do
-                  if (cube.T.pos lsr pin) land 1 = 1 then
-                    prod := Int64.logand !prod pin_words.(pin).(w)
-                  else if (cube.T.neg lsr pin) land 1 = 1 then
-                    prod := Int64.logand !prod (Int64.lognot pin_words.(pin).(w))
-                done;
-                acc := Int64.logor !acc !prod
-              done;
-              out_words.(w) <- !acc
-            done)
+          (fun (cover, dst) -> Sim.eval_cover cover ~dst ~scratch ~lo ~len)
           kernels;
         if Runtime.Telemetry.enabled () then begin
           Runtime.Telemetry.count "mapped.sim.cube_words" (cubes_per_word * len);
@@ -130,7 +115,6 @@ let simulate ?domains t stimulus =
 
 let check ?domains t reference ~patterns ~seed =
   let module N = Nets.Netlist in
-  let module Sim = Nets.Sim in
   let stimulus =
     Sim.random_stimulus ?domains ~seed ~inputs:(Array.length t.pi_nets)
       ~patterns ()

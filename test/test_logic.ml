@@ -46,6 +46,16 @@ let bitvec_lognot_respects_length () =
   let nv = B.lognot v in
   Alcotest.(check int) "popcount of ~0 over 70 bits" 70 (B.popcount nv)
 
+(* An empty vector still owns one storage word; no operation may leave
+   bits in it. *)
+let bitvec_empty_lognot () =
+  Alcotest.(check int) "popcount of ~0 over 0 bits" 0 (B.popcount (B.lognot (B.create 0)))
+
+let bitvec_empty_fill_random () =
+  let v = B.create 0 in
+  B.fill_random (Logic.Prng.create 7L) v;
+  Alcotest.(check int) "popcount of a random 0-bit vector" 0 (B.popcount v)
+
 let bitvec_ops () =
   let rng = Logic.Prng.create 3L in
   let a = B.create 200 and b = B.create 200 in
@@ -69,15 +79,20 @@ let bitvec_transitions_word_boundary () =
 
 let bitvec_transitions_matches_naive () =
   let rng = Logic.Prng.create 11L in
-  for len = 1 to 8 do
-    let v = B.create (len * 37) in
-    B.fill_random rng v;
-    let naive = ref 0 in
-    for i = 0 to B.length v - 2 do
-      if B.get v i <> B.get v (i + 1) then incr naive
-    done;
-    Alcotest.(check int) "naive transitions" !naive (B.transitions v)
-  done
+  (* Multiples of 37 land anywhere in a word; the rest sit on and next to
+     word boundaries, where the seam bit is folded in. *)
+  List.iter
+    (fun len ->
+      let v = B.create len in
+      B.fill_random rng v;
+      let naive = ref 0 in
+      for i = 0 to B.length v - 2 do
+        if B.get v i <> B.get v (i + 1) then incr naive
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "naive transitions, %d bits" len)
+        !naive (B.transitions v))
+    (List.init 8 (fun i -> (i + 1) * 37) @ [ 1; 63; 64; 65; 128; 129 ])
 
 (* ------------------------------------------------------------------ *)
 (* Truthtable *)
@@ -302,6 +317,8 @@ let () =
         [
           Alcotest.test_case "get/set/popcount" `Quick bitvec_get_set;
           Alcotest.test_case "lognot respects length" `Quick bitvec_lognot_respects_length;
+          Alcotest.test_case "lognot of an empty vector" `Quick bitvec_empty_lognot;
+          Alcotest.test_case "fill_random of an empty vector" `Quick bitvec_empty_fill_random;
           Alcotest.test_case "xor bitwise" `Quick bitvec_ops;
           Alcotest.test_case "transitions small" `Quick bitvec_transitions_small;
           Alcotest.test_case "transitions word boundary" `Quick bitvec_transitions_word_boundary;

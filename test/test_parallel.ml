@@ -274,6 +274,46 @@ let parallel_metadata_in_profile () =
   let total = List.fold_left (fun acc (_, v) -> acc + v) 0 per_domain in
   Alcotest.(check int) "per-domain patterns sum to the sweep" 30_000 total
 
+(* --- allocation ---------------------------------------------------- *)
+
+(* The kernels keep every word unboxed, so a sweep allocates the vectors
+   it returns and little else: the rest is the per-call lowering of the
+   gates' covers. A boxed word per store, or a word accessor that is a
+   function rather than an external primitive, allocates at least three
+   times as much. The circuit and pattern count are those of the
+   simulate-mult8-64k micro-benchmarks. *)
+let mapped_simulate_allocates_only_its_vectors () =
+  let mapped =
+    let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist (Lazy.force mult8)) in
+    let ml = Techmap.Matchlib.build ~cache:false Cell.Genlib.generalized_cntfet in
+    Techmap.Mapper.map ml aig
+  in
+  let stimulus =
+    Sim.random_stimulus ~domains:1 ~seed:3L
+      ~inputs:(Array.length mapped.Techmap.Mapped.pi_nets) ~patterns:65_536 ()
+  in
+  (* Emptying the minor heap first makes the counters exact. *)
+  let words () =
+    Gc.minor ();
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = words () in
+  let values = Techmap.Mapped.simulate ~domains:1 mapped stimulus in
+  let allocated = words () -. before in
+  (* Storage words of the distinct vectors it returns, less its inputs. *)
+  let returned =
+    Array.fold_left
+      (fun seen v ->
+        if List.memq v seen || Array.memq v stimulus then seen else v :: seen)
+      [] values
+    |> List.fold_left (fun acc v -> acc + ((B.length v + 63) / 64)) 0
+  in
+  let ratio = allocated /. float_of_int returned in
+  if ratio > 1.25 then
+    Alcotest.failf "allocated %.0f words for %d words of vectors (%.2fx > 1.25x)"
+      allocated returned ratio
+
 let () =
   Alcotest.run "parallel"
     [
@@ -310,5 +350,10 @@ let () =
             estimate_report_identical_across_domains;
           tc "parallel metadata lands in the profile" `Slow
             parallel_metadata_in_profile;
+        ] );
+      ( "allocation",
+        [
+          tc "Mapped.simulate allocates only its vectors" `Quick
+            mapped_simulate_allocates_only_its_vectors;
         ] );
     ]
