@@ -13,10 +13,7 @@ type result = {
 
 let run () =
   (* This experiment measures solver work (dc_solves is golden-gated), so
-     the cache must be genuinely cold: disk-backed entries would turn
-     solves into hits and break the A1 collapse measurement. *)
-  let was_persistent = L.persistent () in
-  L.set_persistent false;
+     it starts from an empty table. *)
   L.clear_cache ();
   let census = Power.Characterize.pattern_census_all () in
   let patterns =
@@ -61,7 +58,6 @@ let run () =
     done;
     List.rev !pairs
   in
-  L.set_persistent was_persistent;
   {
     patterns;
     nor3_parallel = ioff.(0);

@@ -12,24 +12,8 @@ val pattern_ioff : Spice.Tech.t -> Pattern.t -> float
     network, e.g. a gate whose off network vanished entirely) yields 0. *)
 
 val clear_cache : unit -> unit
-(** Drop the in-memory table and zero the hit/miss counters. With
-    persistence on, the next lookup reloads the on-disk artifact (the
-    artifact itself is never deleted). *)
-
-val set_persistent : bool -> unit
-(** Back the table with a {!Runtime.Diskcache} artifact
-    ([_cache/leakage-<digest>.bin], keyed by solver format and compiler
-    version): the first lookup merges the artifact into the table, newly
-    solved entries are written back by {!flush} (registered [at_exit]).
-    Off by default — measurements of solver work (the pattern-census
-    experiment's golden [dc_solves]) need a genuinely cold cache; the
-    CLI enables it for pipeline runs unless [--no-cache]. *)
-
-val persistent : unit -> bool
-
-val flush : unit -> unit
-(** Write the table back to disk now, if persistence is on and entries
-    were added since the last flush. *)
+(** Drop the table and zero the hit/miss counters. The table lives in
+    memory only: every process starts cold. *)
 
 type stats = { entries : int; hits : int; misses : int }
 (** [misses] counts actual DC solves; [hits] counts solves the

@@ -16,9 +16,6 @@ type kind =
   | Checkpoint_written
   | Solver_damped_retry
   | Golden_drift
-  | Cache_hit
-  | Cache_miss
-  | Cache_write
   | Server_started
   | Server_draining
   | Server_stopped
@@ -68,9 +65,6 @@ let kind_name = function
   | Checkpoint_written -> "checkpoint_written"
   | Solver_damped_retry -> "solver_damped_retry"
   | Golden_drift -> "golden_drift"
-  | Cache_hit -> "cache_hit"
-  | Cache_miss -> "cache_miss"
-  | Cache_write -> "cache_write"
   | Server_started -> "server_started"
   | Server_draining -> "server_draining"
   | Server_stopped -> "server_stopped"
@@ -101,9 +95,6 @@ let kind_of_name = function
   | "checkpoint_written" -> Checkpoint_written
   | "solver_damped_retry" -> Solver_damped_retry
   | "golden_drift" -> Golden_drift
-  | "cache_hit" -> Cache_hit
-  | "cache_miss" -> Cache_miss
-  | "cache_write" -> Cache_write
   | "server_started" -> Server_started
   | "server_draining" -> Server_draining
   | "server_stopped" -> Server_stopped

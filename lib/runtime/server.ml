@@ -302,16 +302,6 @@ let respond st conn json =
     | Ok () -> ()
     | Error _ -> close_conn st conn
 
-let cache_entries () =
-  if not (Diskcache.enabled ()) then 0
-  else
-    match Sys.readdir (Diskcache.dir ()) with
-    | files ->
-        Array.fold_left
-          (fun n f -> if Filename.check_suffix f ".bin" then n + 1 else n)
-          0 files
-    | exception Sys_error _ -> 0
-
 let state_name st =
   match st.draining with
   | `No -> "running"
@@ -336,7 +326,6 @@ let health st now =
       ("worker_crashes", J.Num (float_of_int st.crashes));
       ("deadline_kills", J.Num (float_of_int st.deadline_kills));
       ("backoff_active", J.Bool (now < st.backoff_until));
-      ("cache_entries", J.Num (float_of_int (cache_entries ())));
     ]
 
 let final_stats st =
@@ -351,7 +340,7 @@ let final_stats st =
 
 (* One live snapshot: the loop's own lifecycle totals (authoritative, and
    available even with telemetry off) plus whatever the telemetry
-   registry has accumulated — latency dists, cache counters. Served both
+   registry has accumulated — latency dists and counters. Served both
    by the [metrics] verb (inline, ahead of shedding, so it works under
    load and while draining) and as periodic [metrics.json] writes. *)
 let metrics_snapshot st now =
@@ -363,7 +352,6 @@ let metrics_snapshot st now =
         ("workers_busy", float_of_int (List.length st.flights));
         ("workers_max", float_of_int st.cfg.max_workers);
         ("connections_open", float_of_int (List.length st.conns));
-        ("cache_entries", float_of_int (cache_entries ()));
         ("backoff_active", if now < st.backoff_until then 1.0 else 0.0);
         ("draining", if st.draining = `No then 0.0 else 1.0);
       ]

@@ -56,7 +56,7 @@ val run_blif :
   (report, Runtime.Cnt_error.t) result
 (** Checked end-to-end pipeline over BLIF {e text}: parse, well-formedness
     check ({!Nets.Check.check}), AIG construction, [resyn2rs], matchlib
-    build (disk-cached), mapping, then {!run}. Used by [cntpower serve],
+    build, mapping, then {!run}. Used by [cntpower serve],
     whose requests carry the netlist inline. Every failure — parse error,
     combinational loop, unmapped node, non-finite power — is a typed
     error, never an exception. *)

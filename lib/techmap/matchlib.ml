@@ -16,15 +16,18 @@ let library t = t.lib
 let inverter t = t.inv
 let size t = t.entries
 
-(* All permutations of [0..k-1]. *)
-let rec permutations = function
-  | [] -> [ [] ]
-  | items ->
-      List.concat_map
-        (fun x ->
-          let rest = List.filter (fun y -> y <> x) items in
-          List.map (fun p -> x :: p) (permutations rest))
-        items
+(* All permutations of [0..k-1], in lexicographic order. *)
+let permutations k =
+  let rec go = function
+    | [] -> [ [] ]
+    | items ->
+        List.concat_map
+          (fun x ->
+            let rest = List.filter (fun y -> y <> x) items in
+            List.map (fun p -> x :: p) (go rest))
+          items
+  in
+  List.map Array.of_list (go (List.init k Fun.id))
 
 let candidate_area c = c.gate.G.area
 let candidate_delay c = c.gate.G.delay
@@ -62,24 +65,54 @@ let insert t k key cand =
     Hashtbl.replace table key kept
   end
 
-(* Bump when [t]'s layout (or the meaning of its contents) changes: the
-   version participates in the digest, so stale artifacts simply miss. *)
-let format_version = 1
+(* Word kernels on one-word tables (<= 6 variables: minterm [m] is bit
+   [m] of the [int64], as in [T.to_int64]). They are the word-level
+   [T.flip_input] and [T.permute], kept here because only the enumeration
+   below needs them. [var_mask.(i)] selects the minterms where input [i]
+   is 1. *)
+let var_mask = Array.init max_pins (fun i -> T.to_int64 (T.var max_pins i))
 
-let digest_of lib =
-  Runtime.Diskcache.digest
-    [
-      "matchlib";
-      string_of_int format_version;
-      Sys.ocaml_version;
-      string_of_int max_pins;
-      (* The full marshalled library, not just its genlib text: derived
-         libraries ([G.with_tech]) change device parameters without
-         changing any gate function. *)
-      Marshal.to_string lib [];
-    ]
+(* Negate input [i]: the halves where it is 0 and 1 trade places. *)
+let flip w i =
+  let s = 1 lsl i and m = var_mask.(i) in
+  Int64.logor
+    (Int64.shift_right_logical (Int64.logand w m) s)
+    (Int64.shift_left (Int64.logand w (Int64.lognot m)) s)
 
-let compute lib =
+(* Exchange inputs [i < j] with one delta swap: each minterm with input
+   [i] set and [j] clear trades bits with its partner [delta] above. *)
+let swap w i j =
+  let delta = (1 lsl j) - (1 lsl i) in
+  let m = Int64.logand var_mask.(i) (Int64.lognot var_mask.(j)) in
+  let d = Int64.logand (Int64.logxor (Int64.shift_right_logical w delta) w) m in
+  Int64.logxor (Int64.logxor w d) (Int64.shift_left d delta)
+
+(* [T.permute] (input [v] becomes input [perm.(v)]) as at most k - 1
+   swaps: settle input 0, then 1, ... in place. *)
+let permute w perm =
+  let k = Array.length perm in
+  let pos = Array.init k Fun.id (* pos.(v): where input v sits now *)
+  and at = Array.init k Fun.id (* at.(p): which input sits at p *) in
+  let w = ref w in
+  for v = 0 to k - 1 do
+    let a = pos.(v) and b = perm.(v) in
+    if a <> b then begin
+      w := swap !w (min a b) (max a b);
+      let u = at.(b) in
+      pos.(u) <- a;
+      at.(a) <- u;
+      pos.(v) <- b;
+      at.(b) <- v
+    end
+  done;
+  !w
+
+(* Variants reach [insert] in a fixed order: gates in library order,
+   permutations lexicographic, [inv_mask] ascending. [insert] keeps the
+   first of equally good candidates, so this order decides each key's
+   list. *)
+let build lib =
+  Runtime.Telemetry.with_span "techmap.matchlib.build" @@ fun () ->
   let t =
     {
       lib;
@@ -88,39 +121,46 @@ let compute lib =
       entries = 0;
     }
   in
+  let perms = Array.init (max_pins + 1) (fun k -> lazy (permutations k)) in
   List.iter
     (fun (gate : G.gate) ->
       let k = gate.G.cell.Cell.Cells.pins in
-      if k >= 1 && k <= max_pins then begin
-        let base = Cell.Cells.tt gate.G.cell in
-        let perms = permutations (List.init k (fun i -> i)) in
+      let base = Cell.Cells.tt gate.G.cell in
+      (* Only functions with full support are indexed (cut functions are
+         shrunk to their support before lookup); negating or renaming
+         inputs keeps the support size, so this holds for all variants
+         of a gate or for none. *)
+      if k >= 1 && k <= max_pins && List.length (T.support base) = k then begin
+        let base = T.to_int64 base in
+        let seen = Hashtbl.create 64 in
+        let variants = Array.make (1 lsl k) 0L in
         List.iter
-          (fun perm_list ->
-            let perm = Array.of_list perm_list in
-            for inv_mask = 0 to (1 lsl k) - 1 do
-              (* Function computed when pin j is driven by
-                 leaf perm.(j) xor (inv_mask bit j). *)
-              let flipped = ref base in
+          (fun perm ->
+            let p = permute base perm in
+            (* Re-inserting a (gate, key) pair is a no-op, so a variant
+               already met for this gate is skipped, and so is the whole
+               batch of a [p] already met: it repeats an earlier batch.
+               Pin [j] complemented flips input [perm.(j)] of [p]. *)
+            if not (Hashtbl.mem seen p) then begin
+              variants.(0) <- p;
               for j = 0 to k - 1 do
-                if (inv_mask lsr j) land 1 = 1 then flipped := T.flip_input !flipped j
+                let half = 1 lsl j in
+                for inv_mask = half to (2 * half) - 1 do
+                  variants.(inv_mask) <- flip variants.(inv_mask - half) perm.(j)
+                done
               done;
-              let variant = T.permute !flipped perm in
-              (* Only index functions with full support: cut functions are
-                 shrunk to their support before lookup. *)
-              if List.length (T.support variant) = k then
-                insert t k (T.to_int64 variant) { gate; perm; inv_mask }
-            done)
-          perms
+              Array.iteri
+                (fun inv_mask key ->
+                  if not (Hashtbl.mem seen key) then begin
+                    Hashtbl.add seen key ();
+                    insert t k key { gate; perm; inv_mask }
+                  end)
+                variants
+            end)
+          (Lazy.force perms.(k))
       end)
     lib.G.gates;
   t
-
-let build ?(cache = true) lib =
-  Runtime.Telemetry.with_span "techmap.matchlib.build" @@ fun () ->
-  if cache then
-    Runtime.Diskcache.with_cache ~name:"matchlib" ~digest:(digest_of lib)
-      (fun () -> compute lib)
-  else compute lib
 
 let lookup t tt =
   let k = T.nvars tt in

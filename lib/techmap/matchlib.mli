@@ -18,30 +18,26 @@ type t
 val max_pins : int
 (** 6: the largest supported cut/gate size. *)
 
-val build : ?cache:bool -> Cell.Genlib.t -> t
+val build : Cell.Genlib.t -> t
 (** Precompute the match tables for a library. The library must contain an
-    inverter (cell "INV").
-
-    By default the result is served from / published to the persistent
-    {!Runtime.Diskcache} ([_cache/matchlib-<digest>.bin]): building the
-    shipped libraries costs ~0.8 s, loading the artifact is milliseconds.
-    The digest covers the fully marshalled library (so a [with_tech]
-    derivative never aliases its parent), {!max_pins}, a format version
-    and the compiler version; any mismatch — including a truncated or
-    corrupt file — falls back to a rebuild. [~cache:false] ([--no-cache])
-    always rebuilds and writes nothing. *)
-
-val digest_of : Cell.Genlib.t -> string
-(** The cache digest {!build} keys this library under (exposed for cache
-    tooling and tests). *)
+    inverter (cell "INV"). Candidates are enumerated in a fixed order —
+    gates in library order, pin permutations lexicographic, [inv_mask]
+    ascending — which decides every key's list (see {!lookup}). Building
+    the shipped libraries takes milliseconds, so every process builds its
+    own. *)
 
 val library : t -> Cell.Genlib.t
 val inverter : t -> Cell.Genlib.gate
 
 val lookup : t -> Logic.Truthtable.t -> candidate list
 (** Candidates realizing exactly the given function (over its [nvars]
-    variables, all in the support). The list is sorted by ascending area and
-    always contains the fastest candidate. *)
+    variables, all in the support). At most four candidates: the three
+    smallest by area in ascending area order (equal areas: the later
+    enumerated first), preceded by the fastest candidate when it is not
+    among those three. A candidate that is no smaller and no faster than
+    one already listed is never added, so of equally good candidates the
+    first enumerated stays. The mapper keeps the first of equally good
+    matches, so this order is part of every mapped result. *)
 
 val size : t -> int
 (** Total number of table entries (for reporting). *)

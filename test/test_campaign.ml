@@ -6,7 +6,6 @@
 module W = Runtime.Workqueue
 module E = Runtime.Cnt_error
 module C = Runtime.Checkpoint
-module DC = Runtime.Diskcache
 module Cg = Experiments.Campaign
 module G = Cell.Genlib
 
@@ -127,21 +126,6 @@ let test_cfg ~campaign ~runs_dir =
     backoff_max_s = 0.2;
   }
 
-(* Campaign workers rebuild the matchlib per fork; share it through a
-   throwaway disk cache so the suite stays fast. *)
-let with_campaign_env f =
-  let runs = temp_dir "campaign-runs" in
-  let cache = temp_dir "campaign-cache" in
-  let old_dir = DC.dir () in
-  let old_enabled = DC.enabled () in
-  DC.set_dir cache;
-  DC.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      DC.set_dir old_dir;
-      DC.set_enabled old_enabled)
-    (fun () -> f runs)
-
 let done_records path shard =
   let records, _ = ok (W.load ~path) in
   List.filter
@@ -150,7 +134,7 @@ let done_records path shard =
   |> List.length
 
 let test_campaign_fresh_and_resume () =
-  with_campaign_env @@ fun runs_dir ->
+  let runs_dir = temp_dir "campaign-runs" in
   let cfg = test_cfg ~campaign:"fresh" ~runs_dir in
   let s = ok (Cg.run cfg) in
   Alcotest.(check int) "two shards in the grid" 2 s.Cg.total;
@@ -182,7 +166,7 @@ let test_campaign_fresh_and_resume () =
     (Cg.enumerate cfg)
 
 let test_campaign_poison_quarantine () =
-  with_campaign_env @@ fun runs_dir ->
+  let runs_dir = temp_dir "campaign-runs" in
   let cfg =
     {
       (test_cfg ~campaign:"poison" ~runs_dir) with
@@ -210,7 +194,7 @@ let test_campaign_poison_quarantine () =
     (C.find manifest "ham8/cmos/42" <> None)
 
 let test_campaign_sigkill_resume () =
-  with_campaign_env @@ fun runs_dir ->
+  let runs_dir = temp_dir "campaign-runs" in
   let cfg =
     {
       (test_cfg ~campaign:"killed" ~runs_dir) with

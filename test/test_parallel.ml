@@ -202,7 +202,7 @@ let mapped_mult4 =
   lazy
     (let nl = Circuits.Multiplier.generate ~width:4 in
      let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
-     let ml = Techmap.Matchlib.build ~cache:false Cell.Genlib.generalized_cntfet in
+     let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
      (nl, Techmap.Mapper.map ml aig))
 
 let mapped_simulate_deterministic_across_domains () =
@@ -285,7 +285,7 @@ let parallel_metadata_in_profile () =
 let mapped_simulate_allocates_only_its_vectors () =
   let mapped =
     let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist (Lazy.force mult8)) in
-    let ml = Techmap.Matchlib.build ~cache:false Cell.Genlib.generalized_cntfet in
+    let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
     Techmap.Mapper.map ml aig
   in
   let stimulus =

@@ -56,6 +56,95 @@ let generalized_matches_xor_shapes () =
   let gnand = T.lognot (T.logand (T.logxor (T.var 4 0) (T.var 4 2)) (T.logxor (T.var 4 1) (T.var 4 3))) in
   Alcotest.(check bool) "GNAND2 shape matched" true (M.Matchlib.lookup ml gnand <> [])
 
+(* The generic enumeration Matchlib used to run, kept as the reference
+   for its word-level one: every (perm, inv_mask) variant of every gate
+   rebuilt through T.flip_input / T.permute and filtered by T.support,
+   gates in library order, permutations lexicographic, inv_mask
+   ascending, each pushed through the same insert policy. *)
+let rec permutations = function
+  | [] -> [ [] ]
+  | items ->
+      List.concat_map
+        (fun x ->
+          List.map
+            (fun p -> x :: p)
+            (permutations (List.filter (fun y -> y <> x) items)))
+        items
+
+let reference_tables lib =
+  let tables = Hashtbl.create 4096 and entries = ref 0 in
+  let area (c : M.Matchlib.candidate) = c.gate.G.area
+  and delay (c : M.Matchlib.candidate) = c.gate.G.delay in
+  let insert key cand =
+    let existing = Option.value ~default:[] (Hashtbl.find_opt tables key) in
+    if
+      not
+        (List.exists
+           (fun c -> area c <= area cand && delay c <= delay cand)
+           existing)
+    then begin
+      let merged =
+        List.sort (fun a b -> compare (area a) (area b)) (cand :: existing)
+      in
+      let by_area = List.filteri (fun i _ -> i < 3) merged in
+      let fastest =
+        List.fold_left
+          (fun acc c -> if delay c < delay acc then c else acc)
+          (List.hd merged) merged
+      in
+      let kept =
+        if List.memq fastest by_area then by_area else fastest :: by_area
+      in
+      entries := !entries + List.length kept - List.length existing;
+      Hashtbl.replace tables key kept
+    end
+  in
+  List.iter
+    (fun (gate : G.gate) ->
+      let k = gate.G.cell.Cell.Cells.pins in
+      if k >= 1 && k <= M.Matchlib.max_pins then begin
+        let base = Cell.Cells.tt gate.G.cell in
+        List.iter
+          (fun perm ->
+            let perm = Array.of_list perm in
+            for inv_mask = 0 to (1 lsl k) - 1 do
+              let flipped = ref base in
+              for j = 0 to k - 1 do
+                if (inv_mask lsr j) land 1 = 1 then
+                  flipped := T.flip_input !flipped j
+              done;
+              let variant = T.permute !flipped perm in
+              if List.length (T.support variant) = k then
+                insert (k, T.to_int64 variant) { M.Matchlib.gate; perm; inv_mask }
+            done)
+          (permutations (List.init k Fun.id))
+      end)
+    lib.G.gates;
+  (tables, !entries)
+
+let describe cands =
+  List.map
+    (fun (c : M.Matchlib.candidate) ->
+      (c.gate.G.cell.Cell.Cells.name, Array.to_list c.perm, c.inv_mask))
+    cands
+
+let matchlib_equals_reference lib () =
+  let ml = M.Matchlib.build lib in
+  let tables, entries = reference_tables lib in
+  Alcotest.(check int) "size" entries (M.Matchlib.size ml);
+  Hashtbl.iter
+    (fun (k, key) cands ->
+      Alcotest.(check (list (triple string (list int) int)))
+        (Printf.sprintf "candidates of %d:%016Lx" k key)
+        (describe cands)
+        (describe (M.Matchlib.lookup ml (T.of_int64 k key))))
+    tables
+
+let ptl_ambipolar () =
+  match Cell.Libfile.load_file "../data/libraries/ptl-ambipolar.genlibp" with
+  | Ok lib -> lib
+  | Error e -> Alcotest.failf "load: %a" Runtime.Cnt_error.pp e
+
 (* ------------------------------------------------------------------ *)
 (* Mapper *)
 
@@ -352,7 +441,17 @@ let () =
           Alcotest.test_case "permutation binding" `Quick lookup_respects_permutation;
           Alcotest.test_case "unknown function" `Quick lookup_unknown_function;
           Alcotest.test_case "generalized xor shapes" `Quick generalized_matches_xor_shapes;
-        ] );
+        ]
+        @ List.map
+            (fun (lib : G.t) ->
+              Alcotest.test_case
+                ("equals reference enumeration: " ^ lib.G.name)
+                `Slow (matchlib_equals_reference lib))
+            G.all_libraries
+        @ [
+            Alcotest.test_case "equals reference enumeration: ptl-ambipolar"
+              `Slow (fun () -> matchlib_equals_reference (ptl_ambipolar ()) ());
+          ] );
       ( "mapper",
         Alcotest.
           [
