@@ -572,7 +572,7 @@ let all_cmd =
     else begin
       let policy =
         if no_supervise then None
-        else Some { S.timeout_s = timeout; retries; degrade = true }
+        else Some { S.timeout_s = timeout; retries }
       in
       let manifest_path = manifest_path_of run_name in
       let config =

@@ -153,8 +153,8 @@ let execute cfg shard ~attempt =
       shard_scalars (Est.run ~patterns:cfg.patterns ~seed:shard.sh_seed mapped)
 
 (* ------------------------------------------------------------------ *)
-(* Durable result fields: everything needed to rebuild the manifest
-   entry rides the [done] record, scalars under an "s:" prefix. *)
+(* Durable result fields: everything the manifest entry is rendered
+   from rides the [done] record, scalars under an "s:" prefix. *)
 
 let scalar_prefix = "s:"
 
@@ -179,12 +179,6 @@ let wall_of_fields fields =
   match List.assoc_opt "wall_s" fields with
   | Some v -> Option.value ~default:0.0 (float_of_string_opt v)
   | None -> 0.0
-
-let entry_of_shard cfg wq sh ~wall_s scalars =
-  C.entry ~experiment:sh.sh_id ~seed:sh.sh_seed ~patterns:cfg.patterns
-    ~wall_time:wall_s
-    ~attempts:(max 1 (W.attempts wq sh.sh_id))
-    ~status:C.Passed scalars
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
@@ -212,24 +206,13 @@ let validate cfg =
       cfg.campaign
   else Ok ()
 
-let initial_manifest cfg =
-  let path = manifest_path cfg in
-  if cfg.resume && Sys.file_exists path then
-    match C.load ~path with
-    | Ok m -> m
-    | Error e ->
-        Format.eprintf "campaign: ignoring unreadable manifest: %a@." E.pp e;
-        C.empty ~run_name:cfg.campaign
-  else C.empty ~run_name:cfg.campaign
-
 (* ------------------------------------------------------------------ *)
 (* Coordinator                                                         *)
 
 type flight = {
   fl_shard : shard;
   fl_attempt : int;
-  fl_async : (string * float) list S.async;
-  fl_deadline : float;  (** epoch; 0. = no deadline *)
+  fl_job : (string * float) list S.job;
   fl_started : float;
   fl_ctx : Tc.t;  (** shard trace context; stamps every outcome event *)
 }
@@ -260,26 +243,31 @@ let run cfg =
           ~fields:[ ("reason", "lease-reclaimed; attempts exhausted") ]
       else W.mark_failed wq id ~fields:[ ("reason", "lease-reclaimed") ])
     (W.stale_leases wq ~now:(Unix.gettimeofday ()));
-  (* The queue log is the durable source of truth: a [done] record whose
-     manifest entry never landed (killed between the two writes) is
-     rebuilt here from the record's own fields. *)
-  let manifest = ref (initial_manifest cfg) in
-  let resumed = ref 0 in
-  List.iter
-    (fun sh ->
-      if W.state wq sh.sh_id = Some W.Done then begin
-        incr resumed;
-        if C.find !manifest sh.sh_id = None then begin
-          let fields = W.fields wq sh.sh_id in
-          manifest :=
-            C.add !manifest
-              (entry_of_shard cfg wq sh ~wall_s:(wall_of_fields fields)
-                 (scalars_of_fields fields))
-        end
-      end)
-    shards;
+  let is_done sh = W.state wq sh.sh_id = Some W.Done in
+  let resumed = List.length (List.filter is_done shards) in
+  (* The manifest is a view of the queue log, the one durable record:
+     every write renders it whole from the [done] records, in grid
+     order, so an entry lost to a crash between the two writes, or one
+     the log does not hold, cannot outlive the next write. *)
   let save_manifest () =
-    match C.save ~path:(manifest_path cfg) !manifest with
+    let entry sh =
+      let fields = W.fields wq sh.sh_id in
+      C.entry ~experiment:sh.sh_id ~seed:sh.sh_seed ~patterns:cfg.patterns
+        ~wall_time:(wall_of_fields fields)
+        ~attempts:(max 1 (W.attempts wq sh.sh_id))
+        ~status:C.Passed (scalars_of_fields fields)
+    in
+    let manifest =
+      {
+        C.run_name = cfg.campaign;
+        created = t0;
+        entries =
+          List.filter_map
+            (fun sh -> if is_done sh then Some (entry sh) else None)
+            shards;
+      }
+    in
+    match C.save ~path:(manifest_path cfg) manifest with
     | Ok () ->
         if Jn.enabled () then
           Jn.emit ~level:Jn.Debug Jn.Checkpoint_written
@@ -300,7 +288,7 @@ let run cfg =
         ("run", cfg.campaign);
         ("mode", "campaign");
         ("shards", string_of_int (List.length shards));
-        ("resumed", string_of_int !resumed);
+        ("resumed", string_of_int resumed);
         ("workers", string_of_int cfg.workers);
       ];
   let eligible : (string, float) Hashtbl.t = Hashtbl.create 16 in
@@ -329,7 +317,7 @@ let run cfg =
             ("campaign.quarantined", W.count wq W.Quarantined);
             ("campaign.leases", !leases);
             ("campaign.reclaimed", !reclaimed);
-            ("campaign.resumed", !resumed);
+            ("campaign.resumed", resumed);
           ]
         ()
     in
@@ -359,17 +347,14 @@ let run cfg =
   in
   let handle_done fl scalars =
     Tc.with_ctx fl.fl_ctx @@ fun () ->
-    let now = Unix.gettimeofday () in
-    let id = fl.fl_shard.sh_id in
-    let wall_s = now -. fl.fl_started in
-    W.mark_done wq id ~fields:(done_fields ~wall_s scalars);
+    let wall_s = Unix.gettimeofday () -. fl.fl_started in
+    W.mark_done wq fl.fl_shard.sh_id ~fields:(done_fields ~wall_s scalars);
     incr completed;
     (* Fault injection: die at the worst moment — result durable in the
-       queue log, manifest entry not yet written. *)
+       queue log, manifest not yet rewritten. *)
     (match cfg.inject.inj_kill_after with
     | Some n when !completed >= n -> Unix.kill (Unix.getpid ()) Sys.sigkill
     | _ -> ());
-    manifest := C.add !manifest (entry_of_shard cfg wq fl.fl_shard ~wall_s scalars);
     save_manifest ();
     save_profile ();
     save_metrics ()
@@ -399,108 +384,53 @@ let run cfg =
                Tc.with_ctx ctx @@ fun () ->
                let attempt = W.lease wq id ~ttl_s in
                incr leases;
-               let a =
-                 S.spawn_async
+               let job =
+                 S.spawn
                    ~telemetry_prefix:
                      [ "campaign"; "shard"; Tc.span_label ctx ]
-                   ~name:id
+                   ~timeout_s:cfg.shard_timeout_s ~name:id
                    (fun () -> execute cfg sh ~attempt)
-               in
-               let started = Unix.gettimeofday () in
-               let deadline =
-                 if cfg.shard_timeout_s > 0.0 then
-                   started +. cfg.shard_timeout_s
-                 else 0.0
                in
                flights :=
                  {
                    fl_shard = sh;
                    fl_attempt = attempt;
-                   fl_async = a;
-                   fl_deadline = deadline;
-                   fl_started = started;
+                   fl_job = job;
+                   fl_started = Unix.gettimeofday ();
                    fl_ctx = ctx;
                  }
                  :: !flights
              end)
   in
-  let remove_flight fl =
-    flights := List.filter (fun f -> f != fl) !flights
-  in
   while pending () <> [] || !flights <> [] do
-    let now = Unix.gettimeofday () in
-    (* Deadline reaping first: a wedged worker must not hold its slot. *)
-    let overdue, live =
-      List.partition
-        (fun fl -> fl.fl_deadline > 0.0 && now >= fl.fl_deadline)
-        !flights
-    in
-    flights := live;
-    List.iter
-      (fun fl ->
-        Tc.with_ctx fl.fl_ctx @@ fun () ->
-        S.async_abort fl.fl_async;
-        if Jn.enabled () then
-          Jn.emit ~level:Jn.Warn Jn.Worker_timeout
-            [
-              ("shard", fl.fl_shard.sh_id);
-              ("timeout_s", Printf.sprintf "%.1f" cfg.shard_timeout_s);
-            ];
-        handle_failure fl
-          (E.makef
-             ~context:[ ("shard", fl.fl_shard.sh_id) ]
-             E.Experiment E.Worker_timeout "shard exceeded %.1f s deadline"
-             cfg.shard_timeout_s))
-      overdue;
     dispatch ();
-    match !flights with
-    | [] ->
-        (* Everything eligible is in backoff; sleep to the next retry. *)
-        let now = Unix.gettimeofday () in
-        let next =
-          List.fold_left
-            (fun acc id ->
-              match Hashtbl.find_opt eligible id with
-              | Some at -> Float.min acc at
-              | None -> now)
-            (now +. 1.0) (pending ())
-        in
-        if pending () <> [] then
-          Unix.sleepf (Float.max 0.01 (Float.min 1.0 (next -. now)))
-    | fls ->
-        let now = Unix.gettimeofday () in
-        let timeout =
-          List.fold_left
-            (fun acc fl ->
-              if fl.fl_deadline > 0.0 then Float.min acc (fl.fl_deadline -. now)
-              else acc)
-            0.5 fls
-          |> Float.max 0.01
-        in
-        let fds = List.map (fun fl -> S.async_fd fl.fl_async) fls in
-        let readable, _, _ =
-          try Unix.select fds [] [] timeout
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        List.iter
-          (fun fl ->
-            if List.mem (S.async_fd fl.fl_async) readable then
-              match
-                Tc.with_ctx fl.fl_ctx (fun () -> S.async_step fl.fl_async)
-              with
-              | `Pending -> ()
-              | `Done res -> (
-                  remove_flight fl;
-                  match res with
-                  | Ok scalars -> handle_done fl scalars
-                  | Error e -> handle_failure fl e))
-          fls
+    (* Wake for a finished or overdue worker, or for the next shard
+       leaving its backoff. *)
+    let now = Unix.gettimeofday () in
+    let until =
+      List.fold_left
+        (fun acc id ->
+          match Hashtbl.find_opt eligible id with
+          | Some at when at > now -> Float.min acc at
+          | _ -> acc)
+        infinity (pending ())
+    in
+    let _, finished =
+      S.wait ~until (List.map (fun fl -> fl.fl_job) !flights)
+    in
+    List.iter
+      (fun (job, result) ->
+        let fl = List.find (fun fl -> fl.fl_job == job) !flights in
+        flights := List.filter (fun f -> f != fl) !flights;
+        match result with
+        | Ok scalars -> handle_done fl scalars
+        | Error e -> handle_failure fl e)
+      finished
   done;
   let quarantined =
     List.filter (fun id -> W.state wq id = Some W.Quarantined)
       (List.map (fun sh -> sh.sh_id) shards)
   in
-  save_manifest ();
   save_profile ();
   save_metrics ();
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -518,7 +448,7 @@ let run cfg =
     {
       total = List.length shards;
       completed = !completed;
-      resumed = !resumed;
+      resumed;
       quarantined;
       attempts = !leases;
       reclaimed = !reclaimed;

@@ -16,12 +16,12 @@
       results, and the summary lists what was set aside;
     - {b coordinator SIGKILL}: [done] records carry the result scalars,
       so [run] with [resume = true] reclaims stale leases (dead owner or
-      expired timestamp), rebuilds missing manifest entries from the
-      log, and re-runs only shards not recorded [done].
+      expired timestamp) and re-runs only shards not recorded [done].
 
-    Results stream into an incremental {!Runtime.Checkpoint} manifest
-    ([manifest.json], one entry per shard, written after every
-    completion) and a merged telemetry profile, so [cntpower
+    The queue log is the only durable record: [manifest.json] is a
+    {!Runtime.Checkpoint} view rendered from its [done] records (one
+    entry per done shard, in grid order) at start-up and after every
+    completion, next to a merged telemetry profile, so [cntpower
     stats/trace/compare] work on a half-finished campaign.
 
     Each shard attempt set mints a {!Runtime.Tracectx}: the lease and

@@ -93,70 +93,37 @@ let note_done name status =
 let run_one config ppf e =
   Tc.with_ctx (Tc.mint_root ()) @@ fun () ->
   Format.fprintf ppf "@.=== %s: %s ===@." e.name e.doc;
-  match config.policy with
-  | None -> (
-      note_started ~degraded:false e.name;
-      let t0 = Unix.gettimeofday () in
-      match
-        E.protect ~stage:E.Experiment (fun () ->
-            T.with_span e.name (fun () -> e.run ~degraded:false ppf))
-      with
-      | Ok scalars ->
-          Passed
-            {
-              wall = Unix.gettimeofday () -. t0;
-              scalars;
-              degraded = false;
-              attempts = 1;
-            }
-      | Result.Error err ->
-          Failed
-            {
-              wall = Unix.gettimeofday () -. t0;
-              attempts = 1;
-              error = E.with_context err [ ("experiment", e.name) ];
-            })
-  | Some policy -> (
-      (* The worker inherits the parent's telemetry flag across the fork.
-         It profiles just its own entry (reset on entry, snapshot on exit);
-         the profile rides the marshalled result back over the supervisor
-         pipe and is grafted under a span named for the experiment. *)
-      let outcome =
-        S.run ~policy ~name:e.name (fun ~degraded ->
+  let outcome =
+    match config.policy with
+    | None ->
+        note_started ~degraded:false e.name;
+        let t0 = Unix.gettimeofday () in
+        let value =
+          E.protect ~stage:E.Experiment (fun () ->
+              T.with_span e.name (fun () -> e.run ~degraded:false ppf))
+        in
+        {
+          S.value;
+          attempts = 1;
+          degraded = false;
+          wall_time = Unix.gettimeofday () -. t0;
+        }
+    | Some policy ->
+        (* The worker inherits the parent's telemetry flag across the
+           fork, profiles just its own entry, and the pool grafts that
+           profile under a span named for the experiment. *)
+        S.run ~policy ~telemetry_prefix:[ e.name ] ~name:e.name
+          (fun ~degraded ->
             note_started ~degraded e.name;
-            if T.enabled () then T.reset ();
-            let scalars = e.run ~degraded ppf in
-            let prof = if T.enabled () then Some (T.snapshot ()) else None in
-            (scalars, prof))
-      in
-      match outcome.S.value with
-      | Ok (scalars, prof) ->
-          Option.iter
-            (fun p ->
-              let entry_span =
-                {
-                  T.span_name = e.name;
-                  calls = outcome.S.attempts;
-                  total_s = outcome.S.wall_time;
-                  children = p.T.p_spans;
-                }
-              in
-              T.merge { p with T.p_spans = [ entry_span ] })
-            prof;
-          Passed
-            {
-              wall = outcome.S.wall_time;
-              scalars;
-              degraded = outcome.S.degraded;
-              attempts = outcome.S.attempts;
-            }
-      | Result.Error err ->
-          Failed
-            {
-              wall = outcome.S.wall_time;
-              attempts = outcome.S.attempts;
-              error = E.with_context err [ ("experiment", e.name) ];
-            })
+            e.run ~degraded ppf)
+  in
+  let wall = outcome.S.wall_time and attempts = outcome.S.attempts in
+  match outcome.S.value with
+  | Ok scalars ->
+      Passed { wall; scalars; degraded = outcome.S.degraded; attempts }
+  | Result.Error err ->
+      let error = E.with_context err [ ("experiment", e.name) ] in
+      Failed { wall; attempts; error }
 
 (* A passing manifest entry resumes only if it was produced by the same
    workload: same seed and same pattern count. *)

@@ -2,14 +2,16 @@
     checkpoints and resume.
 
     [cntpower all] runs every experiment through this harness. Each
-    experiment executes in a forked worker under
-    {!Runtime.Supervisor.run}: a crash (signal, OOM kill, nonzero exit)
-    or a wall-clock timeout is reaped by the supervisor, converted to a
-    typed {!Runtime.Cnt_error.t} ([Worker_killed] / [Worker_timeout]) and
-    retried once in *degraded* mode (the entry sees [~degraded:true] and
-    is expected to shed load, e.g. halve its pattern count). With
-    [policy = None] entries run in-process, which is what the unit tests
-    use and what [--no-supervise] selects.
+    experiment executes as one job of the {!Runtime.Supervisor} pool
+    ({!Runtime.Supervisor.run}): a crash (signal, OOM kill, nonzero exit)
+    or a wall-clock timeout is reaped by the pool, converted to a typed
+    {!Runtime.Cnt_error.t} ([Worker_killed] / [Worker_timeout]) and
+    retried in *degraded* mode (the entry sees [~degraded:true] and is
+    expected to shed load, e.g. halve its pattern count). A profiled
+    worker's spans land under a span named for the experiment, charged
+    with the attempt that returned them. With [policy = None] entries run
+    in-process, which is what the unit tests use and what
+    [--no-supervise] selects.
 
     When a manifest path is configured, the harness persists a
     {!Runtime.Checkpoint.manifest} entry after every experiment —

@@ -245,8 +245,7 @@ type 'job queued = {
 
 type 'job flight = {
   f_req : 'job queued;
-  f_async : J.json Supervisor.async;
-  f_deadline : float;
+  f_job : J.json Supervisor.job;
   f_started : float;
 }
 
@@ -427,8 +426,12 @@ let reject st conn id e =
 (* ------------------------------------------------------------------ *)
 (* Dispatch and completion                                             *)
 
-let fds_to_close_in_child st =
-  st.listen_fd :: st.sig_r :: List.map (fun c -> c.c_fd) st.conns
+(* The daemon's own descriptors: the pool's [wait] watches them next to
+   the worker pipes, and a forked worker must not keep them open (that
+   would defeat EOF detection and drain). *)
+let own_fds st =
+  (st.sig_r :: (if st.accepting then [ st.listen_fd ] else []))
+  @ List.map (fun c -> c.c_fd) st.conns
 
 let dispatch st req now =
   if st.respawn_pending then begin
@@ -436,7 +439,6 @@ let dispatch st req now =
     jn Journal.Worker_respawned
       [ ("backoff_s", Printf.sprintf "%.3f" st.backoff_s) ]
   end;
-  let name = Printf.sprintf "req-%d" req.q_id in
   let execute = st.h.execute in
   let job = req.q_job in
   (* Spawn under the request's context: the Worker_spawned event gets the
@@ -444,26 +446,17 @@ let dispatch st req now =
      worker journals links back to this request. The per-request span
      label in the telemetry prefix makes each request's profile subtree
      addressable in profile.json. *)
-  Tracectx.with_ctx req.q_ctx (fun () ->
-      match
-        Supervisor.spawn_async
+  let worker =
+    Tracectx.with_ctx req.q_ctx (fun () ->
+        Supervisor.spawn
           ~telemetry_prefix:[ "serve.request"; Tracectx.span_label req.q_ctx ]
-          ~close_in_child:(fds_to_close_in_child st) ~name (fun () ->
-            match execute job with Ok j -> j | Error e -> E.raise_error e)
-      with
-      | async ->
-          st.flights <-
-            {
-              f_req = req;
-              f_async = async;
-              f_deadline = now +. req.q_deadline_s;
-              f_started = now;
-            }
-            :: st.flights
-      | exception e ->
-          let err = E.of_exn ~stage:E.Experiment e in
-          st.failed <- st.failed + 1;
-          respond st req.q_conn (error_response err))
+          ~close_in_child:(own_fds st)
+          ~timeout_s:req.q_deadline_s
+          ~name:(Printf.sprintf "req-%d" req.q_id)
+          (fun () ->
+            match execute job with Ok j -> j | Error e -> E.raise_error e))
+  in
+  st.flights <- { f_req = req; f_job = worker; f_started = now } :: st.flights
 
 let try_dispatch st now =
   let rec go () =
@@ -530,41 +523,22 @@ let on_worker_done st flight result now =
         Telemetry.count "serve.breaker_trips" 1;
         start_drain st `Breaker now
       end
+  | Error e when e.E.code = E.Worker_timeout ->
+      st.failed <- st.failed + 1;
+      st.deadline_kills <- st.deadline_kills + 1;
+      Telemetry.count "serve.deadline_kills" 1;
+      request_done flight ~status:"deadline" ~wall [];
+      respond st flight.f_req.q_conn
+        (error_response (E.with_context e [ req_ctx flight.f_req.q_id ]))
   | Error e ->
-      (* Typed failure from the handler itself: the worker is fine. *)
+      (* Typed failure from the handler itself (or a refused fork): the
+         worker is fine. *)
       st.failed <- st.failed + 1;
       Telemetry.count "serve.request_errors" 1;
       st.backoff_s <- st.cfg.backoff_initial_s;
       request_done flight ~status:"error" ~wall
         [ ("code", E.code_name e.E.code) ];
       respond st flight.f_req.q_conn (error_response e)
-
-let kill_deadline st flight now =
-  Tracectx.with_ctx flight.f_req.q_ctx @@ fun () ->
-  Supervisor.async_abort flight.f_async;
-  st.flights <- List.filter (fun f -> f.f_req.q_id <> flight.f_req.q_id) st.flights;
-  st.failed <- st.failed + 1;
-  st.deadline_kills <- st.deadline_kills + 1;
-  Telemetry.count "serve.deadline_kills" 1;
-  let wall = now -. flight.f_started in
-  jnw Journal.Worker_timeout
-    [
-      req_ctx flight.f_req.q_id;
-      ("worker_pid", string_of_int (Supervisor.async_pid flight.f_async));
-      ("deadline_s", Printf.sprintf "%.1f" flight.f_req.q_deadline_s);
-    ];
-  request_done flight ~status:"deadline" ~wall [];
-  respond st flight.f_req.q_conn
-    (error_response
-       (E.makef
-          ~context:
-            [
-              req_ctx flight.f_req.q_id;
-              ("deadline_s", Printf.sprintf "%.1f" flight.f_req.q_deadline_s);
-            ]
-          E.Experiment E.Worker_timeout
-          "request exceeded its %.1fs deadline and its worker was killed"
-          flight.f_req.q_deadline_s))
 
 (* ------------------------------------------------------------------ *)
 (* Request admission                                                   *)
@@ -813,17 +787,13 @@ let validate_config cfg =
 let drain_expired st now =
   (* The drain budget is spent: abort stragglers with typed errors so
      every accepted request still gets exactly one response. *)
+  Supervisor.abort_all (List.map (fun f -> f.f_job) st.flights);
   List.iter
     (fun flight ->
       Tracectx.with_ctx flight.f_req.q_ctx @@ fun () ->
-      Supervisor.async_abort flight.f_async;
       st.failed <- st.failed + 1;
       jnw Journal.Worker_killed
-        [
-          req_ctx flight.f_req.q_id;
-          ("worker_pid", string_of_int (Supervisor.async_pid flight.f_async));
-          ("reason", "drain-timeout");
-        ];
+        [ req_ctx flight.f_req.q_id; ("reason", "drain-timeout") ];
       request_done flight ~status:"aborted" ~wall:(now -. flight.f_started) [];
       respond st flight.f_req.q_conn
         (error_response
@@ -906,6 +876,7 @@ let run cfg h =
     (try Unix.close sig_r with Unix.Unix_error _ -> ());
     (try Unix.close sig_w with Unix.Unix_error _ -> ());
     stop_accepting st;
+    Supervisor.abort_all (List.map (fun f -> f.f_job) st.flights);
     List.iter (fun c -> try Unix.close c.c_fd with Unix.Unix_error _ -> ()) st.conns;
     st.conns <- []
   in
@@ -915,65 +886,45 @@ let run cfg h =
         if !drain_flag then start_drain st `Signal now;
         if now -. st.last_metrics_write >= cfg.metrics_interval_s then
           write_metrics st now;
-        (* Reap expired in-flight deadlines before dispatching more. *)
-        List.iter
-          (fun flight -> if now > flight.f_deadline then kill_deadline st flight now)
-          (List.filter (fun f -> now > f.f_deadline) st.flights);
         if st.draining <> `No && now > st.drain_deadline then drain_expired st now;
         try_dispatch st now;
         if st.draining <> `No && st.queue = [] && st.flights = [] then
           finish (match st.draining with `Breaker -> Tripped | _ -> Drained)
         else begin
-          let read_fds =
-            (st.sig_r :: (if st.accepting then [ st.listen_fd ] else []))
-            @ List.map (fun c -> c.c_fd) st.conns
-            @ List.map (fun f -> Supervisor.async_fd f.f_async) st.flights
-          in
-          let next_deadline =
-            List.fold_left
-              (fun acc f -> Float.min acc f.f_deadline)
+          (* Wake at least once a second, at the drain deadline, and when
+             the dispatch backoff ends; worker deadlines are the pool's. *)
+          let until =
+            Float.min (now +. 1.0)
               (if st.draining <> `No then st.drain_deadline else infinity)
-              st.flights
           in
-          let next_deadline =
+          let until =
             if st.queue <> [] && st.backoff_until > now then
-              Float.min next_deadline st.backoff_until
-            else next_deadline
+              Float.min until st.backoff_until
+            else until
           in
-          let timeout =
-            if next_deadline = infinity then 1.0
-            else Float.max 0.01 (Float.min 1.0 (next_deadline -. now))
+          let ready, reaped =
+            Supervisor.wait ~fds:(own_fds st) ~until
+              (List.map (fun f -> f.f_job) st.flights)
           in
-          match Unix.select read_fds [] [] timeout with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | ready, _, _ ->
-              let now = Unix.gettimeofday () in
-              if List.mem st.sig_r ready then begin
-                let b = Bytes.create 16 in
-                (try ignore (Unix.read st.sig_r b 0 16)
-                 with Unix.Unix_error _ -> ());
-                start_drain st `Signal now
-              end;
-              (* Completions first: they free worker slots and must win
-                 races against their own deadlines. Stepped under the
-                 request's context so the parent-side Worker_exited /
-                 Worker_killed events carry its trace fields. *)
-              List.iter
-                (fun flight ->
-                  if List.mem (Supervisor.async_fd flight.f_async) ready then
-                    match
-                      Tracectx.with_ctx flight.f_req.q_ctx (fun () ->
-                          Supervisor.async_step flight.f_async)
-                    with
-                    | `Pending -> ()
-                    | `Done result -> on_worker_done st flight result now)
-                st.flights;
-              List.iter
-                (fun conn ->
-                  if conn.c_open && List.mem conn.c_fd ready then
-                    on_conn_readable st conn now)
-                st.conns;
-              if st.accepting && List.mem st.listen_fd ready then accept_ready st
+          let now = Unix.gettimeofday () in
+          if List.mem st.sig_r ready then begin
+            let b = Bytes.create 16 in
+            (try ignore (Unix.read st.sig_r b 0 16) with Unix.Unix_error _ -> ());
+            start_drain st `Signal now
+          end;
+          (* Completions first: they free worker slots. *)
+          List.iter
+            (fun (job, result) ->
+              on_worker_done st
+                (List.find (fun f -> f.f_job == job) st.flights)
+                result now)
+            reaped;
+          List.iter
+            (fun conn ->
+              if conn.c_open && List.mem conn.c_fd ready then
+                on_conn_readable st conn now)
+            st.conns;
+          if st.accepting && List.mem st.listen_fd ready then accept_ready st
         end
       done;
       let reason = Option.get !finished in

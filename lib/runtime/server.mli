@@ -20,11 +20,11 @@
       and at most [queue_limit] wait; anything beyond that gets an
       immediate [overloaded] response instead of unbounded buffering.
     - {b crash isolation with deadlines}: every admitted request runs in
-      its own forked worker ({!Supervisor.spawn_async}); a worker that
-      crashes yields a typed [worker-killed] error for that request
-      only, and one that outlives the request deadline is SIGKILLed and
-      reported as [worker-timeout]. Siblings and the server never see
-      either.
+      its own forked worker of the {!Supervisor} pool, whose [wait] also
+      watches the socket descriptors; a worker that crashes yields a
+      typed [worker-killed] error for that request only, and one that
+      outlives the request deadline is SIGKILLed and reported as
+      [worker-timeout]. Siblings and the server never see either.
     - {b backoff and circuit breaker}: after a crash, dispatch pauses
       for an exponentially growing backoff (reset by the next success);
       if crash churn exceeds [breaker_threshold] crashes within

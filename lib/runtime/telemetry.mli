@@ -21,9 +21,10 @@
     microbenchmark).
 
     The registry is plain data, so a forked worker
-    ({!Runtime.Supervisor.run}) can {!reset} on entry, {!snapshot} on
-    exit, marshal the profile back over the result pipe and have the
-    parent {!merge} it under a span named for the experiment. Profiles
+    ({!Runtime.Supervisor.spawn} with a telemetry prefix) can {!reset}
+    on entry, {!snapshot} on exit, marshal the profile back over the
+    result pipe and have the parent {!merge} it under that prefix, one
+    call per prefix node. Profiles
     serialize to the same dependency-free JSON as {!Checkpoint}
     ([_runs/<name>/profile.json]).
 

@@ -81,20 +81,21 @@ let to_trace ?(events = []) (p : T.profile) =
     | None -> ( match events with ev :: _ -> ev.Journal.ev_pid | [] -> 0)
   in
   (* Anchors for span subtrees, keyed by span name. Two sources: an
-     experiment's first [experiment_started] (first wins: retries
-     re-start the same experiment and the merged tree covers all
-     attempts), and a request/shard's [worker_spawned] carrying trace
-     fields — the latter anchors the [trace:<id>] telemetry subtree on
-     the worker's PID track. *)
+     experiment's last [experiment_started] (last wins: a retry
+     re-starts the same experiment, and the merged tree holds only the
+     attempt that returned), and a request/shard's [worker_spawned]
+     carrying trace fields — the latter anchors the [trace:<id>]
+     telemetry subtree on the worker's PID track. *)
   let starts =
     List.fold_left
       (fun acc ev ->
         match ev.Journal.ev_kind with
         | Journal.Experiment_started -> (
             match Journal.find ev "experiment" with
-            | Some exp when not (List.mem_assoc exp acc) ->
-                (exp, (ev.Journal.ev_pid, ev.Journal.ev_time -. t0)) :: acc
-            | _ -> acc)
+            | Some exp ->
+                (exp, (ev.Journal.ev_pid, ev.Journal.ev_time -. t0))
+                :: List.remove_assoc exp acc
+            | None -> acc)
         | Journal.Worker_spawned -> (
             match
               ( Journal.find ev "trace",

@@ -4,7 +4,7 @@
     minted at every entry point — one per [cntpower serve] request, per
     campaign shard, per [cntpower all] experiment — and carried through
     everything that work causes: it rides a [fork] into
-    {!Supervisor.spawn_async} workers for free (process memory), is
+    {!Supervisor.spawn} workers for free (process memory), is
     re-installed in {!Dpool} domains by the pool, and is stamped onto
     every {!Journal} event so post-hoc tools ([cntpower trace
     --request <id>]) can slice one request's events and spans out of a

@@ -238,6 +238,50 @@ let test_campaign_sigkill_resume () =
         (done_records (Cg.queue_path cfg) sh.Cg.sh_id))
     (Cg.enumerate cfg)
 
+let test_campaign_manifest_is_queue_view () =
+  let runs_dir = temp_dir "campaign-runs" in
+  let cfg = test_cfg ~campaign:"view" ~runs_dir in
+  ignore (ok (Cg.run cfg));
+  (* Leave the manifest holding an entry the queue log does not record
+     as done, and a done shard's scalar that disagrees with its record. *)
+  let path = Cg.manifest_path cfg in
+  let m = ok (C.load ~path) in
+  let stray =
+    C.entry ~experiment:"c17/cmos/42" ~seed:42L ~patterns:256 ~wall_time:1.0
+      ~attempts:1 ~status:C.Passed [ ("total_uW", 1.0) ]
+  in
+  let tampered =
+    let e = Option.get (C.find m "ham8/cmos/42") in
+    { e with C.scalars = List.map (fun (k, _) -> (k, 0.0)) e.C.scalars }
+  in
+  ok (C.save ~path (C.add (C.add m stray) tampered));
+  ignore (ok (Cg.run { cfg with Cg.resume = true }));
+  let wq, _ = ok (W.open_ ~path:(Cg.queue_path cfg)) in
+  let queue_view =
+    List.filter_map
+      (fun id ->
+        if W.state wq id <> Some W.Done then None
+        else
+          Some
+            ( id,
+              List.filter_map
+                (fun (k, v) ->
+                  if String.length k > 2 && String.sub k 0 2 = "s:" then
+                    Some (String.sub k 2 (String.length k - 2), float_of_string v)
+                  else None)
+                (W.fields wq id) ))
+      (W.shards wq)
+  in
+  W.close wq;
+  let bits =
+    Alcotest.testable Fmt.float (fun a b ->
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+  in
+  let m = ok (C.load ~path) in
+  Alcotest.(check (list (pair string (list (pair string bits)))))
+    "manifest equals the queue's done records, bit for bit" queue_view
+    (List.map (fun (e : C.entry) -> (e.C.experiment, e.C.scalars)) m.C.entries)
+
 let () =
   Alcotest.run "campaign"
     [
@@ -255,5 +299,7 @@ let () =
             `Quick test_campaign_poison_quarantine;
           Alcotest.test_case "coordinator SIGKILL, resume without re-runs"
             `Quick test_campaign_sigkill_resume;
+          Alcotest.test_case "resume renders the manifest from the queue"
+            `Quick test_campaign_manifest_is_queue_view;
         ] );
     ]

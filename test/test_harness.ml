@@ -209,7 +209,7 @@ let supervised_crash_isolated () =
   let config =
     {
       H.default_config with
-      H.policy = Some { Runtime.Supervisor.timeout_s = 30.0; retries = 0; degrade = false };
+      H.policy = Some { Runtime.Supervisor.timeout_s = 30.0; retries = 0 };
     }
   in
   let s =

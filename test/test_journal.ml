@@ -215,7 +215,7 @@ let worker_events_merge =
           Jn.emit Jn.Run_started [ ("run", "fork") ];
           let outcome =
             S.run
-              ~policy:{ S.timeout_s = 30.0; retries = 0; degrade = false }
+              ~policy:{ S.timeout_s = 30.0; retries = 0 }
               ~name:"journal-fork"
               (fun ~degraded:_ ->
                 (* Inside the worker the supervisor has switched the
@@ -274,7 +274,7 @@ let timeout_is_journaled =
           E.get_exn (Jn.open_sink ~path ());
           let outcome =
             S.run
-              ~policy:{ S.timeout_s = 0.2; retries = 0; degrade = false }
+              ~policy:{ S.timeout_s = 0.2; retries = 0 }
               ~name:"sleeper"
               (fun ~degraded:_ -> Unix.sleep 30)
           in
@@ -354,6 +354,18 @@ let field_str ev name =
       | _ -> None)
   | _ -> None
 
+(* The PID track a span's complete event was laid on. *)
+let pid_of evs name =
+  List.find_map
+    (fun e ->
+      match (field_str e "ph", field_str e "name", e) with
+      | Some "X", Some n, C.Obj fields when n = name -> (
+          match List.assoc_opt "pid" fields with
+          | Some (C.Num p) -> Some (int_of_float p)
+          | _ -> None)
+      | _ -> None)
+    evs
+
 let trace_is_wellformed () =
   let profile, events = trace_fixture () in
   let trace = Tr.to_trace ~events profile in
@@ -379,21 +391,21 @@ let trace_is_wellformed () =
     [ "exp1"; "solve"; "map"; "exp2" ];
   (* Experiments land on the PID track of their experiment_started
      event, giving one lane per worker in the viewer. *)
-  let pid_of name =
-    List.find_map
-      (fun e ->
-        match (field_str e "ph", field_str e "name", e) with
-        | Some "X", Some n, C.Obj fields when n = name -> (
-            match List.assoc_opt "pid" fields with
-            | Some (C.Num p) -> Some (int_of_float p)
-            | _ -> None)
-        | _ -> None)
-      evs
-  in
   Alcotest.(check (option int)) "exp1 on its worker track" (Some 200)
-    (pid_of "exp1");
+    (pid_of evs "exp1");
   Alcotest.(check (option int)) "exp2 on its worker track" (Some 300)
-    (pid_of "exp2")
+    (pid_of evs "exp2")
+
+let trace_anchors_returning_attempt () =
+  (* A retried experiment's span holds only the attempt that returned
+     its profile, so it is laid on the retry's worker track. *)
+  let profile, events = trace_fixture () in
+  let retry =
+    { (List.nth events 1) with Jn.ev_seq = 5; ev_time = 1005.0; ev_pid = 250 }
+  in
+  let evs = trace_events (Tr.to_trace ~events:(events @ [ retry ]) profile) in
+  Alcotest.(check (option int)) "exp1 on the retry's track" (Some 250)
+    (pid_of evs "exp1")
 
 let trace_without_events () =
   (* A run profiled without journaling still exports: everything lays out
@@ -530,6 +542,8 @@ let () =
       ( "trace",
         [
           tc "trace JSON is well-formed" trace_is_wellformed;
+          tc "a retried experiment anchors on its last start"
+            trace_anchors_returning_attempt;
           tc "trace works without a journal" trace_without_events;
           tc "trace save/parse round-trip" trace_save_roundtrip;
         ] );

@@ -5,7 +5,7 @@ module E = Runtime.Cnt_error
 module S = Runtime.Supervisor
 module C = Runtime.Checkpoint
 
-let no_retry = { S.timeout_s = 30.0; retries = 0; degrade = false }
+let no_retry = { S.timeout_s = 30.0; retries = 0 }
 
 let code = Alcotest.testable (Fmt.of_to_string E.code_name) ( = )
 
@@ -59,7 +59,7 @@ let worker_timeout () =
   let t0 = Unix.gettimeofday () in
   let outcome =
     S.run
-      ~policy:{ S.timeout_s = 0.4; retries = 0; degrade = false }
+      ~policy:{ S.timeout_s = 0.4; retries = 0 }
       ~name:"hang"
       (fun ~degraded:_ ->
         Unix.sleep 30;
@@ -74,7 +74,7 @@ let degraded_retry_recovers () =
   (* First attempt dies; the retry runs with ~degraded:true and succeeds. *)
   let outcome =
     S.run
-      ~policy:{ S.timeout_s = 30.0; retries = 1; degrade = true }
+      ~policy:{ S.timeout_s = 30.0; retries = 1 }
       ~name:"flaky"
       (fun ~degraded ->
         if not degraded then Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -89,7 +89,7 @@ let degraded_retry_recovers () =
 let retry_budget_bounded () =
   let outcome =
     S.run
-      ~policy:{ S.timeout_s = 30.0; retries = 2; degrade = true }
+      ~policy:{ S.timeout_s = 30.0; retries = 2 }
       ~name:"always-dies"
       (fun ~degraded:_ ->
         Unix.kill (Unix.getpid ()) Sys.sigkill;
@@ -98,6 +98,36 @@ let retry_budget_bounded () =
   Alcotest.check code "still Worker_killed after the budget" E.Worker_killed
     (errcode outcome);
   Alcotest.(check int) "1 + retries attempts" 3 outcome.S.attempts
+
+let refused_fork_is_typed () =
+  (* OCaml 5 refuses [Unix.fork] once a domain has been spawned, so the
+     domain is spawned in a child of the test process, which reports
+     through its exit code: 0 only for a typed, unretried error. *)
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      Domain.join (Domain.spawn (fun () -> ()));
+      let code =
+        match
+          S.run
+            ~policy:{ S.timeout_s = 30.0; retries = 1 }
+            ~name:"refused"
+            (fun ~degraded:_ -> ())
+        with
+        | { S.value = Result.Error e; attempts = 1; _ }
+          when not (S.retryable e) ->
+            0
+        | _ -> 1
+        | exception _ -> 2
+      in
+      Unix._exit code
+  | pid -> (
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED 0 -> ()
+      | Unix.WEXITED 1 -> Alcotest.fail "no typed, unretried error"
+      | Unix.WEXITED 2 -> Alcotest.fail "the refused fork raised"
+      | _ -> Alcotest.fail "the child died abnormally")
 
 let retryable_classes () =
   Alcotest.(check bool) "timeout retryable" true
@@ -262,6 +292,8 @@ let () =
           Alcotest.test_case "degraded retry recovers" `Quick
             degraded_retry_recovers;
           Alcotest.test_case "retry budget bounded" `Quick retry_budget_bounded;
+          Alcotest.test_case "refused fork is a typed error" `Quick
+            refused_fork_is_typed;
           Alcotest.test_case "retryable classes" `Quick retryable_classes;
         ] );
       ( "checkpoint",

@@ -236,7 +236,7 @@ let merge_from_forked_worker =
   fresh (fun () ->
       let outcome =
         S.run
-          ~policy:{ S.timeout_s = 30.0; retries = 0; degrade = false }
+          ~policy:{ S.timeout_s = 30.0; retries = 0 }
           ~name:"telemetry-fork"
           (fun ~degraded:_ ->
             (* The worker inherits enabled=true across the fork; profile
@@ -257,7 +257,37 @@ let merge_from_forked_worker =
             (T.find_counter p "worker.units");
           (* The parent's own supervision counters coexist. *)
           Alcotest.(check (option int)) "parent supervision counted" (Some 1)
-            (T.find_counter p "supervisor.attempts"))
+            (T.find_counter p "supervisor.attempts");
+          (* A pool job with a prefix: the worker profiles itself, the
+             pool grafts the snapshot and charges each prefix node one
+             call and the worker's wall time. *)
+          let job =
+            S.spawn ~telemetry_prefix:[ "pool"; "job" ] ~name:"telemetry-prefix"
+              (fun () -> T.with_span "work" (fun () -> Unix.sleepf 0.01))
+          in
+          let rec reap () =
+            match S.wait [ job ] with
+            | _, [ (_, Ok ()) ] -> ()
+            | _, [ (_, Result.Error e) ] ->
+                Alcotest.failf "worker failed: %s" (E.to_string e)
+            | _ -> reap ()
+          in
+          reap ();
+          let p = T.snapshot () in
+          let rec check_chain = function
+            | parent :: (child :: _ as rest) ->
+                let s = get_span p parent and c = get_span p child in
+                Alcotest.(check int)
+                  (String.concat "/" parent ^ " charged one call")
+                  1 s.T.calls;
+                Alcotest.(check bool)
+                  (String.concat "/" parent ^ " covers its child")
+                  true
+                  (s.T.total_s >= c.T.total_s);
+                check_chain rest
+            | _ -> ()
+          in
+          check_chain [ [ "pool" ]; [ "pool"; "job" ]; [ "pool"; "job"; "work" ] ])
 
 (* --- serialization ------------------------------------------------- *)
 

@@ -96,7 +96,7 @@ let fork_derives_child =
       Tc.set (Some ctx);
       let outcome =
         S.run
-          ~policy:{ S.timeout_s = 30.0; retries = 0; degrade = false }
+          ~policy:{ S.timeout_s = 30.0; retries = 0 }
           ~name:"tracectx-fork"
           (fun ~degraded:_ ->
             (* Runs in the forked worker: the supervisor must have
@@ -143,7 +143,7 @@ let journal_events_stamped =
                   let outcome =
                     S.run
                       ~policy:
-                        { S.timeout_s = 30.0; retries = 0; degrade = false }
+                        { S.timeout_s = 30.0; retries = 0 }
                       ~name:"stamped"
                       (fun ~degraded:_ ->
                         Jn.emit ~level:Jn.Debug Jn.Experiment_started
