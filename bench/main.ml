@@ -135,17 +135,22 @@ let micro_tests () =
   let supervise =
     (* Cost of the process-isolation layer itself: fork a worker, marshal
        a typical scalar payload back, reap the exit. Bounds the overhead
-       `cntpower all` pays per experiment for crash/timeout safety. It
-       leads the list because OCaml 5 refuses to fork once a domain has
-       been spawned, and the parallel micros spawn them; after an earlier
-       parallel section the fork is refused and the micro is skipped. *)
+       `cntpower all` and `campaign` pay per shard for crash/timeout
+       safety. It leads the list because OCaml 5 refuses to fork once a
+       domain has been spawned, and the parallel micros spawn them; after
+       an earlier parallel section the fork is refused and the micro is
+       skipped. *)
     let payload = List.init 16 (fun i -> (Printf.sprintf "m%d" i, float_of_int i)) in
     let fork () =
-      (Runtime.Supervisor.run
-         ~policy:{ Runtime.Supervisor.timeout_s = 30.0; retries = 0 }
-         ~name:"bench"
-         (fun ~degraded:_ -> payload))
-        .Runtime.Supervisor.value
+      let job =
+        Runtime.Supervisor.spawn ~timeout_s:30.0 ~name:"bench" (fun () -> payload)
+      in
+      let rec await () =
+        match Runtime.Supervisor.wait [ job ] with
+        | _, [ (_, result) ] -> result
+        | _ -> await ()
+      in
+      await ()
     in
     match fork () with
     | Ok _ ->

@@ -3,11 +3,12 @@
    Subcommands map one-to-one onto the experiments of DESIGN.md:
    table1, libchar, patterns, tgate, delay, dynamic, pla, seq, sensitivity,
    ablations, synth, genlib, check, golden, and `all`, which reproduces
-   every table and headline figure through the supervised experiment
-   harness (forked workers, watchdog timeouts, checkpoint/resume).
+   every table and headline figure as the shards of one supervised run
+   (Experiments.Campaign: forked workers, watchdog timeouts, a crash-safe
+   queue log and resume), the runner `campaign` sweeps Table 1 on.
 
    Exit codes (documented in README.md): 0 success; 10 `all --keep-going`
-   completed with failures; 11 `all --strict` aborted at the first failure;
+   completed with failures; 11 `all --strict` stopped at the first failure;
    12-30 a typed Cnt_error escaped a single-experiment command (one code
    per error class, see Runtime.Cnt_error.exit_code — 25 worker timeout,
    26 worker killed, also `serve` after a breaker trip; 29 a request shed
@@ -352,23 +353,10 @@ let check_cmd =
           backtrace.")
     Term.(const run $ file $ library_file_arg $ patterns_arg $ seed_arg)
 
-let mode_arg =
-  let keep_going =
-    ( Experiments.Harness.Keep_going,
-      Arg.info [ "keep-going" ]
-        ~doc:
-          "Run every experiment even if one fails; collect failures into the \
-           final summary and exit 10 if any failed (default)." )
-  in
-  let strict =
-    ( Experiments.Harness.Strict,
-      Arg.info [ "strict" ]
-        ~doc:"Abort at the first failing experiment and exit 11." )
-  in
-  Arg.(value & vflag Experiments.Harness.Keep_going [ keep_going; strict ])
-
 (* ------------------------------------------------------------------ *)
-(* `all`: the supervised run. *)
+(* `all` and `campaign`: supervised runs on Experiments.Campaign.      *)
+
+module Cg = Experiments.Campaign
 
 let run_dir_of run_name = Filename.concat "_runs" run_name
 let manifest_path_of run_name = Filename.concat (run_dir_of run_name) "manifest.json"
@@ -380,9 +368,9 @@ let metrics_path_of run_name = Filename.concat (run_dir_of run_name) "metrics.js
 let log_level_arg =
   let doc =
     "Verbosity of the live event echo on stderr: $(b,quiet) silences all \
-     journal chatter, $(b,info) (default) echoes retries and worker \
-     failures, $(b,debug) echoes every event. The on-disk events.jsonl \
-     always records everything."
+     journal chatter, $(b,info) (default) echoes shard completions, \
+     retries and worker failures, $(b,debug) echoes every event. The \
+     on-disk events.jsonl always records everything."
   in
   Arg.(
     value
@@ -390,10 +378,44 @@ let log_level_arg =
         (Some Jn.Info)
     & info [ "log-level" ] ~docv:"LEVEL" ~doc)
 
+(* The event journal is always on for a run: shard transitions are its
+   observable surface, and `trace` and post-mortems feed on them. An
+   invalid configuration (an existing queue log without --resume among
+   them) leaves as a typed error. *)
+let run_journaled cfg shards =
+  Jn.set_enabled true;
+  (match Jn.open_sink ~path:(Cg.events_path cfg) () with
+  | Ok () -> ()
+  | Result.Error e ->
+      Format.eprintf "cntpower: cannot open event journal: %a@." R.pp e;
+      Jn.set_enabled false);
+  let result = Cg.run cfg shards in
+  Jn.close_sink ();
+  Jn.set_enabled false;
+  T.set_enabled false;
+  R.get_exn result
+
 let all_cmd =
   let only_arg =
     let doc = "Run only the named experiments (repeatable); see the list in each entry name." in
     Arg.(value & opt_all string [] & info [ "only" ] ~docv:"NAME" ~doc)
+  in
+  let strict_arg =
+    let keep_going =
+      ( false,
+        Arg.info [ "keep-going" ]
+          ~doc:
+            "Run every experiment even if one fails; collect failures into \
+             the final summary and exit 10 if any failed (default)." )
+    in
+    let strict =
+      ( true,
+        Arg.info [ "strict" ]
+          ~doc:
+            "Stop at the first failing experiment, report the ones not run \
+             as skipped, and exit 11." )
+    in
+    Arg.(value & vflag false [ keep_going; strict ])
   in
   let with_blif_arg =
     let doc =
@@ -413,28 +435,26 @@ let all_cmd =
   in
   let retries_arg =
     let doc =
-      "Extra attempts after a worker crash or timeout. Retries run degraded: \
+      "Extra attempts after a worker crash or timeout, each after a short \
+       backoff; any other failure is final. Retries run degraded: \
        pattern-driven experiments shed half their pattern budget and the \
        result is tagged as degraded in the summary and manifest."
     in
     Arg.(value & opt int 1 & info [ "retries" ] ~doc)
   in
-  let no_supervise_arg =
-    let doc =
-      "Run experiments in-process instead of in forked workers (no crash \
-       isolation, no watchdog). Mainly for debugging."
-    in
-    Arg.(value & flag & info [ "no-supervise" ] ~doc)
-  in
   let resume_arg =
     let doc =
-      "Skip experiments the run manifest already records as passed with the \
-       same seed and pattern count; only failed or missing entries re-run."
+      "Continue an existing run: skip experiments the queue log records as \
+       done with the same seed and pattern count and re-run every other \
+       one. Without this flag an existing queue log is refused."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
   let run_name_arg =
-    let doc = "Run name; the manifest is written to _runs/$(docv)/manifest.json." in
+    let doc =
+      "Run name; the queue log, manifest, journal, metrics and profile live \
+       under _runs/$(docv)/."
+    in
     Arg.(value & opt string "all" & info [ "run" ] ~docv:"NAME" ~doc)
   in
   let profile_arg =
@@ -442,8 +462,8 @@ let all_cmd =
       "Collect per-run telemetry (hierarchical spans, counters, simulator \
        throughput distributions) and write it to _runs/<run>/profile.json; \
        render it later with `cntpower stats <run>`. Workers profile \
-       themselves and ship their span trees back to the parent, so the \
-       profile covers the full supervised run."
+       themselves and ship their span trees back to the parent, where each \
+       lands under a span named for its experiment."
     in
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
@@ -468,210 +488,129 @@ let all_cmd =
     in
     Arg.(value & opt_all string [] & info [ "inject-flaky" ] ~docv:"NAME" ~doc)
   in
-  let run libfiles patterns seed mode only with_blifs timeout retries
-      no_supervise resume run_name profile log_level domains inj_crash
-      inj_hang inj_flaky =
+  let run libfiles patterns seed strict only with_blifs timeout retries resume
+      run_name profile log_level domains inj_crash inj_hang inj_flaky =
     validate_patterns patterns;
     validate_seed seed;
     validate_timeout timeout;
     validate_retries retries;
     apply_runtime_opts ~domains;
-    (* Before the harness starts: experiment workers fork from this
-       process, so registrations are inherited by every experiment. *)
+    (* Before the run starts: experiment workers fork from this process,
+       so registrations are inherited by every experiment. *)
     load_library_files libfiles;
     Jn.set_verbosity log_level;
-    let entry = Experiments.Harness.entry in
     let budget ~degraded = if degraded then max 1 (patterns / 2) else patterns in
-    let entries =
+    (* One shard per experiment, keyed for resume on the run's seed and
+       pattern count; the worker prints its report on stdout. *)
+    let shard id doc run =
+      {
+        Cg.id;
+        seed;
+        patterns;
+        run =
+          (fun ~degraded ->
+            Format.fprintf std "@.=== %s: %s ===@." id doc;
+            run ~degraded);
+      }
+    in
+    let shards =
       [
-        entry "libchar" "library characterization (E2, E4-E6)" (fun ~degraded:_ ppf ->
+        shard "libchar" "library characterization (E2, E4-E6)" (fun ~degraded:_ ->
             let r = Experiments.Exp_libchar.run () in
-            Experiments.Exp_libchar.print ppf r;
+            Experiments.Exp_libchar.print std r;
             Experiments.Exp_libchar.scalars r);
-        entry "patterns" "I_off pattern census (E3, E8, A1)" (fun ~degraded:_ ppf ->
+        shard "patterns" "I_off pattern census (E3, E8, A1)" (fun ~degraded:_ ->
             let r = Experiments.Exp_patterns.run () in
-            Experiments.Exp_patterns.print ppf r;
+            Experiments.Exp_patterns.print std r;
             Experiments.Exp_patterns.scalars r);
-        entry "tgate" "transmission-gate transfer study (E7)" (fun ~degraded:_ ppf ->
+        shard "tgate" "transmission-gate transfer study (E7)" (fun ~degraded:_ ->
             let r = Experiments.Exp_tgate.run () in
-            Experiments.Exp_tgate.print ppf r;
+            Experiments.Exp_tgate.print std r;
             Experiments.Exp_tgate.scalars r);
-        entry "delay" "intrinsic inverter delays (E9)" (fun ~degraded:_ ppf ->
+        shard "delay" "intrinsic inverter delays (E9)" (fun ~degraded:_ ->
             let r = Experiments.Exp_delay.run () in
-            Experiments.Exp_delay.print ppf r;
+            Experiments.Exp_delay.print std r;
             Experiments.Exp_delay.scalars r);
-        entry "dynamic" "dynamic / reconfigurable cells (E10)" (fun ~degraded:_ ppf ->
+        shard "dynamic" "dynamic / reconfigurable cells (E10)" (fun ~degraded:_ ->
             let r = Experiments.Exp_dynamic.run () in
-            Experiments.Exp_dynamic.print ppf r;
+            Experiments.Exp_dynamic.print std r;
             Experiments.Exp_dynamic.scalars r);
-        entry "pla" "programmable ambipolar PLA (E11)" (fun ~degraded:_ ppf ->
+        shard "pla" "programmable ambipolar PLA (E11)" (fun ~degraded:_ ->
             let r = Experiments.Exp_pla.run () in
-            Experiments.Exp_pla.print ppf r;
+            Experiments.Exp_pla.print std r;
             Experiments.Exp_pla.scalars r);
-        entry "seq" "clocked CRC engine (E12)" (fun ~degraded ppf ->
+        shard "seq" "clocked CRC engine (E12)" (fun ~degraded ->
             let cycles = if degraded then 250 else 500 in
             let rows = Experiments.Exp_seq.run ~cycles () in
-            Experiments.Exp_seq.print ppf rows;
+            Experiments.Exp_seq.print std rows;
             Experiments.Exp_seq.scalars rows);
-        entry "sensitivity" "supply/temperature/variation (E13-E15)" (fun ~degraded ppf ->
+        shard "sensitivity" "supply/temperature/variation (E13-E15)" (fun ~degraded ->
             let mc = if degraded then 500 else 1000 in
             let r = Experiments.Exp_sensitivity.run ~mc_samples:mc () in
-            Experiments.Exp_sensitivity.print ppf r;
+            Experiments.Exp_sensitivity.print std r;
             Experiments.Exp_sensitivity.scalars r);
-        entry "table1" "Table 1 reproduction (E1)" (fun ~degraded ppf ->
+        shard "table1" "Table 1 reproduction (E1)" (fun ~degraded ->
             let summary =
               Experiments.Exp_table1.run ~patterns:(budget ~degraded) ~seed ()
             in
-            Experiments.Exp_table1.print ppf summary;
+            Experiments.Exp_table1.print std summary;
             Experiments.Exp_table1.scalars summary);
-        entry "ablations" "A2-A5 ablations" (fun ~degraded:_ ppf ->
-            Experiments.Ablations.print ppf ();
+        shard "ablations" "A2-A5 ablations" (fun ~degraded:_ ->
+            Experiments.Ablations.print std ();
             []);
       ]
       @ List.map
           (fun path ->
-            entry
+            shard
               ("blif:" ^ Filename.basename path)
               ("external BLIF pipeline on " ^ path)
-              (fun ~degraded ppf ->
-                run_blif_pipeline ppf ~patterns:(budget ~degraded) ~seed path))
+              (fun ~degraded ->
+                run_blif_pipeline std ~patterns:(budget ~degraded) ~seed path))
           with_blifs
     in
-    let entries =
+    let shards =
       match only with
-      | [] -> entries
-      | names ->
-          List.filter (fun (e : Experiments.Harness.entry) -> List.mem e.name names) entries
+      | [] -> shards
+      | names -> List.filter (fun (sh : Cg.shard) -> List.mem sh.Cg.id names) shards
     in
-    (* Fault injection runs inside the worker: the supervisor must reap the
-       death / timeout and keep the run alive. *)
-    let inject (e : Experiments.Harness.entry) =
-      let crash = List.mem e.name inj_crash in
-      let hang = List.mem e.name inj_hang in
-      let flaky = List.mem e.name inj_flaky in
-      if not (crash || hang || flaky) then e
-      else
-        {
-          e with
-          run =
-            (fun ~degraded ppf ->
-              if crash || (flaky && not degraded) then
-                Unix.kill (Unix.getpid ()) Sys.sigkill;
-              if hang then
-                while true do
-                  Unix.sleepf 3600.0
-                done;
-              e.run ~degraded ppf);
-        }
+    if shards = [] then
+      R.failf R.Cli R.Validation_error "no experiment matches the --only filter";
+    let cfg =
+      {
+        (Cg.default_config ~campaign:run_name) with
+        Cg.workers = 1;
+        shard_timeout_s = timeout;
+        max_attempts = retries + 1;
+        resume;
+        strict;
+        inject = { Cg.no_inject with Cg.inj_crash; inj_flaky; inj_hang };
+      }
     in
-    let entries = List.map inject entries in
-    if entries = [] then begin
-      Format.eprintf "cntpower all: no experiment matches the --only filter@.";
-      R.exit_code (R.make R.Cli R.Validation_error "empty experiment selection")
-    end
-    else begin
-      let policy =
-        if no_supervise then None
-        else Some { S.timeout_s = timeout; retries }
-      in
-      let manifest_path = manifest_path_of run_name in
-      let config =
-        {
-          Experiments.Harness.mode;
-          policy;
-          run_name;
-          manifest_path = Some manifest_path;
-          resume;
-          seed;
-          patterns;
-        }
-      in
-      if profile then begin
-        T.set_enabled true;
-        T.reset ()
-      end;
-      (* The event journal is always on for `all`: a handful of typed
-         events per experiment, appended and flushed line by line, is
-         cheap next to the experiments themselves and is what `cntpower
-         trace` and post-mortems feed on. *)
-      let events_path = events_path_of run_name in
-      Jn.set_enabled true;
-      (match Jn.open_sink ~path:events_path () with
-      | Ok () -> ()
-      | Result.Error e ->
-          Format.eprintf "cntpower: cannot open event journal: %a@." R.pp e;
-          Jn.set_enabled false);
-      Jn.emit Jn.Run_started
-        [
-          ("run", run_name);
-          ("seed", Int64.to_string seed);
-          ("patterns", string_of_int patterns);
-          ( "mode",
-            match mode with
-            | Experiments.Harness.Keep_going -> "keep-going"
-            | Experiments.Harness.Strict -> "strict" );
-          ("supervised", string_of_bool (not no_supervise));
-          ("profile", string_of_bool profile);
-          ("domains", string_of_int (Runtime.Dpool.default_domains ()));
-          ("experiments", string_of_int (List.length entries));
-        ];
-      let summary = Experiments.Harness.run_all ~config std entries in
-      Experiments.Harness.print_summary std summary;
-      Format.fprintf std "manifest: %s@." manifest_path;
-      if profile then begin
-        let prof = T.snapshot () in
-        T.set_enabled false;
-        let path = profile_path_of run_name in
-        match T.save ~path prof with
-        | Ok () -> Format.fprintf std "profile: %s@." path
-        | Result.Error e ->
-            Format.eprintf "cntpower: cannot write profile: %a@." R.pp e
-      end;
-      let code = Experiments.Harness.exit_status summary in
-      let count p =
-        List.length
-          (List.filter (fun (_, st) -> p st) summary.Experiments.Harness.results)
-      in
-      Jn.emit Jn.Run_finished
-        [
-          ("run", run_name);
-          ( "passed",
-            string_of_int
-              (count (function Experiments.Harness.Passed _ -> true | _ -> false))
-          );
-          ( "failed",
-            string_of_int
-              (count (function Experiments.Harness.Failed _ -> true | _ -> false))
-          );
-          ( "resumed",
-            string_of_int
-              (count (function Experiments.Harness.Resumed _ -> true | _ -> false))
-          );
-          ("exit_code", string_of_int code);
-        ];
-      Jn.close_sink ();
-      Jn.set_enabled false;
-      code
-    end
+    if profile then begin
+      T.set_enabled true;
+      T.reset ()
+    end;
+    let s = run_journaled cfg shards in
+    Cg.print_results std s;
+    Format.fprintf std "queue: %s@.manifest: %s@." (Cg.queue_path cfg)
+      (Cg.manifest_path cfg);
+    if profile then Format.fprintf std "profile: %s@." (Cg.profile_path cfg);
+    Cg.exit_status cfg s
   in
   Cmd.v
     (Cmd.info "all"
        ~doc:
-         "Run every experiment (E1-E15 and the ablations) in supervised \
-          worker processes with watchdog timeouts, checkpointing each \
-          result to the run manifest; --resume continues an interrupted \
-          run, with a final pass/fail summary.")
+         "Run every experiment (E1-E15 and the ablations) as the shards of a \
+          supervised run: one forked worker with a watchdog timeout per \
+          attempt, crash and timeout retries in degraded mode, every \
+          transition in the crash-safe queue log _runs/<run>/queue.jsonl \
+          and the results in the manifest rendered from it; --resume \
+          continues an interrupted run, with a final pass/fail summary.")
     Term.(
-      const run $ library_file_arg $ patterns_arg $ seed_arg $ mode_arg
-      $ only_arg $ with_blif_arg $ timeout_arg $ retries_arg
-      $ no_supervise_arg $ resume_arg $ run_name_arg $ profile_arg
-      $ log_level_arg $ domains_arg $ inject_crash_arg $ inject_hang_arg
-      $ inject_flaky_arg)
-
-(* ------------------------------------------------------------------ *)
-(* `campaign`: the durable (circuit × library × seed) sweep runner.    *)
-
-module Cg = Experiments.Campaign
+      const run $ library_file_arg $ patterns_arg $ seed_arg $ strict_arg
+      $ only_arg $ with_blif_arg $ timeout_arg $ retries_arg $ resume_arg
+      $ run_name_arg $ profile_arg $ log_level_arg $ domains_arg
+      $ inject_crash_arg $ inject_hang_arg $ inject_flaky_arg)
 
 let campaign_cmd =
   let run_name_arg =
@@ -712,17 +651,20 @@ let campaign_cmd =
   in
   let max_attempts_arg =
     let doc =
-      "Lease budget per shard: after this many failed attempts the shard \
-       is quarantined and the campaign continues degraded (exit 30 at the \
-       end if anything was quarantined)."
+      "Attempts per shard in this invocation: a worker crash or timeout is \
+       retried after a backoff until this many attempts have failed, any \
+       other failure at once, and then the shard is quarantined and the \
+       campaign continues degraded (exit 30 at the end if anything was \
+       quarantined)."
     in
     Arg.(value & opt int 3 & info [ "max-attempts" ] ~docv:"N" ~doc)
   in
   let resume_arg =
     let doc =
       "Continue an existing campaign: reclaim leases left by a dead \
-       coordinator and re-run only shards the queue log does not record \
-       as done. Without this flag an existing queue log is refused."
+       coordinator, skip shards the queue log records as done with the \
+       same seed and pattern count, and re-run every other one. Without \
+       this flag an existing queue log is refused."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
@@ -799,11 +741,7 @@ let campaign_cmd =
     let cfg =
       {
         (Cg.default_config ~campaign:run_name) with
-        Cg.circuits;
-        libraries;
-        seeds;
-        patterns;
-        workers;
+        Cg.workers;
         shard_timeout_s = shard_timeout;
         max_attempts;
         resume;
@@ -816,40 +754,23 @@ let campaign_cmd =
           };
       }
     in
-    (* Telemetry and the journal are always on for a campaign: shard
-       transitions are the observable surface, and workers ship their
-       profiles back through the supervisor pipe. *)
+    (* Telemetry is always on for a campaign: workers ship their profiles
+       back through the supervisor pipe. *)
     T.set_enabled true;
     T.reset ();
-    Jn.set_enabled true;
-    (match Jn.open_sink ~path:(Cg.events_path cfg) () with
-    | Ok () -> ()
-    | Result.Error e ->
-        Format.eprintf "cntpower: cannot open event journal: %a@." R.pp e;
-        Jn.set_enabled false);
-    let result = Cg.run cfg in
-    Jn.close_sink ();
-    Jn.set_enabled false;
-    T.set_enabled false;
-    match result with
-    | Ok s ->
-        Format.fprintf std "%a@." Cg.pp_summary s;
-        Format.fprintf std "queue: %s@.manifest: %s@." (Cg.queue_path cfg)
-          (Cg.manifest_path cfg);
-        if s.Cg.quarantined = [] then 0
-        else begin
-          let e =
-            R.makef
-              ~context:[ ("shards", String.concat "," s.Cg.quarantined) ]
-              R.Experiment R.Shard_quarantined
-              "%d shard(s) quarantined after %d attempt(s) each"
-              (List.length s.Cg.quarantined)
-              max_attempts
-          in
-          Format.eprintf "cntpower: %a@." R.pp e;
-          R.exit_code e
-        end
-    | Result.Error e ->
+    let s = run_journaled cfg (Cg.grid ~circuits ~libraries ~seeds ~patterns) in
+    Format.fprintf std "%a@." Cg.pp_summary s;
+    Format.fprintf std "queue: %s@.manifest: %s@." (Cg.queue_path cfg)
+      (Cg.manifest_path cfg);
+    match Cg.quarantined s with
+    | [] -> 0
+    | ids ->
+        let e =
+          R.makef
+            ~context:[ ("shards", String.concat "," ids) ]
+            R.Experiment R.Shard_quarantined "%d shard(s) quarantined"
+            (List.length ids)
+        in
         Format.eprintf "cntpower: %a@." R.pp e;
         R.exit_code e
   in

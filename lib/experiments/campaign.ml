@@ -10,10 +10,10 @@ module Est = Techmap.Estimate
 module G = Cell.Genlib
 
 type shard = {
-  sh_id : string;
-  sh_circuit : string;
-  sh_library : string;
-  sh_seed : int64;
+  id : string;
+  seed : int64;
+  patterns : int;
+  run : degraded:bool -> (string * float) list;
 }
 
 type inject = {
@@ -29,16 +29,13 @@ let no_inject =
 type config = {
   campaign : string;
   runs_dir : string;
-  circuits : Circuits.Suite.entry list;
-  libraries : G.t list;
-  seeds : int64 list;
-  patterns : int;
   workers : int;
   shard_timeout_s : float;
   max_attempts : int;
   backoff_initial_s : float;
   backoff_max_s : float;
   resume : bool;
+  strict : bool;
   inject : inject;
 }
 
@@ -46,16 +43,13 @@ let default_config ~campaign =
   {
     campaign;
     runs_dir = "_runs";
-    circuits = Circuits.Suite.all;
-    libraries = G.libraries ();
-    seeds = [ 42L ];
-    patterns = Est.default_patterns;
     workers = 4;
     shard_timeout_s = 300.0;
     max_attempts = 3;
     backoff_initial_s = 0.5;
     backoff_max_s = 30.0;
     resume = false;
+    strict = false;
     inject = no_inject;
   }
 
@@ -66,59 +60,8 @@ let profile_path cfg = Filename.concat (dir cfg) "profile.json"
 let events_path cfg = Filename.concat (dir cfg) "events.jsonl"
 let metrics_path cfg = Filename.concat (dir cfg) "metrics.json"
 
-let shard_id circuit library seed = Printf.sprintf "%s/%s/%Ld" circuit library seed
-
-let enumerate cfg =
-  List.concat_map
-    (fun (entry : Circuits.Suite.entry) ->
-      List.concat_map
-        (fun (lib : G.t) ->
-          List.map
-            (fun seed ->
-              {
-                sh_id = shard_id entry.Circuits.Suite.name lib.G.name seed;
-                sh_circuit = entry.Circuits.Suite.name;
-                sh_library = lib.G.name;
-                sh_seed = seed;
-              })
-            cfg.seeds)
-        cfg.libraries)
-    cfg.circuits
-
-type summary = {
-  total : int;
-  completed : int;
-  resumed : int;
-  quarantined : string list;
-  attempts : int;
-  reclaimed : int;
-  wall_s : float;
-}
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "campaign: %d shards — %d completed, %d resumed, %d quarantined, %d lease(s), %d reclaimed, %.1f s"
-    s.total s.completed s.resumed
-    (List.length s.quarantined)
-    s.attempts s.reclaimed s.wall_s;
-  if s.quarantined <> [] then
-    Format.fprintf ppf "@.quarantined: %s" (String.concat " " s.quarantined)
-
 (* ------------------------------------------------------------------ *)
-(* Shard execution (worker side)                                       *)
-
-let inject_matches lists shard =
-  List.exists (fun p -> p = shard.sh_id || p = shard.sh_circuit) lists
-
-let apply_injection inject shard ~attempt =
-  if
-    inject_matches inject.inj_crash shard
-    || (attempt = 1 && inject_matches inject.inj_flaky shard)
-  then Unix.kill (Unix.getpid ()) Sys.sigkill
-  else if inject_matches inject.inj_hang shard then
-    while true do
-      Unix.sleepf 3600.0
-    done
+(* The Table 1 grid                                                    *)
 
 let shard_scalars (r : Est.report) =
   [
@@ -131,35 +74,124 @@ let shard_scalars (r : Est.report) =
     ("edp_1e-24Js", r.Est.edp *. 1e24);
   ]
 
-(* Runs inside the forked worker; exceptions become typed errors on the
-   supervisor's result pipe. *)
-let execute cfg shard ~attempt =
-  apply_injection cfg.inject shard ~attempt;
-  let entry =
-    List.find
-      (fun (e : Circuits.Suite.entry) -> e.Circuits.Suite.name = shard.sh_circuit)
-      cfg.circuits
-  in
-  let lib = List.find (fun (l : G.t) -> l.G.name = shard.sh_library) cfg.libraries in
-  let ctx = [ ("shard", shard.sh_id) ] in
+(* One Table 1 cell, inside the forked worker; exceptions become typed
+   errors on the supervisor's result pipe. *)
+let execute (entry : Circuits.Suite.entry) lib ~patterns ~seed =
   let nl = entry.Circuits.Suite.generate () in
   let (_ : Nets.Check.report) = Nets.Check.check_exn nl in
   let aig = Aigs.Aig.of_netlist nl in
   let opt = Aigs.Opt.resyn2rs aig in
   let ml = Techmap.Matchlib.build lib in
   match Techmap.Mapper.map_checked ml opt with
-  | Error e -> E.raise_error (E.with_context e ctx)
-  | Ok mapped ->
-      shard_scalars (Est.run ~patterns:cfg.patterns ~seed:shard.sh_seed mapped)
+  | Error e -> E.raise_error e
+  | Ok mapped -> shard_scalars (Est.run ~patterns ~seed mapped)
+
+let grid ~circuits ~libraries ~seeds ~patterns =
+  List.concat_map
+    (fun (entry : Circuits.Suite.entry) ->
+      List.concat_map
+        (fun (lib : G.t) ->
+          List.map
+            (fun seed ->
+              {
+                id =
+                  Printf.sprintf "%s/%s/%Ld" entry.Circuits.Suite.name
+                    lib.G.name seed;
+                seed;
+                patterns;
+                run = (fun ~degraded:_ -> execute entry lib ~patterns ~seed);
+              })
+            seeds)
+        libraries)
+    circuits
+
+(* ------------------------------------------------------------------ *)
+(* Summary                                                             *)
+
+type outcome =
+  | Done of { wall_s : float; attempts : int; degraded : bool }
+  | Resumed
+  | Quarantined of E.t
+  | Skipped
+
+type summary = {
+  results : (string * outcome) list;
+  leases : int;
+  reclaimed : int;
+  wall_s : float;
+}
+
+let count p s = List.length (List.filter (fun (_, o) -> p o) s.results)
+let is_done = function Done _ -> true | _ -> false
+let is_resumed = function Resumed -> true | _ -> false
+
+let quarantined s =
+  List.filter_map
+    (fun (id, o) -> match o with Quarantined _ -> Some id | _ -> None)
+    s.results
+
+let pp_summary ppf s =
+  let q = quarantined s in
+  Format.fprintf ppf
+    "campaign: %d shards — %d completed, %d resumed, %d quarantined, %d lease(s), %d reclaimed, %.1f s"
+    (List.length s.results) (count is_done s) (count is_resumed s)
+    (List.length q) s.leases s.reclaimed s.wall_s;
+  if q <> [] then Format.fprintf ppf "@.quarantined: %s" (String.concat " " q)
+
+let print_results ppf s =
+  Format.fprintf ppf "@.--- experiment summary ---@.";
+  List.iter
+    (fun (id, o) ->
+      match o with
+      | Done { wall_s; degraded = false; _ } ->
+          Format.fprintf ppf "ok      %-14s %6.1fs@." id wall_s
+      | Done { wall_s; attempts; _ } ->
+          Format.fprintf ppf "ok      %-14s %6.1fs  (degraded, %d attempts)@."
+            id wall_s attempts
+      | Resumed -> Format.fprintf ppf "resumed %-14s (queue log)@." id
+      | Quarantined e -> Format.fprintf ppf "FAILED  %-14s %a@." id E.pp e
+      | Skipped -> Format.fprintf ppf "skipped %-14s (strict mode stop)@." id)
+    s.results;
+  let also n what = if n > 0 then Printf.sprintf ", %d %s" n what else "" in
+  Format.fprintf ppf "%d passed, %d failed%s%s%s@." (count is_done s)
+    (List.length (quarantined s))
+    (also (count (( = ) Skipped) s) "skipped")
+    (also (count is_resumed s) "resumed")
+    (also
+       (count (function Done { degraded; _ } -> degraded | _ -> false) s)
+       "degraded")
+
+let exit_status cfg s =
+  if quarantined s = [] then 0 else if cfg.strict then 11 else 10
+
+(* ------------------------------------------------------------------ *)
+(* Fault injection (worker side)                                       *)
+
+let inject_matches patterns id =
+  let head = List.hd (String.split_on_char '/' id) in
+  List.exists (fun p -> p = id || p = head) patterns
+
+let apply_injection inject id ~degraded =
+  if
+    inject_matches inject.inj_crash id
+    || ((not degraded) && inject_matches inject.inj_flaky id)
+  then Unix.kill (Unix.getpid ()) Sys.sigkill
+  else if inject_matches inject.inj_hang id then
+    while true do
+      Unix.sleepf 3600.0
+    done
 
 (* ------------------------------------------------------------------ *)
 (* Durable result fields: everything the manifest entry is rendered
-   from rides the [done] record, scalars under an "s:" prefix. *)
+   from rides the [done] record, scalars under an "s:" prefix.         *)
 
 let scalar_prefix = "s:"
 
-let done_fields ~wall_s scalars =
-  ("wall_s", Printf.sprintf "%.6f" wall_s)
+let done_fields sh ~degraded ~wall_s scalars =
+  ("seed", Int64.to_string sh.seed)
+  :: ("patterns", string_of_int sh.patterns)
+  :: ("degraded", string_of_bool degraded)
+  :: ("wall_s", Printf.sprintf "%.6f" wall_s)
   :: List.map
        (fun (k, v) -> (scalar_prefix ^ k, Printf.sprintf "%.17g" v))
        scalars
@@ -175,34 +207,50 @@ let scalars_of_fields fields =
       else None)
     fields
 
-let wall_of_fields fields =
-  match List.assoc_opt "wall_s" fields with
-  | Some v -> Option.value ~default:0.0 (float_of_string_opt v)
-  | None -> 0.0
+(* The resume key: a done record stands for the shard only when it ran
+   the same workload. *)
+let is_current wq sh =
+  W.state wq sh.id = Some W.Done
+  &&
+  let f = W.fields wq sh.id in
+  List.assoc_opt "seed" f = Some (Int64.to_string sh.seed)
+  && List.assoc_opt "patterns" f = Some (string_of_int sh.patterns)
+
+let manifest_entry wq id =
+  let f = W.fields wq id in
+  let get k conv default =
+    Option.value ~default (Option.bind (List.assoc_opt k f) conv)
+  in
+  C.entry ~experiment:id
+    ~seed:(get "seed" Int64.of_string_opt 0L)
+    ~patterns:(get "patterns" int_of_string_opt 0)
+    ~wall_time:(get "wall_s" float_of_string_opt 0.0)
+    ~attempts:(max 1 (W.attempts wq id))
+    ~status:
+      (if get "degraded" bool_of_string_opt false then C.Degraded
+       else C.Passed)
+    (scalars_of_fields f)
 
 (* ------------------------------------------------------------------ *)
 (* Validation                                                          *)
 
 let ( let* ) = Result.bind
 
-let validate cfg =
+let validate cfg shards =
   let bad fmt = E.error E.Experiment E.Validation_error fmt in
   if
     cfg.campaign = "" || cfg.campaign = "." || cfg.campaign = ".."
     || String.contains cfg.campaign '/'
-  then bad "invalid campaign name %S" cfg.campaign
+  then bad "invalid run name %S" cfg.campaign
   else if cfg.workers < 1 then bad "workers must be >= 1 (got %d)" cfg.workers
   else if cfg.max_attempts < 1 then
     bad "max-attempts must be >= 1 (got %d)" cfg.max_attempts
-  else if cfg.patterns < 1 then bad "patterns must be >= 1 (got %d)" cfg.patterns
-  else if cfg.circuits = [] then bad "no circuits selected"
-  else if cfg.libraries = [] then bad "no libraries selected"
-  else if cfg.seeds = [] then bad "no seeds selected"
+  else if shards = [] then bad "no shards selected"
   else if (not cfg.resume) && Sys.file_exists (queue_path cfg) then
     E.error
       ~context:[ ("path", queue_path cfg) ]
       E.Experiment E.Validation_error
-      "campaign %S already has a queue log; pass --resume to continue it or pick a new --run name"
+      "run %S already has a queue log; pass --resume to continue it or pick a new --run name"
       cfg.campaign
   else Ok ()
 
@@ -211,63 +259,54 @@ let validate cfg =
 
 type flight = {
   fl_shard : shard;
-  fl_attempt : int;
+  fl_attempt : int;  (** this invocation's attempt at the shard, from 1 *)
   fl_job : (string * float) list S.job;
   fl_started : float;
   fl_ctx : Tc.t;  (** shard trace context; stamps every outcome event *)
 }
 
-let run cfg =
-  let* () = validate cfg in
+let run cfg shards =
+  let* () = validate cfg shards in
   let t0 = Unix.gettimeofday () in
   let* wq, torn = W.open_ ~path:(queue_path cfg) in
   if torn > 0 then
     Format.eprintf "campaign: queue log: skipped %d torn/corrupt line(s)@." torn;
-  let shards = enumerate cfg in
-  let by_id = Hashtbl.create 64 in
-  List.iter (fun sh -> Hashtbl.replace by_id sh.sh_id sh) shards;
-  List.iter (fun sh -> ignore (W.enqueue wq sh.sh_id)) shards;
-  (* Reclaim leases left by a dead (or wedged-past-expiry) coordinator:
-     the attempt was consumed, so a shard already at its budget goes
-     straight to quarantine. *)
-  let reclaimed = ref 0 in
+  (* Leases left by a dead (or wedged-past-expiry) coordinator. *)
+  let stale = W.stale_leases wq ~now:t0 in
   List.iter
     (fun id ->
-      incr reclaimed;
-      let att = W.attempts wq id in
       if Jn.enabled () then
         Jn.emit ~level:Jn.Warn Jn.Lease_reclaimed
-          [ ("shard", id); ("attempts", string_of_int att) ];
-      if att >= cfg.max_attempts then
-        W.mark_quarantined wq id
-          ~fields:[ ("reason", "lease-reclaimed; attempts exhausted") ]
-      else W.mark_failed wq id ~fields:[ ("reason", "lease-reclaimed") ])
-    (W.stale_leases wq ~now:(Unix.gettimeofday ()));
-  let is_done sh = W.state wq sh.sh_id = Some W.Done in
-  let resumed = List.length (List.filter is_done shards) in
+          [ ("shard", id); ("attempts", string_of_int (W.attempts wq id)) ];
+      W.mark_failed wq id ~fields:[ ("reason", "lease-reclaimed") ])
+    stale;
+  (* Every shard not done for this workload is enqueued afresh, which
+     restarts its attempt count for this invocation. *)
+  let outcomes = Hashtbl.create 64 in
+  List.iter
+    (fun sh ->
+      if is_current wq sh then Hashtbl.replace outcomes sh.id Resumed
+      else ignore (W.enqueue wq sh.id))
+    shards;
+  let resumed = Hashtbl.length outcomes in
+  let by_id = Hashtbl.create 64 in
+  List.iter (fun sh -> Hashtbl.replace by_id sh.id sh) shards;
   (* The manifest is a view of the queue log, the one durable record:
-     every write renders it whole from the [done] records, in grid
+     every write renders it whole from the [done] records, in shard
      order, so an entry lost to a crash between the two writes, or one
      the log does not hold, cannot outlive the next write. *)
   let save_manifest () =
-    let entry sh =
-      let fields = W.fields wq sh.sh_id in
-      C.entry ~experiment:sh.sh_id ~seed:sh.sh_seed ~patterns:cfg.patterns
-        ~wall_time:(wall_of_fields fields)
-        ~attempts:(max 1 (W.attempts wq sh.sh_id))
-        ~status:C.Passed (scalars_of_fields fields)
+    let entries =
+      List.filter_map
+        (fun sh ->
+          if W.state wq sh.id = Some W.Done then Some (manifest_entry wq sh.id)
+          else None)
+        shards
     in
-    let manifest =
-      {
-        C.run_name = cfg.campaign;
-        created = t0;
-        entries =
-          List.filter_map
-            (fun sh -> if is_done sh then Some (entry sh) else None)
-            shards;
-      }
-    in
-    match C.save ~path:(manifest_path cfg) manifest with
+    match
+      C.save ~path:(manifest_path cfg)
+        { C.run_name = cfg.campaign; created = t0; entries }
+    with
     | Ok () ->
         if Jn.enabled () then
           Jn.emit ~level:Jn.Debug Jn.Checkpoint_written
@@ -286,8 +325,8 @@ let run cfg =
     Jn.emit Jn.Run_started
       [
         ("run", cfg.campaign);
-        ("mode", "campaign");
-        ("shards", string_of_int (List.length shards));
+        ("mode", if cfg.strict then "strict" else "keep-going");
+        ("shards", string_of_int total_shards);
         ("resumed", string_of_int resumed);
         ("workers", string_of_int cfg.workers);
       ];
@@ -295,10 +334,11 @@ let run cfg =
   let flights = ref [] in
   let completed = ref 0 in
   let leases = ref 0 in
-  let in_grid id = Hashtbl.mem by_id id in
-  let pending () = List.filter in_grid (W.ready wq) in
-  (* Live status for pollers ([cntpower top <campaign>]): an atomic
-     snapshot after every state change, cheap enough to write eagerly. *)
+  let stopped = ref false in
+  let in_run id = Hashtbl.mem by_id id in
+  let pending () = List.filter in_run (W.ready wq) in
+  (* Live status for pollers ([cntpower top <run>]): an atomic snapshot
+     after every state change, cheap enough to write eagerly. *)
   let save_metrics () =
     let snap =
       M.make ~source:"campaign" ~started:t0
@@ -316,7 +356,7 @@ let run cfg =
             ("campaign.failed", W.count wq W.Failed);
             ("campaign.quarantined", W.count wq W.Quarantined);
             ("campaign.leases", !leases);
-            ("campaign.reclaimed", !reclaimed);
+            ("campaign.reclaimed", List.length stale);
             ("campaign.resumed", resumed);
           ]
         ()
@@ -332,23 +372,31 @@ let run cfg =
   in
   let handle_failure fl err =
     Tc.with_ctx fl.fl_ctx @@ fun () ->
-    let now = Unix.gettimeofday () in
-    let id = fl.fl_shard.sh_id in
+    let id = fl.fl_shard.id in
+    let err = E.with_context err [ ("shard", id) ] in
     let fields =
       [ ("code", E.code_name err.E.code); ("error", E.to_string err) ]
     in
-    if fl.fl_attempt >= cfg.max_attempts then
-      W.mark_quarantined wq id ~fields
-    else begin
+    if S.retryable err && fl.fl_attempt < cfg.max_attempts then begin
       W.mark_failed wq id ~fields;
-      Hashtbl.replace eligible id (now +. backoff_delay fl.fl_attempt)
+      Hashtbl.replace eligible id
+        (Unix.gettimeofday () +. backoff_delay fl.fl_attempt)
+    end
+    else begin
+      W.mark_quarantined wq id ~fields;
+      Hashtbl.replace outcomes id (Quarantined err);
+      if cfg.strict then stopped := true
     end;
     save_metrics ()
   in
   let handle_done fl scalars =
     Tc.with_ctx fl.fl_ctx @@ fun () ->
     let wall_s = Unix.gettimeofday () -. fl.fl_started in
-    W.mark_done wq fl.fl_shard.sh_id ~fields:(done_fields ~wall_s scalars);
+    let degraded = fl.fl_attempt > 1 in
+    W.mark_done wq fl.fl_shard.id
+      ~fields:(done_fields fl.fl_shard ~degraded ~wall_s scalars);
+    Hashtbl.replace outcomes fl.fl_shard.id
+      (Done { wall_s; attempts = fl.fl_attempt; degraded });
     incr completed;
     (* Fault injection: die at the worst moment — result durable in the
        queue log, manifest not yet rewritten. *)
@@ -362,7 +410,7 @@ let run cfg =
   let dispatch () =
     let now = Unix.gettimeofday () in
     let capacity = cfg.workers - List.length !flights in
-    if capacity > 0 then
+    if capacity > 0 && not !stopped then
       pending ()
       |> List.filter (fun id ->
              match Hashtbl.find_opt eligible id with
@@ -376,20 +424,20 @@ let run cfg =
                   else 3600.0)
                  +. 60.0
                in
-               (* One trace per shard attempt set: the lease record, the
-                  worker-spawned event, the worker's own events and its
-                  telemetry subtree all share the id, so [cntpower trace
-                  --request <id>] slices the shard end-to-end. *)
+               (* One trace per shard attempt: the lease record, the
+                  worker-spawned event naming the shard, the worker's own
+                  events and the outcome record all share the id, so
+                  [cntpower trace --request <id>] slices the shard. *)
                let ctx = Tc.mint_root () in
                Tc.with_ctx ctx @@ fun () ->
                let attempt = W.lease wq id ~ttl_s in
+               let degraded = attempt > 1 in
                incr leases;
                let job =
-                 S.spawn
-                   ~telemetry_prefix:
-                     [ "campaign"; "shard"; Tc.span_label ctx ]
-                   ~timeout_s:cfg.shard_timeout_s ~name:id
-                   (fun () -> execute cfg sh ~attempt)
+                 S.spawn ~telemetry_prefix:[ id ]
+                   ~timeout_s:cfg.shard_timeout_s ~name:id (fun () ->
+                     apply_injection cfg.inject id ~degraded;
+                     sh.run ~degraded)
                in
                flights :=
                  {
@@ -402,7 +450,7 @@ let run cfg =
                  :: !flights
              end)
   in
-  while pending () <> [] || !flights <> [] do
+  while ((not !stopped) && pending () <> []) || !flights <> [] do
     dispatch ();
     (* Wake for a finished or overdue worker, or for the next shard
        leaving its backoff. *)
@@ -427,30 +475,25 @@ let run cfg =
         | Error e -> handle_failure fl e)
       finished
   done;
-  let quarantined =
-    List.filter (fun id -> W.state wq id = Some W.Quarantined)
-      (List.map (fun sh -> sh.sh_id) shards)
+  let results =
+    List.map
+      (fun sh ->
+        (sh.id, Option.value ~default:Skipped (Hashtbl.find_opt outcomes sh.id)))
+      shards
   in
   save_profile ();
   save_metrics ();
   let wall_s = Unix.gettimeofday () -. t0 in
+  let summary =
+    { results; leases = !leases; reclaimed = List.length stale; wall_s }
+  in
   if Jn.enabled () then
     Jn.emit Jn.Run_finished
       [
         ("run", cfg.campaign);
-        ("mode", "campaign");
         ("completed", string_of_int !completed);
-        ("quarantined", string_of_int (List.length quarantined));
+        ("quarantined", string_of_int (List.length (quarantined summary)));
         ("wall_s", Printf.sprintf "%.3f" wall_s);
       ];
   W.close wq;
-  Ok
-    {
-      total = List.length shards;
-      completed = !completed;
-      resumed;
-      quarantined;
-      attempts = !leases;
-      reclaimed = !reclaimed;
-      wall_s;
-    }
+  Ok summary

@@ -277,11 +277,6 @@ let field obj name =
       | None -> E.error E.Cli E.Parse_error "missing field %S" name)
   | _ -> E.error E.Cli E.Parse_error "expected an object around %S" name
 
-let field_opt obj name =
-  match obj with
-  | Obj fields -> List.assoc_opt name fields
-  | _ -> None
-
 let as_num name = function
   | Num f -> Ok f
   | _ -> E.error E.Cli E.Parse_error "field %S must be a number" name
@@ -306,17 +301,13 @@ let rec map_result f = function
 (* ------------------------------------------------------------------ *)
 (* Manifest                                                            *)
 
-type status = Passed | Degraded | Failed
+type status = Passed | Degraded
 
-let status_name = function
-  | Passed -> "passed"
-  | Degraded -> "degraded"
-  | Failed -> "failed"
+let status_name = function Passed -> "passed" | Degraded -> "degraded"
 
 let status_of_name = function
   | "passed" -> Ok Passed
   | "degraded" -> Ok Degraded
-  | "failed" -> Ok Failed
   | other -> E.error E.Cli E.Parse_error "unknown entry status %S" other
 
 type entry = {
@@ -326,14 +317,11 @@ type entry = {
   wall_time : float;
   attempts : int;
   status : status;
-  error : string option;
   digest : string;
   scalars : (string * float) list;
 }
 
 type manifest = { run_name : string; created : float; entries : entry list }
-
-let empty ~run_name = { run_name; created = Unix.gettimeofday (); entries = [] }
 
 let digest_scalars scalars =
   let canonical =
@@ -342,8 +330,7 @@ let digest_scalars scalars =
   in
   Digest.to_hex (Digest.string canonical)
 
-let entry ~experiment ~seed ~patterns ~wall_time ~attempts ~status ?error
-    scalars =
+let entry ~experiment ~seed ~patterns ~wall_time ~attempts ~status scalars =
   {
     experiment;
     seed;
@@ -351,16 +338,9 @@ let entry ~experiment ~seed ~patterns ~wall_time ~attempts ~status ?error
     wall_time;
     attempts;
     status;
-    error;
     digest = digest_scalars scalars;
     scalars;
   }
-
-let add m e =
-  let entries =
-    List.filter (fun e' -> e'.experiment <> e.experiment) m.entries @ [ e ]
-  in
-  { m with entries }
 
 let find m name = List.find_opt (fun e -> e.experiment = name) m.entries
 
@@ -373,7 +353,6 @@ let entry_to_json e =
       ("wall_time", Num e.wall_time);
       ("attempts", Num (float_of_int e.attempts));
       ("status", Str (status_name e.status));
-      ("error", match e.error with None -> Null | Some s -> Str s);
       ("digest", Str e.digest);
       ("scalars", Obj (List.map (fun (k, v) -> (k, Num v)) e.scalars));
     ]
@@ -391,9 +370,6 @@ let entry_of_json j =
   let* attempts = Result.bind (field j "attempts") (as_num "attempts") in
   let* status_str = Result.bind (field j "status") (as_str "status") in
   let* status = status_of_name status_str in
-  let error =
-    match field_opt j "error" with Some (Str s) -> Some s | _ -> None
-  in
   let* digest = Result.bind (field j "digest") (as_str "digest") in
   let* scalars =
     match field j "scalars" with
@@ -414,7 +390,6 @@ let entry_of_json j =
       wall_time;
       attempts = int_of_float attempts;
       status;
-      error;
       digest;
       scalars;
     }
@@ -510,7 +485,7 @@ let golden_of_manifest ?(rtol = 0.1) ?experiments m =
   in
   List.concat_map
     (fun e ->
-      if e.status = Failed || not (wanted e) then []
+      if not (wanted e) then []
       else
         List.map
           (fun (k, v) ->
@@ -577,7 +552,6 @@ let check_golden m metrics =
       in
       match find m g.g_experiment with
       | None -> Some (drift None)
-      | Some e when e.status = Failed -> Some (drift None)
       | Some e -> (
           match List.assoc_opt g.g_metric e.scalars with
           | None -> Some (drift None)

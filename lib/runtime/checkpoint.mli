@@ -1,11 +1,12 @@
-(** Durable run manifests and the golden-result regression gate.
+(** The runtime's JSON dialect, run manifests and the golden-result
+    regression gate.
 
-    A run of [cntpower all] writes `_runs/<name>/manifest.json` after
-    every completed experiment: name, seed, pattern count, wall time, a
-    digest of the scalar outputs and the scalars themselves. A later
-    invocation with [--resume] skips entries already recorded as passed
-    (same seed and pattern count), and [cntpower golden --check] compares
-    the manifest scalars against a committed golden file with per-metric
+    [cntpower all] and [cntpower campaign] render
+    `_runs/<name>/manifest.json` from the [done] records of their queue
+    log ([Experiments.Campaign]): one entry per finished shard with its
+    seed, pattern count, wall time, a digest of the scalar outputs and
+    the scalars themselves. [cntpower golden --check] compares the
+    manifest scalars against a committed golden file with per-metric
     relative tolerances — the paper's headline numbers as a machine
     regression gate.
 
@@ -32,9 +33,10 @@ val json_to_string_compact : json -> string
 
 (** {2 Decoding and I/O helpers}
 
-    Shared with {!Telemetry} so every on-disk artifact ([manifest.json],
-    [golden.json], [profile.json]) uses one JSON dialect and one typed
-    error path. *)
+    Shared with {!Telemetry}, {!Journal}, {!Metrics} and {!Workqueue}
+    so every on-disk artifact ([manifest.json], [golden.json],
+    [profile.json], [events.jsonl], [queue.jsonl]) uses one JSON dialect
+    and one typed error path. *)
 
 val field : json -> string -> (json, Cnt_error.t) result
 (** Required object field; a missing field or a non-object is a typed
@@ -44,13 +46,20 @@ val as_num : string -> json -> (float, Cnt_error.t) result
 val as_str : string -> json -> (string, Cnt_error.t) result
 val as_arr : string -> json -> (json list, Cnt_error.t) result
 
+val map_result :
+  ('a -> ('b, Cnt_error.t) result) -> 'a list -> ('b list, Cnt_error.t) result
+(** [List.map] that stops at the first error. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents; existing ones are fine. *)
+
 val write_atomic : path:string -> string -> (unit, Cnt_error.t) result
 (** Write text to a temp file next to [path] and rename it into place,
     creating parent directories as needed. *)
 
 val read_file : string -> (string, Cnt_error.t) result
 
-type status = Passed | Degraded | Failed
+type status = Passed | Degraded  (** [Degraded]: from a degraded retry *)
 
 val status_name : status -> string
 
@@ -61,18 +70,15 @@ type entry = {
   wall_time : float;  (** s *)
   attempts : int;
   status : status;
-  error : string option;  (** rendered {!Cnt_error.t} for [Failed] *)
   digest : string;  (** MD5 hex over the canonical scalar rendering *)
   scalars : (string * float) list;
 }
 
 type manifest = {
   run_name : string;
-  created : float;  (** unix epoch seconds of the first write *)
-  entries : entry list;  (** completion order *)
+  created : float;  (** unix epoch seconds the rendering run started *)
+  entries : entry list;
 }
-
-val empty : run_name:string -> manifest
 
 val digest_scalars : (string * float) list -> string
 
@@ -83,13 +89,9 @@ val entry :
   wall_time:float ->
   attempts:int ->
   status:status ->
-  ?error:string ->
   (string * float) list ->
   entry
 (** Builds an entry, computing the digest from the scalars. *)
-
-val add : manifest -> entry -> manifest
-(** Append, replacing any previous entry for the same experiment. *)
 
 val find : manifest -> string -> entry option
 
@@ -118,7 +120,7 @@ type drift = {
 
 val golden_of_manifest :
   ?rtol:float -> ?experiments:string list -> manifest -> golden_metric list
-(** One metric per scalar of every passed entry (optionally restricted to
+(** One metric per scalar of every entry (optionally restricted to
     [experiments]). Integral values get tolerance [0.] — counts like the
     26-pattern census must match exactly — everything else [rtol]
     (default 0.1). *)
@@ -128,7 +130,7 @@ val load_golden : path:string -> (golden_metric list, Cnt_error.t) result
 
 val check_golden : manifest -> golden_metric list -> drift list
 (** Empty list = gate passes. A golden metric whose experiment or scalar
-    is absent from the manifest (or recorded as [Failed]) is a drift with
+    is absent from the manifest is a drift with
     [d_actual = None]; a present value drifts when
     [|actual - expected| > rtol * max(|expected|, tiny)]. *)
 

@@ -138,8 +138,9 @@ let protect ~stage f =
 
 let get_exn = function Ok x -> x | Result.Error e -> raise (Error e)
 
-(* 0 = success, 10/11 = harness summary codes; each error class gets its own
-   code so CI and scripts can distinguish failure modes without parsing. *)
+(* 0 = success, 10/11 = `all` summary codes (Campaign.exit_status); each
+   error class gets its own code so CI and scripts can distinguish failure
+   modes without parsing. *)
 let exit_code e =
   match e.code with
   | Parse_error -> 12

@@ -8,8 +8,8 @@
 
     Layers expose [_checked] entry points returning [('a, t) result]; the
     legacy raising entry points raise {!Error} so that the CLI and the
-    experiment harness can catch one exception type at the boundary and
-    translate it into an exit code. *)
+    supervisor's workers can catch one exception type at the boundary and
+    translate it into an exit code or a typed result. *)
 
 type stage =
   | Logic  (** expression / truth-table / SAT layer *)
@@ -42,8 +42,9 @@ type code =
   | Overloaded
       (** the estimation daemon shed the request under load; retry later *)
   | Shard_quarantined
-      (** a campaign shard exhausted its attempts and was set aside; the
-          rest of the campaign completed degraded *)
+      (** a campaign shard failed for good (a non-retryable error or its
+          last attempt) and was set aside; the rest of the campaign
+          completed degraded *)
   | Internal  (** wrapped unexpected exception; a bug if user-visible *)
 
 type t = {

@@ -139,9 +139,7 @@ let compare_profiles ?(tol = default) ~base cur =
 let manifest_scalars (m : C.manifest) =
   List.concat_map
     (fun (e : C.entry) ->
-      if e.C.status = C.Failed then []
-      else
-        List.map (fun (k, v) -> (e.C.experiment ^ "/" ^ k, v)) e.C.scalars)
+      List.map (fun (k, v) -> (e.C.experiment ^ "/" ^ k, v)) e.C.scalars)
     m.C.entries
 
 let compare_manifests ?(tol = default) ~base cur =

@@ -56,8 +56,7 @@ val compare_profiles :
 
 val compare_manifests :
   ?tol:tolerances -> base:Checkpoint.manifest -> Checkpoint.manifest -> item list
-(** Scalar items of entries present in either manifest; scalars of failed
-    entries count as absent. *)
+(** Scalar items of entries present in either manifest. *)
 
 val regressions : report -> item list
 

@@ -6,11 +6,8 @@ type level = Debug | Info | Warn
 type kind =
   | Run_started
   | Run_finished
-  | Experiment_started
-  | Experiment_done
   | Worker_spawned
   | Worker_exited
-  | Worker_retry
   | Worker_timeout
   | Worker_killed
   | Checkpoint_written
@@ -55,11 +52,8 @@ let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
 let kind_name = function
   | Run_started -> "run_started"
   | Run_finished -> "run_finished"
-  | Experiment_started -> "experiment_started"
-  | Experiment_done -> "experiment_done"
   | Worker_spawned -> "worker_spawned"
   | Worker_exited -> "worker_exited"
-  | Worker_retry -> "worker_retry"
   | Worker_timeout -> "worker_timeout"
   | Worker_killed -> "worker_killed"
   | Checkpoint_written -> "checkpoint_written"
@@ -85,11 +79,8 @@ let kind_name = function
 let kind_of_name = function
   | "run_started" -> Run_started
   | "run_finished" -> Run_finished
-  | "experiment_started" -> Experiment_started
-  | "experiment_done" -> Experiment_done
   | "worker_spawned" -> Worker_spawned
   | "worker_exited" -> Worker_exited
-  | "worker_retry" -> Worker_retry
   | "worker_timeout" -> Worker_timeout
   | "worker_killed" -> Worker_killed
   | "checkpoint_written" -> Checkpoint_written
@@ -150,13 +141,6 @@ let event_to_json ev =
 
 let ( let* ) = Result.bind
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let event_of_json j =
   let* seq = Result.bind (J.field j "seq") (J.as_num "seq") in
   let* ev_time = Result.bind (J.field j "t") (J.as_num "t") in
@@ -171,7 +155,7 @@ let event_of_json j =
   let* ev_fields =
     match J.field j "fields" with
     | Ok (J.Obj fields) ->
-        map_result
+        J.map_result
           (fun (k, v) ->
             let* s = J.as_str k v in
             Ok (k, s))
@@ -192,13 +176,6 @@ let event_of_json j =
 (* ------------------------------------------------------------------ *)
 (* Sink                                                                *)
 
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else (
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-
 let close_sink () =
   match !sink with
   | None -> ()
@@ -212,7 +189,7 @@ let rotated_path path i = Printf.sprintf "%s.%d" path i
 let open_sink ?max_bytes ?(keep = 4) ~path () =
   close_sink ();
   match
-    mkdir_p (Filename.dirname path);
+    J.mkdir_p (Filename.dirname path);
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
   with
   | oc ->

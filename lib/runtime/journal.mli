@@ -1,10 +1,11 @@
 (** Append-only structured event journal for supervised runs.
 
     While {!Telemetry} answers "where did the time go", the journal
-    answers "what happened": every run of [cntpower all] appends typed,
-    leveled events — run/experiment lifecycle, worker spawns and deaths,
-    retries, checkpoint writes, damped solver recoveries, golden drift —
-    to [_runs/<name>/events.jsonl], one JSON object per line. Lines are
+    answers "what happened": every run of [cntpower all], [campaign] and
+    [serve] appends typed, leveled events — run and shard lifecycle,
+    worker spawns and deaths, checkpoint writes, damped solver
+    recoveries, golden drift, daemon requests — to
+    [_runs/<name>/events.jsonl], one JSON object per line. Lines are
     written whole and flushed immediately, so a [kill -9] of the driver
     loses at most the event in flight and the file stays parseable.
 
@@ -27,11 +28,8 @@ type level = Debug | Info | Warn
 type kind =
   | Run_started
   | Run_finished
-  | Experiment_started
-  | Experiment_done
   | Worker_spawned
   | Worker_exited
-  | Worker_retry
   | Worker_timeout
   | Worker_killed
   | Checkpoint_written

@@ -109,13 +109,6 @@ let to_json m =
 
 let ( let* ) = Result.bind
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let num_field j name =
   let* v = J.field j name in
   J.as_num name v
@@ -141,7 +134,7 @@ let of_json j =
   let* uptime = num_field j "uptime_s" in
   let* gauge_fields = assoc_field j "gauges" in
   let* m_gauges =
-    map_result
+    J.map_result
       (fun (k, v) ->
         let* n = J.as_num k v in
         Ok (k, n))
@@ -149,14 +142,14 @@ let of_json j =
   in
   let* counter_fields = assoc_field j "counters" in
   let* m_counters =
-    map_result
+    J.map_result
       (fun (k, v) ->
         let* n = J.as_num k v in
         Ok (k, int_of_float n))
       counter_fields
   in
   let* dist_fields = assoc_field j "dists" in
-  let* m_dists = map_result (fun (k, v) -> dist_of_json k v) dist_fields in
+  let* m_dists = J.map_result (fun (k, v) -> dist_of_json k v) dist_fields in
   Ok
     {
       m_source = source;

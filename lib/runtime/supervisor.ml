@@ -265,55 +265,3 @@ let wait ?(fds = []) ?(until = infinity) jobs =
   in
   if fds = [] && running () = [] && until = infinity then ([], finished ())
   else loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Synchronous jobs with retry: [cntpower all]'s experiments.          *)
-
-type policy = { timeout_s : float; retries : int }
-
-let default_policy = { timeout_s = 900.0; retries = 1 }
-
-type 'a outcome = {
-  value : ('a, E.t) result;
-  attempts : int;
-  degraded : bool;
-  wall_time : float;
-}
-
-let rec await job =
-  match wait [ job ] with _, (_, r) :: _ -> r | _, [] -> await job
-
-let run ?(policy = default_policy) ?telemetry_prefix ~name f =
-  let t0 = Unix.gettimeofday () in
-  let rec go n =
-    let degraded = n > 1 in
-    let outcome value =
-      { value; attempts = n; degraded; wall_time = Unix.gettimeofday () -. t0 }
-    in
-    Telemetry.count "supervisor.attempts" 1;
-    match
-      await
-        (spawn ?telemetry_prefix ~timeout_s:policy.timeout_s ~name (fun () ->
-             f ~degraded))
-    with
-    | Ok v -> outcome (Ok v)
-    | Error e when n <= policy.retries && retryable e ->
-        Telemetry.count "supervisor.retries" 1;
-        let msg =
-          Format.asprintf "supervisor: %s attempt %d failed (%a), retrying degraded"
-            name n E.pp e
-        in
-        (* With the journal on, the retry notice is an event (echoed per
-           --log-level); without it, keep the historical stderr warning. *)
-        if Journal.enabled () then
-          Journal.emit ~level:Info ~msg Journal.Worker_retry
-            [
-              ("worker", name);
-              ("attempt", string_of_int n);
-              ("error", E.code_name e.E.code);
-            ]
-        else Format.eprintf "%s@." msg;
-        go (n + 1)
-    | Error e -> outcome (Error (E.with_context e [ ("attempts", string_of_int n) ]))
-  in
-  go 1

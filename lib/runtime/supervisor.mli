@@ -6,9 +6,9 @@
     (and any descriptors of the caller) in one [select], reaps what
     finished and SIGKILLs what overran; {!abort_all} kills what is left.
     The pool is the caller's list of running jobs: each caller keeps its
-    own retry policy (the harness retries worker deaths degraded, the
-    campaign backs off and quarantines, the daemon backs off and trips
-    its breaker).
+    own retry policy (the campaign runner behind [all] and [campaign]
+    retries {!retryable} failures degraded after a backoff and
+    quarantines the rest, the daemon backs off and trips its breaker).
 
     A worker that outlives its deadline is SIGKILLed and reported as a
     {!Cnt_error.Worker_timeout}; one that dies on a signal (OOM killer,
@@ -65,34 +65,7 @@ val abort_all : 'a job list -> unit
 (** SIGKILL and reap every job still running; no result, no journal
     event — the caller narrates why (drain timeout). *)
 
-(** {2 Synchronous jobs with retry} *)
-
-type policy = {
-  timeout_s : float;  (** wall-clock budget per attempt; [<= 0.] disables *)
-  retries : int;  (** extra degraded attempts after a worker death *)
-}
-
-val default_policy : policy
-(** [{ timeout_s = 900.; retries = 1 }] *)
-
-type 'a outcome = {
-  value : ('a, Cnt_error.t) result;
-  attempts : int;  (** total attempts made, >= 1 *)
-  degraded : bool;  (** the returned value came from a degraded retry *)
-  wall_time : float;  (** seconds across all attempts *)
-}
-
-val run :
-  ?policy:policy ->
-  ?telemetry_prefix:string list ->
-  name:string ->
-  (degraded:bool -> 'a) ->
-  'a outcome
-(** [run ~name f] runs [f ~degraded:false] as one job and waits for it.
-    Only [Worker_timeout] and [Worker_killed] are retried, each retry
-    with [~degraded:true] so the job can shed load (the harness halves
-    the pattern count); a deterministic in-job failure would just fail
-    again. *)
-
 val retryable : Cnt_error.t -> bool
-(** [true] exactly for the [Worker_timeout] / [Worker_killed] codes. *)
+(** [true] exactly for the [Worker_timeout] / [Worker_killed] codes: the
+    failures a retry (in degraded mode) can cure. A deterministic in-job
+    error would just fail again. *)

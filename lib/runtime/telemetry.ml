@@ -303,19 +303,12 @@ let as_num = J.as_num
 let as_str = J.as_str
 let as_arr = J.as_arr
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let rec span_of_json j =
   let* span_name = Result.bind (field j "name") (as_str "name") in
   let* calls = Result.bind (field j "calls") (as_num "calls") in
   let* total_s = Result.bind (field j "total_s") (as_num "total_s") in
   let* children_json = Result.bind (field j "children") (as_arr "children") in
-  let* children = map_result span_of_json children_json in
+  let* children = J.map_result span_of_json children_json in
   Ok { span_name; calls = int_of_float calls; total_s; children }
 
 let dist_of_json j =
@@ -326,7 +319,7 @@ let dist_of_json j =
   let* d_max = Result.bind (field j "max") (as_num "max") in
   let* samples_json = Result.bind (field j "samples") (as_arr "samples") in
   let* samples =
-    map_result
+    J.map_result
       (function
         | J.Num v -> Ok v
         | _ -> E.error E.Cli E.Parse_error "dist samples must be numbers")
@@ -345,11 +338,11 @@ let dist_of_json j =
 
 let of_json j =
   let* spans_json = Result.bind (field j "spans") (as_arr "spans") in
-  let* p_spans = map_result span_of_json spans_json in
+  let* p_spans = J.map_result span_of_json spans_json in
   let* p_counters =
     match field j "counters" with
     | Ok (J.Obj fields) ->
-        map_result
+        J.map_result
           (fun (k, v) ->
             let* f = as_num k v in
             Ok (k, int_of_float f))
@@ -358,7 +351,7 @@ let of_json j =
     | Error e -> Error e
   in
   let* dists_json = Result.bind (field j "dists") (as_arr "dists") in
-  let* p_dists = map_result dist_of_json dists_json in
+  let* p_dists = J.map_result dist_of_json dists_json in
   Ok { p_spans; p_counters; p_dists }
 
 let save ~path p = J.write_atomic ~path (J.json_to_string (to_json p))

@@ -7,9 +7,9 @@ let us s = s *. 1e6
    parent's start so the tree shape and the measured durations survive
    even though Telemetry aggregates by path rather than timestamping
    individual calls. A child whose name has its own anchor in [starts] —
-   a per-request [trace:<id>] subtree whose worker spawn the journal
-   timestamped — is promoted onto that track instead of being laid
-   inline, giving one causally-linked lane per request/shard. *)
+   a request's [trace:<id>] subtree or a shard's, whose worker spawn the
+   journal timestamped — is promoted onto that track instead of being
+   laid inline, giving one causally-linked lane per request/shard. *)
 let rec span_events ~starts ~pid ~start (s : T.span) acc =
   let ev =
     J.Obj
@@ -80,41 +80,44 @@ let to_trace ?(events = []) (p : T.profile) =
     | Some ev -> ev.Journal.ev_pid
     | None -> ( match events with ev :: _ -> ev.Journal.ev_pid | [] -> 0)
   in
-  (* Anchors for span subtrees, keyed by span name. Two sources: an
-     experiment's last [experiment_started] (last wins: a retry
-     re-starts the same experiment, and the merged tree holds only the
-     attempt that returned), and a request/shard's [worker_spawned]
-     carrying trace fields — the latter anchors the [trace:<id>]
-     telemetry subtree on the worker's PID track. *)
+  (* Anchors for span subtrees, keyed by span name, from each
+     [worker_spawned] event: a shard's subtree is named for its worker
+     (the shard id), a daemon request's for its trace ([trace:<id>]). The
+     last spawn wins: a retry re-spawns the same shard, and the merged
+     tree holds only the attempts that returned a profile. *)
+  let spawns =
+    List.filter_map
+      (fun ev ->
+        match Option.bind (Journal.find ev "worker_pid") int_of_string_opt with
+        | Some pid when ev.Journal.ev_kind = Journal.Worker_spawned ->
+            let names =
+              List.filter_map Fun.id
+                [
+                  Journal.find ev "worker";
+                  Option.map (( ^ ) "trace:") (Journal.find ev "trace");
+                ]
+            in
+            Some (names, (pid, ev.Journal.ev_time -. t0))
+        | _ -> None)
+      events
+  in
   let starts =
     List.fold_left
-      (fun acc ev ->
-        match ev.Journal.ev_kind with
-        | Journal.Experiment_started -> (
-            match Journal.find ev "experiment" with
-            | Some exp ->
-                (exp, (ev.Journal.ev_pid, ev.Journal.ev_time -. t0))
-                :: List.remove_assoc exp acc
-            | None -> acc)
-        | Journal.Worker_spawned -> (
-            match
-              ( Journal.find ev "trace",
-                Option.bind (Journal.find ev "worker_pid") int_of_string_opt )
-            with
-            | Some id, Some wpid when not (List.mem_assoc ("trace:" ^ id) acc)
-              ->
-                ("trace:" ^ id, (wpid, ev.Journal.ev_time -. t0)) :: acc
-            | _ -> acc)
-        | _ -> acc)
-      [] events
+      (fun acc (names, anchor) ->
+        List.fold_left
+          (fun acc name -> (name, anchor) :: List.remove_assoc name acc)
+          acc names)
+      [] spawns
   in
   let metadata =
     process_name ~pid:main_pid "cntpower (driver)"
     :: List.filter_map
-         (fun (exp, (pid, _)) ->
-           if pid = main_pid then None
-           else Some (process_name ~pid ("worker: " ^ exp)))
-         starts
+         (fun (names, (pid, _)) ->
+           match names with
+           | name :: _ when pid <> main_pid ->
+               Some (process_name ~pid ("worker: " ^ name))
+           | _ -> None)
+         spawns
   in
   let spans, _ =
     List.fold_left
@@ -153,14 +156,24 @@ let resolve_trace_id ~events arg =
         else None)
       events
 
-let rec collect_subtrees name acc (s : T.span) =
-  let acc = if s.T.span_name = name then s :: acc else acc in
-  List.fold_left (collect_subtrees name) acc s.T.children
-
 let slice ~trace_id ?(events = []) (p : T.profile) =
-  let label = "trace:" ^ trace_id in
-  let spans = List.rev (List.fold_left (collect_subtrees label) [] p.T.p_spans) in
   let evs =
     List.filter (fun ev -> Journal.find ev "trace" = Some trace_id) events
   in
+  (* A shard's subtree is named for the worker its trace spawned, a
+     daemon request's for the trace itself. *)
+  let names =
+    ("trace:" ^ trace_id)
+    :: List.filter_map
+         (fun ev ->
+           if ev.Journal.ev_kind = Journal.Worker_spawned then
+             Journal.find ev "worker"
+           else None)
+         evs
+  in
+  let rec collect acc (s : T.span) =
+    if List.mem s.T.span_name names then s :: acc
+    else List.fold_left collect acc s.T.children
+  in
+  let spans = List.rev (List.fold_left collect [] p.T.p_spans) in
   ({ T.p_spans = spans; p_counters = []; p_dists = [] }, evs)

@@ -6,15 +6,17 @@
 
     - every telemetry span becomes a complete ([ph = "X"]) event. Spans
       are aggregated by path (calls + total wall), not individually
-      timestamped, so the exporter synthesizes a timeline: a top-level
-      experiment span starts at its [experiment_started] journal event
-      (on the worker's PID track — one track per worker) and its children
-      are laid out sequentially inside it, preserving the measured
-      durations and the tree shape;
+      timestamped, so the exporter synthesizes a timeline: a shard's span
+      (named for its shard id) or a daemon request's [trace:<id>] span
+      starts at the [worker_spawned] journal event whose [worker] or
+      [trace] field names it, on the PID track of that event's
+      [worker_pid] (one track per worker), and its children are laid out
+      sequentially inside it, preserving the measured durations and the
+      tree shape;
     - every journal event becomes an instant ([ph = "i"]) event on its
       emitting PID's track, with the event fields as [args];
-    - process-name metadata labels each worker track with its
-      experiment.
+    - process-name metadata labels each worker track with its worker
+      name.
 
     Timestamps are microseconds relative to the earliest journal event
     (or 0 when no events are given). *)
@@ -33,10 +35,12 @@ val save :
 
 (** {2 Per-request slicing}
 
-    Every daemon request / campaign shard / harness experiment mints a
-    {!Tracectx}, so its journal events carry [trace] fields and its
-    telemetry subtree is rooted at a span named [trace:<id>]. These
-    helpers cut one request's story out of a shared run directory
+    Every daemon request and every shard attempt of [cntpower all] or
+    [cntpower campaign] mints a {!Tracectx}, so its journal events carry
+    [trace] fields. A request's telemetry subtree is rooted at a span
+    named [trace:<id>], a shard's at a span named for its shard id, the
+    [worker] of the trace's [worker_spawned] event. These helpers cut
+    one request's or shard's story out of a shared run directory
     ([cntpower trace --request <id>]). *)
 
 val resolve_trace_id :
@@ -50,7 +54,8 @@ val slice :
   ?events:Journal.event list ->
   Telemetry.profile ->
   Telemetry.profile * Journal.event list
-(** The sub-profile (every [trace:<id>] subtree, promoted to top level;
-    counters and dists are run-global, so dropped) and only the events
-    stamped with that trace — ready to pass to {!to_trace}/{!save}, where
-    the subtree anchors on its worker's PID track. *)
+(** The sub-profile (every subtree named [trace:<id>] or for a worker
+    the trace spawned, promoted to top level; counters and dists are
+    run-global, so dropped) and only the events stamped with that trace
+    — ready to pass to {!to_trace}/{!save}, where the subtree anchors on
+    its worker's PID track. *)

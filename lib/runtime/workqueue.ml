@@ -56,13 +56,6 @@ let record_to_json rc =
 
 let ( let* ) = Result.bind
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let record_of_json j =
   let* rc_time = Result.bind (J.field j "t") (J.as_num "t") in
   let* pid = Result.bind (J.field j "pid") (J.as_num "pid") in
@@ -78,7 +71,7 @@ let record_of_json j =
   let* rc_fields =
     match J.field j "fields" with
     | Ok (J.Obj fields) ->
-        map_result
+        J.map_result
           (fun (k, v) ->
             let* s = J.as_str k v in
             Ok (k, s))
@@ -120,12 +113,13 @@ let apply tbl order rc =
   in
   st.st_state <- rc.rc_state;
   (match rc.rc_state with
+  | Enqueued -> st.st_attempts <- 0
   | Leased ->
       st.st_attempts <- max st.st_attempts rc.rc_attempt;
       st.st_expires <- rc.rc_expires;
       st.st_owner <- rc.rc_pid
   | Done | Quarantined -> st.st_fields <- rc.rc_fields
-  | Enqueued | Failed -> ())
+  | Failed -> ())
 
 let parse_lines text =
   String.split_on_char '\n' text
@@ -146,12 +140,6 @@ let load ~path =
   let* text = J.read_file path in
   Ok (parse_lines text)
 
-let rec mkdir_p dir =
-  if dir = "" || dir = "." || dir = "/" || Sys.file_exists dir then ()
-  else (
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-
 let open_ ~path =
   let text =
     if Sys.file_exists path then J.read_file path else Ok ""
@@ -159,7 +147,7 @@ let open_ ~path =
   let* text = text in
   let records, skipped = parse_lines text in
   match
-    mkdir_p (Filename.dirname path);
+    J.mkdir_p (Filename.dirname path);
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
   with
   | oc ->
@@ -223,12 +211,15 @@ let transition t shard state ~attempt ~expires ~fields =
       (("shard", shard) :: ("attempt", string_of_int attempt) :: fields)
   end
 
+let state t shard =
+  Option.map (fun st -> st.st_state) (Hashtbl.find_opt t.wq_tbl shard)
+
 let enqueue t shard =
-  if Hashtbl.mem t.wq_tbl shard then false
-  else begin
-    transition t shard Enqueued ~attempt:0 ~expires:0.0 ~fields:[];
-    true
-  end
+  match state t shard with
+  | Some (Enqueued | Leased) -> false
+  | _ ->
+      transition t shard Enqueued ~attempt:0 ~expires:0.0 ~fields:[];
+      true
 
 let attempts t shard =
   match Hashtbl.find_opt t.wq_tbl shard with
@@ -254,9 +245,6 @@ let mark_quarantined t shard ~fields =
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
-
-let state t shard =
-  Option.map (fun st -> st.st_state) (Hashtbl.find_opt t.wq_tbl shard)
 
 let fields t shard =
   match Hashtbl.find_opt t.wq_tbl shard with

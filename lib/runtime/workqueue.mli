@@ -1,9 +1,9 @@
 (** Durable campaign work-queue: an append-only write-ahead shard log.
 
-    A campaign ([cntpower campaign]) decomposes a sweep into shards —
-    one (circuit × library × seed) cell each — and records every state
-    transition as one flushed JSON line in
-    [_runs/<campaign>/queue.jsonl]:
+    A run of [cntpower campaign] or [cntpower all] decomposes its work
+    into shards — one (circuit × library × seed) cell, or one experiment,
+    each — and records every state transition as one flushed JSON line
+    in [_runs/<run>/queue.jsonl]:
 
     {v enqueued -> leased -> done
                         \-> failed -> leased -> ... -> quarantined v}
@@ -15,8 +15,8 @@
     the exact queue state: which shards are done (with their result
     scalars carried in the [done] record's fields), which hold a stale
     lease from a dead coordinator, and how many attempts each has
-    consumed. Resume is therefore "open the log, reclaim stale leases,
-    run whatever is not [done]".
+    consumed since it was last enqueued. Resume is therefore "open the
+    log, reclaim stale leases, re-enqueue whatever must run again".
 
     The queue knows nothing about what a shard {e is} — shards are
     opaque string ids with opaque string fields — so the module stays in
@@ -56,9 +56,10 @@ val path : t -> string
     when the {!Journal} is enabled. *)
 
 val enqueue : t -> string -> bool
-(** Record a shard as available. Returns [false] (and appends nothing)
-    when the shard is already known — re-enqueueing on resume is a
-    no-op. *)
+(** Record a shard as available with a fresh attempt count: a new shard,
+    or a failed, done or quarantined one the caller wants run again.
+    Returns [false] (and appends nothing) when the shard is already
+    enqueued or leased. *)
 
 val lease : t -> string -> ttl_s:float -> int
 (** Take a time-stamped lease: appends a [leased] record owned by this
@@ -84,7 +85,7 @@ val state : t -> string -> state option
 (** [None]: the shard is not in the log. *)
 
 val attempts : t -> string -> int
-(** Lease ordinals consumed so far (max attempt seen across records). *)
+(** Lease ordinals consumed since the shard was last enqueued. *)
 
 val fields : t -> string -> (string * string) list
 (** Fields of the shard's most recent terminal record ([done] or
@@ -102,9 +103,8 @@ val ready : t -> string list
 
 val stale_leases : t -> now:float -> string list
 (** Shards stuck in [Leased] whose lease expired before [now] or whose
-    owner process is gone — the residue of a SIGKILLed coordinator. The
-    caller decides whether each becomes [failed] (retry) or
-    [quarantined] (budget exhausted). *)
+    owner process is gone — the residue of a SIGKILLed coordinator,
+    which the caller marks [failed]. *)
 
 val pid_alive : int -> bool
 (** Signal-0 probe; [true] when in doubt (e.g. EPERM). *)

@@ -1,7 +1,7 @@
 (* Campaign durability: the workqueue write-ahead log survives torn
    lines and dead lease owners, and the campaign runner survives poison
    shards (quarantine) and a SIGKILLed coordinator (resume re-runs only
-   what is not recorded done). *)
+   what is not recorded done for the same workload). *)
 
 module W = Runtime.Workqueue
 module E = Runtime.Cnt_error
@@ -115,16 +115,25 @@ let test_cfg ~campaign ~runs_dir =
   {
     (Cg.default_config ~campaign) with
     Cg.runs_dir;
-    circuits = [ small_entry "mult8"; small_entry "ham8" ];
-    libraries = [ G.cmos ];
-    seeds = [ 42L ];
-    patterns = 256;
     workers = 2;
     shard_timeout_s = 120.0;
     max_attempts = 2;
     backoff_initial_s = 0.05;
     backoff_max_s = 0.2;
   }
+
+let test_grid ?(patterns = 256) () =
+  Cg.grid
+    ~circuits:[ small_entry "mult8"; small_entry "ham8" ]
+    ~libraries:[ G.cmos ] ~seeds:[ 42L ] ~patterns
+
+let ids shards = List.map (fun (sh : Cg.shard) -> sh.Cg.id) shards
+
+let count p (s : Cg.summary) =
+  List.length (List.filter (fun (_, o) -> p o) s.Cg.results)
+
+let completed = count (function Cg.Done _ -> true | _ -> false)
+let resumed = count (function Cg.Resumed -> true | _ -> false)
 
 let done_records path shard =
   let records, _ = ok (W.load ~path) in
@@ -133,14 +142,18 @@ let done_records path shard =
     records
   |> List.length
 
+let bits =
+  Alcotest.testable Fmt.float (fun a b ->
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
 let test_campaign_fresh_and_resume () =
   let runs_dir = temp_dir "campaign-runs" in
   let cfg = test_cfg ~campaign:"fresh" ~runs_dir in
-  let s = ok (Cg.run cfg) in
-  Alcotest.(check int) "two shards in the grid" 2 s.Cg.total;
-  Alcotest.(check int) "both completed" 2 s.Cg.completed;
-  Alcotest.(check int) "nothing resumed on a fresh run" 0 s.Cg.resumed;
-  Alcotest.(check (list string)) "nothing quarantined" [] s.Cg.quarantined;
+  let s = ok (Cg.run cfg (test_grid ())) in
+  Alcotest.(check int) "two shards in the grid" 2 (List.length s.Cg.results);
+  Alcotest.(check int) "both completed" 2 (completed s);
+  Alcotest.(check int) "nothing resumed on a fresh run" 0 (resumed s);
+  Alcotest.(check (list string)) "nothing quarantined" [] (Cg.quarantined s);
   let manifest = ok (C.load ~path:(Cg.manifest_path cfg)) in
   Alcotest.(check int) "manifest has one entry per shard" 2
     (List.length manifest.C.entries);
@@ -153,17 +166,25 @@ let test_campaign_fresh_and_resume () =
       | Some v -> Alcotest.(check bool) "total power positive" true (v > 0.0)
       | None -> Alcotest.fail "manifest entry missing total_uW")
     manifest.C.entries;
+  (* A second run without resume must not discard the durable record. *)
+  (match Cg.run cfg (test_grid ()) with
+  | Ok _ -> Alcotest.fail "an existing queue log must be refused"
+  | Error e ->
+      Alcotest.(check int) "refused with exit 13" 13 (E.exit_code e);
+      Alcotest.(check (option string))
+        "names the queue log" (Some (Cg.queue_path cfg))
+        (List.assoc_opt "path" e.E.context));
   (* Resuming a finished campaign re-runs nothing. *)
-  let s = ok (Cg.run { cfg with Cg.resume = true }) in
-  Alcotest.(check int) "resume completes nothing new" 0 s.Cg.completed;
-  Alcotest.(check int) "resume counts both shards as done" 2 s.Cg.resumed;
+  let s = ok (Cg.run { cfg with Cg.resume = true } (test_grid ())) in
+  Alcotest.(check int) "resume completes nothing new" 0 (completed s);
+  Alcotest.(check int) "resume counts both shards as done" 2 (resumed s);
   List.iter
-    (fun sh ->
+    (fun id ->
       Alcotest.(check int)
-        (sh.Cg.sh_id ^ " ran exactly once")
+        (id ^ " ran exactly once")
         1
-        (done_records (Cg.queue_path cfg) sh.Cg.sh_id))
-    (Cg.enumerate cfg)
+        (done_records (Cg.queue_path cfg) id))
+    (ids (test_grid ()))
 
 let test_campaign_poison_quarantine () =
   let runs_dir = temp_dir "campaign-runs" in
@@ -174,10 +195,10 @@ let test_campaign_poison_quarantine () =
     }
   in
   let poison = "mult8/cmos/42" in
-  let s = ok (Cg.run cfg) in
+  let s = ok (Cg.run cfg (test_grid ())) in
   Alcotest.(check (list string))
-    "poison shard quarantined" [ poison ] s.Cg.quarantined;
-  Alcotest.(check int) "healthy shard still completed" 1 s.Cg.completed;
+    "poison shard quarantined" [ poison ] (Cg.quarantined s);
+  Alcotest.(check int) "healthy shard still completed" 1 (completed s);
   let wq, _ = ok (W.open_ ~path:(Cg.queue_path cfg)) in
   Alcotest.(check bool) "queue records the quarantine" true
     (W.state wq poison = Some W.Quarantined);
@@ -193,6 +214,57 @@ let test_campaign_poison_quarantine () =
   Alcotest.(check bool) "manifest entry for the healthy shard" true
     (C.find manifest "ham8/cmos/42" <> None)
 
+let test_campaign_resume_reruns_quarantined () =
+  let runs_dir = temp_dir "campaign-runs" in
+  let cfg =
+    {
+      (test_cfg ~campaign:"requeue" ~runs_dir) with
+      Cg.inject = { Cg.no_inject with Cg.inj_crash = [ "mult8" ] };
+    }
+  in
+  let poison = "mult8/cmos/42" in
+  let s = ok (Cg.run cfg (test_grid ())) in
+  Alcotest.(check (list string)) "quarantined" [ poison ] (Cg.quarantined s);
+  (* Resume without the injection: the quarantined shard runs again from
+     a fresh budget, its first attempt undegraded. *)
+  let cfg = { cfg with Cg.resume = true; inject = Cg.no_inject } in
+  let s = ok (Cg.run cfg (test_grid ())) in
+  Alcotest.(check (list string)) "nothing quarantined" [] (Cg.quarantined s);
+  Alcotest.(check int) "one lease" 1 s.Cg.leases;
+  (match List.assoc poison s.Cg.results with
+  | Cg.Done { attempts; degraded; _ } ->
+      Alcotest.(check int) "first attempt of this invocation" 1 attempts;
+      Alcotest.(check bool) "undegraded" false degraded
+  | _ -> Alcotest.fail "the quarantined shard must end done");
+  let wq, _ = ok (W.open_ ~path:(Cg.queue_path cfg)) in
+  Alcotest.(check bool) "done in the queue" true
+    (W.state wq poison = Some W.Done);
+  W.close wq;
+  let manifest = ok (C.load ~path:(Cg.manifest_path cfg)) in
+  match C.find manifest poison with
+  | Some e -> Alcotest.(check bool) "passed" true (e.C.status = C.Passed)
+  | None -> Alcotest.fail "no manifest entry for the re-run shard"
+
+let test_campaign_resume_new_patterns () =
+  let runs_dir = temp_dir "campaign-runs" in
+  let cfg = test_cfg ~campaign:"repattern" ~runs_dir in
+  ignore (ok (Cg.run cfg (test_grid ~patterns:256 ())));
+  let s =
+    ok (Cg.run { cfg with Cg.resume = true } (test_grid ~patterns:512 ()))
+  in
+  Alcotest.(check int) "every shard re-ran" 2 (completed s);
+  Alcotest.(check int) "nothing resumed" 0 (resumed s);
+  let fresh = test_cfg ~campaign:"fresh512" ~runs_dir in
+  ignore (ok (Cg.run fresh (test_grid ~patterns:512 ())));
+  let view cfg =
+    List.map
+      (fun (e : C.entry) -> (e.C.experiment, (e.C.patterns, e.C.scalars)))
+      (ok (C.load ~path:(Cg.manifest_path cfg))).C.entries
+  in
+  Alcotest.(check (list (pair string (pair int (list (pair string bits))))))
+    "resumed manifest equals a fresh 512-pattern run, bit for bit"
+    (view fresh) (view cfg)
+
 let test_campaign_sigkill_resume () =
   let runs_dir = temp_dir "campaign-runs" in
   let cfg =
@@ -207,7 +279,7 @@ let test_campaign_sigkill_resume () =
      test survives. *)
   (match Unix.fork () with
   | 0 -> (
-      match Cg.run cfg with
+      match Cg.run cfg (test_grid ()) with
       | _ -> Unix._exit 7
       | exception _ -> Unix._exit 8)
   | pid -> (
@@ -221,27 +293,27 @@ let test_campaign_sigkill_resume () =
             | Unix.WSTOPPED s -> Printf.sprintf "stop %d" s)));
   (* Resume without injection: only the shard not recorded done re-runs. *)
   let cfg = { cfg with Cg.resume = true; Cg.inject = Cg.no_inject } in
-  let s = ok (Cg.run cfg) in
-  Alcotest.(check int) "one shard survived the kill as done" 1 s.Cg.resumed;
-  Alcotest.(check int) "the other shard re-ran" 1 s.Cg.completed;
-  Alcotest.(check (list string)) "nothing quarantined" [] s.Cg.quarantined;
+  let s = ok (Cg.run cfg (test_grid ())) in
+  Alcotest.(check int) "one shard survived the kill as done" 1 (resumed s);
+  Alcotest.(check int) "the other shard re-ran" 1 (completed s);
+  Alcotest.(check (list string)) "nothing quarantined" [] (Cg.quarantined s);
   let manifest = ok (C.load ~path:(Cg.manifest_path cfg)) in
   List.iter
-    (fun sh ->
+    (fun id ->
       Alcotest.(check bool)
-        (sh.Cg.sh_id ^ " in the manifest after resume")
+        (id ^ " in the manifest after resume")
         true
-        (C.find manifest sh.Cg.sh_id <> None);
+        (C.find manifest id <> None);
       Alcotest.(check int)
-        (sh.Cg.sh_id ^ " executed exactly once")
+        (id ^ " executed exactly once")
         1
-        (done_records (Cg.queue_path cfg) sh.Cg.sh_id))
-    (Cg.enumerate cfg)
+        (done_records (Cg.queue_path cfg) id))
+    (ids (test_grid ()))
 
 let test_campaign_manifest_is_queue_view () =
   let runs_dir = temp_dir "campaign-runs" in
   let cfg = test_cfg ~campaign:"view" ~runs_dir in
-  ignore (ok (Cg.run cfg));
+  ignore (ok (Cg.run cfg (test_grid ())));
   (* Leave the manifest holding an entry the queue log does not record
      as done, and a done shard's scalar that disagrees with its record. *)
   let path = Cg.manifest_path cfg in
@@ -250,12 +322,14 @@ let test_campaign_manifest_is_queue_view () =
     C.entry ~experiment:"c17/cmos/42" ~seed:42L ~patterns:256 ~wall_time:1.0
       ~attempts:1 ~status:C.Passed [ ("total_uW", 1.0) ]
   in
-  let tampered =
-    let e = Option.get (C.find m "ham8/cmos/42") in
-    { e with C.scalars = List.map (fun (k, _) -> (k, 0.0)) e.C.scalars }
+  let tamper (e : C.entry) =
+    if e.C.experiment <> "ham8/cmos/42" then e
+    else { e with C.scalars = List.map (fun (k, _) -> (k, 0.0)) e.C.scalars }
   in
-  ok (C.save ~path (C.add (C.add m stray) tampered));
-  ignore (ok (Cg.run { cfg with Cg.resume = true }));
+  ok
+    (C.save ~path
+       { m with C.entries = List.map tamper m.C.entries @ [ stray ] });
+  ignore (ok (Cg.run { cfg with Cg.resume = true } (test_grid ())));
   let wq, _ = ok (W.open_ ~path:(Cg.queue_path cfg)) in
   let queue_view =
     List.filter_map
@@ -273,10 +347,6 @@ let test_campaign_manifest_is_queue_view () =
       (W.shards wq)
   in
   W.close wq;
-  let bits =
-    Alcotest.testable Fmt.float (fun a b ->
-        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-  in
   let m = ok (C.load ~path) in
   Alcotest.(check (list (pair string (list (pair string bits)))))
     "manifest equals the queue's done records, bit for bit" queue_view
@@ -297,6 +367,10 @@ let () =
             `Quick test_campaign_fresh_and_resume;
           Alcotest.test_case "poison shard quarantined, rest complete"
             `Quick test_campaign_poison_quarantine;
+          Alcotest.test_case "resume re-runs a quarantined shard" `Quick
+            test_campaign_resume_reruns_quarantined;
+          Alcotest.test_case "resume at a new pattern count re-runs" `Quick
+            test_campaign_resume_new_patterns;
           Alcotest.test_case "coordinator SIGKILL, resume without re-runs"
             `Quick test_campaign_sigkill_resume;
           Alcotest.test_case "resume renders the manifest from the queue"

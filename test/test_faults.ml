@@ -321,66 +321,70 @@ let find_cycle_unit () =
 
 let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ())
 
+(* The E1-E15 runner: each shard in a forked worker of a campaign. *)
+module Cg = Experiments.Campaign
+
+let run_shards ~strict shards =
+  let runs_dir = Filename.temp_file "cntpower-faults" "" in
+  Sys.remove runs_dir;
+  let cfg =
+    { (Cg.default_config ~campaign:"faults") with Cg.runs_dir; workers = 1; strict }
+  in
+  let shards =
+    List.map (fun (id, run) -> { Cg.id; seed = 42L; patterns = 1; run }) shards
+  in
+  match Cg.run cfg shards with
+  | Ok s -> (cfg, s)
+  | Error e -> Alcotest.failf "run failed: %s" (R.to_string e)
+
+let passes ~degraded:_ = []
+
 let harness_keep_going () =
-  let module H = Experiments.Harness in
-  let entries =
-    [
-      H.entry "good1" "passes" (fun ~degraded:_ _ -> []);
-      H.entry "bad" "raises" (fun ~degraded:_ _ -> failwith "boom");
-      H.entry "good2" "passes" (fun ~degraded:_ _ -> []);
-    ]
+  let cfg, s =
+    run_shards ~strict:false
+      [
+        ("good1", passes);
+        ("bad", fun ~degraded:_ -> failwith "boom");
+        ("good2", passes);
+      ]
   in
-  let s =
-    H.run_all
-      ~config:{ H.default_config with H.mode = H.Keep_going }
-      null entries
-  in
-  Alcotest.(check int) "one failure" 1 (List.length (H.failures s));
-  Alcotest.(check bool) "not aborted" false s.H.aborted;
-  Alcotest.(check int) "exit 10" 10 (H.exit_status s);
-  (match List.assoc "good2" s.H.results with
-  | H.Passed _ -> ()
+  Alcotest.(check (list string)) "one failure" [ "bad" ] (Cg.quarantined s);
+  Alcotest.(check int) "exit 10" 10 (Cg.exit_status cfg s);
+  (match List.assoc "good2" s.Cg.results with
+  | Cg.Done _ -> ()
   | _ -> Alcotest.fail "good2 must still run after bad fails");
-  let name, e = List.hd (H.failures s) in
-  Alcotest.(check string) "failed name" "bad" name;
-  Alcotest.check code "wrapped failure" R.Internal e.R.code;
-  Alcotest.(check (option string))
-    "experiment context" (Some "bad")
-    (List.assoc_opt "experiment" e.R.context)
+  match List.assoc "bad" s.Cg.results with
+  | Cg.Quarantined e ->
+      Alcotest.check code "wrapped failure" R.Internal e.R.code;
+      Alcotest.(check (option string))
+        "shard context" (Some "bad")
+        (List.assoc_opt "shard" e.R.context)
+  | _ -> Alcotest.fail "bad must be quarantined"
 
 let harness_strict () =
-  let module H = Experiments.Harness in
-  let ran = ref [] in
-  let entries =
-    [
-      H.entry "good1" "passes" (fun ~degraded:_ _ ->
-          ran := "good1" :: !ran;
-          []);
-      H.entry "bad" "typed failure" (fun ~degraded:_ _ ->
-          R.failf R.Spice R.Convergence_failure "injected");
-      H.entry "good2" "passes" (fun ~degraded:_ _ ->
-          ran := "good2" :: !ran;
-          []);
-    ]
+  let cfg, s =
+    run_shards ~strict:true
+      [
+        ("good1", passes);
+        ( "bad",
+          fun ~degraded:_ -> R.failf R.Spice R.Convergence_failure "injected" );
+        ("good2", passes);
+      ]
   in
-  let s =
-    H.run_all ~config:{ H.default_config with H.mode = H.Strict } null entries
-  in
-  Alcotest.(check bool) "aborted" true s.H.aborted;
-  Alcotest.(check int) "exit 11" 11 (H.exit_status s);
-  Alcotest.(check (list string)) "good2 skipped" [ "good1" ] !ran;
-  (match List.assoc "good2" s.H.results with
-  | H.Skipped -> ()
+  Alcotest.(check int) "exit 11" 11 (Cg.exit_status cfg s);
+  Alcotest.(check int) "good2 never leased" 2 s.Cg.leases;
+  (match List.assoc "good2" s.Cg.results with
+  | Cg.Skipped -> ()
   | _ -> Alcotest.fail "good2 must be skipped");
-  let _, e = List.hd (H.failures s) in
-  Alcotest.check code "typed failure preserved" R.Convergence_failure e.R.code
+  match List.assoc "bad" s.Cg.results with
+  | Cg.Quarantined e ->
+      Alcotest.check code "typed failure preserved" R.Convergence_failure
+        e.R.code
+  | _ -> Alcotest.fail "bad must be quarantined"
 
 let harness_all_pass () =
-  let module H = Experiments.Harness in
-  let s =
-    H.run_all null [ H.entry "only" "ok" (fun ~degraded:_ _ -> []) ]
-  in
-  Alcotest.(check int) "exit 0" 0 (H.exit_status s)
+  let cfg, s = run_shards ~strict:false [ ("only", passes) ] in
+  Alcotest.(check int) "exit 0" 0 (Cg.exit_status cfg s)
 
 let injector_classification () =
   let escaped =

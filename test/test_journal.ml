@@ -36,6 +36,14 @@ let fresh f () =
       Jn.set_verbosity (Some Jn.Info))
     f
 
+(* One job of the pool, waited for. *)
+let run_job ?(timeout_s = 30.0) ~name f =
+  let job = S.spawn ~timeout_s ~name f in
+  let rec await () =
+    match S.wait [ job ] with _, [ (_, r) ] -> r | _ -> await ()
+  in
+  await ()
+
 let load_ok path =
   match Jn.load ~path with
   | Ok r -> r
@@ -90,8 +98,7 @@ let seq_is_monotonic =
           let path = Filename.concat dir "events.jsonl" in
           E.get_exn (Jn.open_sink ~path ());
           Jn.emit Jn.Run_started [ ("run", "t") ];
-          Jn.emit ~level:Jn.Debug Jn.Experiment_started
-            [ ("experiment", "a") ];
+          Jn.emit ~level:Jn.Debug Jn.Worker_spawned [ ("worker", "a") ];
           Jn.emit ~level:Jn.Warn Jn.Worker_timeout [ ("worker", "a") ];
           Jn.emit Jn.Run_finished [];
           Jn.close_sink ();
@@ -111,7 +118,7 @@ let seq_is_monotonic =
             (kinds
             = [
                 Jn.Run_started;
-                Jn.Experiment_started;
+                Jn.Worker_spawned;
                 Jn.Worker_timeout;
                 Jn.Run_finished;
               ])))
@@ -153,10 +160,9 @@ let custom_kind_forward_compat () =
         true
         (Jn.kind_of_name (Jn.kind_name k) = k))
     [
-      Jn.Run_started; Jn.Run_finished; Jn.Experiment_started;
-      Jn.Experiment_done; Jn.Worker_spawned; Jn.Worker_exited;
-      Jn.Worker_retry; Jn.Worker_timeout; Jn.Worker_killed;
-      Jn.Checkpoint_written; Jn.Solver_damped_retry; Jn.Golden_drift;
+      Jn.Run_started; Jn.Run_finished; Jn.Worker_spawned; Jn.Worker_exited;
+      Jn.Worker_timeout; Jn.Worker_killed; Jn.Checkpoint_written;
+      Jn.Solver_damped_retry; Jn.Golden_drift; Jn.Shard_done;
     ]
 
 (* --- corrupt-journal recovery -------------------------------------- *)
@@ -213,20 +219,16 @@ let worker_events_merge =
           E.get_exn (Jn.open_sink ~path ());
           let parent_pid = Unix.getpid () in
           Jn.emit Jn.Run_started [ ("run", "fork") ];
-          let outcome =
-            S.run
-              ~policy:{ S.timeout_s = 30.0; retries = 0 }
-              ~name:"journal-fork"
-              (fun ~degraded:_ ->
-                (* Inside the worker the supervisor has switched the
-                   journal to capture mode: these events buffer in memory
-                   and ride the result pipe back to the parent. *)
-                Jn.emit ~level:Jn.Debug Jn.Experiment_started
-                  [ ("experiment", "journal-fork") ];
-                Unix.getpid ())
-          in
           let worker_pid =
-            match outcome.S.value with
+            match
+              run_job ~name:"journal-fork" (fun () ->
+                  (* Inside the worker the supervisor has switched the
+                     journal to capture mode: these events buffer in
+                     memory and ride the result pipe back to the parent. *)
+                  Jn.emit ~level:Jn.Debug Jn.Worker_spawned
+                    [ ("worker", "journal-fork") ];
+                  Unix.getpid ())
+            with
             | Ok pid -> pid
             | Result.Error e ->
                 Alcotest.failf "worker failed: %s" (E.to_string e)
@@ -243,7 +245,7 @@ let worker_events_merge =
           let worker_events = from worker_pid in
           Alcotest.(check bool) "worker event crossed the pipe" true
             (List.exists
-               (fun e -> e.Jn.ev_kind = Jn.Experiment_started)
+               (fun e -> e.Jn.ev_kind = Jn.Worker_spawned)
                worker_events);
           (* The parent narrates the supervision around it. *)
           let parent_kinds =
@@ -272,14 +274,11 @@ let timeout_is_journaled =
         (fun () ->
           let path = Filename.concat dir "events.jsonl" in
           E.get_exn (Jn.open_sink ~path ());
-          let outcome =
-            S.run
-              ~policy:{ S.timeout_s = 0.2; retries = 0 }
-              ~name:"sleeper"
-              (fun ~degraded:_ -> Unix.sleep 30)
+          let result =
+            run_job ~timeout_s:0.2 ~name:"sleeper" (fun () -> Unix.sleep 30)
           in
           Jn.close_sink ();
-          (match outcome.S.value with
+          (match result with
           | Ok _ -> Alcotest.fail "sleeper should have timed out"
           | Result.Error e ->
               Alcotest.(check bool) "typed timeout" true
@@ -328,11 +327,15 @@ let trace_fixture () =
       ev_fields = fields;
     }
   in
+  let spawned seq worker pid =
+    ev seq 100 Jn.Worker_spawned
+      [ ("worker", worker); ("worker_pid", string_of_int pid) ]
+  in
   let events =
     [
       ev 1 100 Jn.Run_started [ ("run", "t") ];
-      ev 2 200 Jn.Experiment_started [ ("experiment", "exp1") ];
-      ev 3 300 Jn.Experiment_started [ ("experiment", "exp2") ];
+      spawned 2 "exp1" 200;
+      spawned 3 "exp2" 300;
       ev 4 100 Jn.Run_finished [];
     ]
   in
@@ -389,19 +392,24 @@ let trace_is_wellformed () =
     (fun n ->
       Alcotest.(check bool) (n ^ " span exported") true (List.mem n names))
     [ "exp1"; "solve"; "map"; "exp2" ];
-  (* Experiments land on the PID track of their experiment_started
-     event, giving one lane per worker in the viewer. *)
+  (* Shards land on the PID track of the worker their worker_spawned
+     event names, giving one lane per worker in the viewer. *)
   Alcotest.(check (option int)) "exp1 on its worker track" (Some 200)
     (pid_of evs "exp1");
   Alcotest.(check (option int)) "exp2 on its worker track" (Some 300)
     (pid_of evs "exp2")
 
 let trace_anchors_returning_attempt () =
-  (* A retried experiment's span holds only the attempt that returned
-     its profile, so it is laid on the retry's worker track. *)
+  (* A retried shard's span holds only the attempt that returned its
+     profile, so it is laid on the retry's worker track. *)
   let profile, events = trace_fixture () in
   let retry =
-    { (List.nth events 1) with Jn.ev_seq = 5; ev_time = 1005.0; ev_pid = 250 }
+    {
+      (List.nth events 1) with
+      Jn.ev_seq = 5;
+      ev_time = 1005.0;
+      ev_fields = [ ("worker", "exp1"); ("worker_pid", "250") ];
+    }
   in
   let evs = trace_events (Tr.to_trace ~events:(events @ [ retry ]) profile) in
   Alcotest.(check (option int)) "exp1 on the retry's track" (Some 250)

@@ -1,103 +1,113 @@
-(* Supervisor and checkpoint layer: worker isolation, watchdog, retry
-   with degradation, manifest durability, golden-gate comparisons. *)
+(* Supervisor and checkpoint layer: worker isolation, watchdog, the
+   campaign runner's retry with degradation, manifest durability,
+   golden-gate comparisons. *)
 
 module E = Runtime.Cnt_error
 module S = Runtime.Supervisor
 module C = Runtime.Checkpoint
-
-let no_retry = { S.timeout_s = 30.0; retries = 0 }
+module Cg = Experiments.Campaign
 
 let code = Alcotest.testable (Fmt.of_to_string E.code_name) ( = )
 
-let errcode outcome =
-  match outcome.S.value with
-  | Ok _ -> Alcotest.fail "expected a failed outcome"
+(* One job of the pool, waited for. *)
+let run_job ?(timeout_s = 30.0) f =
+  let job = S.spawn ~timeout_s ~name:"test" f in
+  let rec await () =
+    match S.wait [ job ] with _, [ (_, r) ] -> r | _ -> await ()
+  in
+  await ()
+
+let errcode = function
+  | Ok _ -> Alcotest.fail "expected a failed job"
   | Result.Error e -> e.E.code
 
 (* --- supervisor ---------------------------------------------------- *)
 
 let worker_roundtrip () =
-  let outcome =
-    S.run ~policy:no_retry ~name:"ok" (fun ~degraded:_ ->
-        [ ("x", 1.5); ("y", 2.0) ])
-  in
   Alcotest.(check (list (pair string (float 0.0))))
     "scalars cross the process boundary"
     [ ("x", 1.5); ("y", 2.0) ]
-    (match outcome.S.value with Ok v -> v | Result.Error _ -> []);
-  Alcotest.(check int) "one attempt" 1 outcome.S.attempts;
-  Alcotest.(check bool) "not degraded" false outcome.S.degraded
+    (match run_job (fun () -> [ ("x", 1.5); ("y", 2.0) ]) with
+    | Ok v -> v
+    | Result.Error _ -> [])
 
-let worker_exception_typed () =
-  let outcome =
-    S.run ~policy:no_retry ~name:"raise" (fun ~degraded:_ ->
-        failwith "boom in worker")
-  in
-  Alcotest.check code "Failure becomes a typed internal error" E.Internal
-    (errcode outcome);
-  Alcotest.(check int) "deterministic failures are not retried" 1
-    outcome.S.attempts
 
 let worker_sigkill () =
-  let outcome =
-    S.run ~policy:no_retry ~name:"killed" (fun ~degraded:_ ->
-        Unix.kill (Unix.getpid ()) Sys.sigkill;
-        [])
-  in
   Alcotest.check code "signal death is Worker_killed" E.Worker_killed
-    (errcode outcome)
+    (errcode
+       (run_job (fun () ->
+            Unix.kill (Unix.getpid ()) Sys.sigkill;
+            [])))
 
 let worker_nonzero_exit () =
-  let outcome =
-    S.run ~policy:no_retry ~name:"exit3" (fun ~degraded:_ ->
-        Unix._exit 3)
-  in
   Alcotest.check code "nonzero exit is Worker_killed" E.Worker_killed
-    (errcode outcome)
+    (errcode (run_job (fun () -> Unix._exit 3)))
 
 let worker_timeout () =
   let t0 = Unix.gettimeofday () in
-  let outcome =
-    S.run
-      ~policy:{ S.timeout_s = 0.4; retries = 0 }
-      ~name:"hang"
-      (fun ~degraded:_ ->
-        Unix.sleep 30;
-        [])
-  in
   Alcotest.check code "watchdog fires as Worker_timeout" E.Worker_timeout
-    (errcode outcome);
+    (errcode
+       (run_job ~timeout_s:0.4 (fun () ->
+            Unix.sleep 30;
+            [])));
   Alcotest.(check bool) "the hung worker was killed promptly" true
     (Unix.gettimeofday () -. t0 < 10.0)
 
+(* Retry policy lives in the campaign runner: one shard, [max_attempts]
+   attempts, results read off the summary. *)
+let run_shard ~max_attempts run =
+  let runs_dir = Filename.temp_file "cntpower-retry" "" in
+  Sys.remove runs_dir;
+  let cfg =
+    {
+      (Cg.default_config ~campaign:"retry") with
+      Cg.runs_dir;
+      workers = 1;
+      shard_timeout_s = 30.0;
+      max_attempts;
+      backoff_initial_s = 0.01;
+      backoff_max_s = 0.02;
+    }
+  in
+  match Cg.run cfg [ { Cg.id = "job"; seed = 42L; patterns = 1; run } ] with
+  | Ok { Cg.results = [ (_, outcome) ]; leases; _ } -> (outcome, leases)
+  | Ok _ -> Alcotest.fail "expected one result"
+  | Result.Error e -> Alcotest.failf "run failed: %s" (E.to_string e)
+
+let worker_exception_typed () =
+  Alcotest.check code "Failure becomes a typed internal error" E.Internal
+    (errcode (run_job (fun () -> failwith "boom in worker")));
+  match run_shard ~max_attempts:3 (fun ~degraded:_ -> failwith "boom") with
+  | Cg.Quarantined e, leases ->
+      Alcotest.check code "quarantined with the typed error" E.Internal
+        e.E.code;
+      Alcotest.(check int) "deterministic failures are not retried" 1 leases
+  | _ -> Alcotest.fail "expected the shard to be quarantined"
+
 let degraded_retry_recovers () =
   (* First attempt dies; the retry runs with ~degraded:true and succeeds. *)
-  let outcome =
-    S.run
-      ~policy:{ S.timeout_s = 30.0; retries = 1 }
-      ~name:"flaky"
-      (fun ~degraded ->
+  match
+    run_shard ~max_attempts:2 (fun ~degraded ->
         if not degraded then Unix.kill (Unix.getpid ()) Sys.sigkill;
         [ ("recovered", 1.0) ])
-  in
-  (match outcome.S.value with
-  | Ok [ ("recovered", 1.0) ] -> ()
-  | _ -> Alcotest.fail "expected the degraded retry to succeed");
-  Alcotest.(check int) "two attempts" 2 outcome.S.attempts;
-  Alcotest.(check bool) "tagged degraded" true outcome.S.degraded
+  with
+  | Cg.Done { attempts; degraded; _ }, leases ->
+      Alcotest.(check int) "two attempts" 2 attempts;
+      Alcotest.(check int) "two leases" 2 leases;
+      Alcotest.(check bool) "tagged degraded" true degraded
+  | _ -> Alcotest.fail "expected the degraded retry to succeed"
 
 let retry_budget_bounded () =
-  let outcome =
-    S.run
-      ~policy:{ S.timeout_s = 30.0; retries = 2 }
-      ~name:"always-dies"
-      (fun ~degraded:_ ->
+  match
+    run_shard ~max_attempts:3 (fun ~degraded:_ ->
         Unix.kill (Unix.getpid ()) Sys.sigkill;
         [])
-  in
-  Alcotest.check code "still Worker_killed after the budget" E.Worker_killed
-    (errcode outcome);
-  Alcotest.(check int) "1 + retries attempts" 3 outcome.S.attempts
+  with
+  | Cg.Quarantined e, leases ->
+      Alcotest.check code "still Worker_killed after the budget"
+        E.Worker_killed e.E.code;
+      Alcotest.(check int) "max_attempts attempts" 3 leases
+  | _ -> Alcotest.fail "expected the shard to be quarantined"
 
 let refused_fork_is_typed () =
   (* OCaml 5 refuses [Unix.fork] once a domain has been spawned, so the
@@ -109,15 +119,8 @@ let refused_fork_is_typed () =
   | 0 ->
       Domain.join (Domain.spawn (fun () -> ()));
       let code =
-        match
-          S.run
-            ~policy:{ S.timeout_s = 30.0; retries = 1 }
-            ~name:"refused"
-            (fun ~degraded:_ -> ())
-        with
-        | { S.value = Result.Error e; attempts = 1; _ }
-          when not (S.retryable e) ->
-            0
+        match run_shard ~max_attempts:2 (fun ~degraded:_ -> []) with
+        | Cg.Quarantined e, 1 when not (S.retryable e) -> 0
         | _ -> 1
         | exception _ -> 2
       in
@@ -146,7 +149,6 @@ let tmpdir () = Filename.temp_file "cntpower-ckpt" "" |> fun f ->
   f
 
 let sample_manifest () =
-  let m = C.empty ~run_name:"test" in
   let e1 =
     C.entry ~experiment:"tgate" ~seed:42L ~patterns:1024 ~wall_time:0.5
       ~attempts:1 ~status:C.Passed
@@ -154,9 +156,9 @@ let sample_manifest () =
   in
   let e2 =
     C.entry ~experiment:"table1" ~seed:42L ~patterns:1024 ~wall_time:9.0
-      ~attempts:2 ~status:C.Failed ~error:"experiment/worker-killed: boom" []
+      ~attempts:2 ~status:C.Degraded [ ("p_avg_uw", 1.25) ]
   in
-  C.add (C.add m e1) e2
+  { C.run_name = "test"; created = 0.0; entries = [ e1; e2 ] }
 
 let manifest_roundtrip () =
   let dir = tmpdir () in
@@ -178,20 +180,9 @@ let manifest_roundtrip () =
       Alcotest.(check string) "digest preserved"
         (C.digest_scalars e1.C.scalars) e1.C.digest;
       let e2 = Option.get (C.find m' "table1") in
-      Alcotest.(check bool) "failed status survives" true (e2.C.status = C.Failed);
-      Alcotest.(check (option string)) "error text survives"
-        (Some "experiment/worker-killed: boom") e2.C.error
-
-let manifest_add_replaces () =
-  let m = sample_manifest () in
-  let e =
-    C.entry ~experiment:"table1" ~seed:42L ~patterns:1024 ~wall_time:1.0
-      ~attempts:1 ~status:C.Passed [ ("x", 1.0) ]
-  in
-  let m = C.add m e in
-  Alcotest.(check int) "still two entries" 2 (List.length m.C.entries);
-  Alcotest.(check bool) "replaced by the passing entry" true
-    ((Option.get (C.find m "table1")).C.status = C.Passed)
+      Alcotest.(check bool) "degraded status survives" true
+        (e2.C.status = C.Degraded);
+      Alcotest.(check int) "attempts survive" 2 e2.C.attempts
 
 let corrupt_manifest_is_typed () =
   let dir = tmpdir () in
@@ -223,7 +214,7 @@ let json_parser_accepts_escapes () =
 let golden_pass_and_drift () =
   let m = sample_manifest () in
   let golden = C.golden_of_manifest ~rtol:0.1 ~experiments:[ "tgate" ] m in
-  Alcotest.(check int) "failed entries excluded" 2 (List.length golden);
+  Alcotest.(check int) "other experiments excluded" 2 (List.length golden);
   let exact =
     List.find (fun g -> g.C.g_metric = "n_configs") golden
   in
@@ -232,27 +223,24 @@ let golden_pass_and_drift () =
   Alcotest.(check int) "clean manifest passes" 0
     (List.length (C.check_golden m golden));
   (* Within tolerance: max_drop 0.11 -> 0.115 at rtol 0.1 passes. *)
-  let nudged =
-    C.add m
-      (C.entry ~experiment:"tgate" ~seed:42L ~patterns:1024 ~wall_time:0.5
-         ~attempts:1 ~status:C.Passed
-         [ ("n_configs", 8.0); ("max_drop", 0.115) ])
+  let with_tgate scalars =
+    {
+      m with
+      C.entries =
+        C.entry ~experiment:"tgate" ~seed:42L ~patterns:1024 ~wall_time:0.5
+          ~attempts:1 ~status:C.Passed scalars
+        :: List.tl m.C.entries;
+    }
   in
+  let nudged = with_tgate [ ("n_configs", 8.0); ("max_drop", 0.115) ] in
   Alcotest.(check int) "drift inside rtol passes" 0
     (List.length (C.check_golden nudged golden));
   (* Outside tolerance on the float, and any change on the exact count. *)
-  let drifted =
-    C.add m
-      (C.entry ~experiment:"tgate" ~seed:42L ~patterns:1024 ~wall_time:0.5
-         ~attempts:1 ~status:C.Passed
-         [ ("n_configs", 9.0); ("max_drop", 0.2) ])
-  in
+  let drifted = with_tgate [ ("n_configs", 9.0); ("max_drop", 0.2) ] in
   Alcotest.(check int) "both metrics drift" 2
     (List.length (C.check_golden drifted golden));
   (* A golden metric with no manifest entry is a drift with no actual. *)
-  let missing =
-    C.check_golden (C.empty ~run_name:"empty") golden
-  in
+  let missing = C.check_golden { m with C.entries = [] } golden in
   Alcotest.(check int) "missing entries drift" 2 (List.length missing);
   List.iter
     (fun d -> Alcotest.(check bool) "no actual value" true (d.C.d_actual = None))
@@ -299,7 +287,6 @@ let () =
       ( "checkpoint",
         [
           Alcotest.test_case "manifest roundtrip" `Quick manifest_roundtrip;
-          Alcotest.test_case "add replaces" `Quick manifest_add_replaces;
           Alcotest.test_case "corrupt manifest typed" `Quick
             corrupt_manifest_is_typed;
           Alcotest.test_case "json escapes" `Quick json_parser_accepts_escapes;

@@ -234,18 +234,19 @@ let merge_with_prefix =
 
 let merge_from_forked_worker =
   fresh (fun () ->
-      let outcome =
-        S.run
-          ~policy:{ S.timeout_s = 30.0; retries = 0 }
-          ~name:"telemetry-fork"
-          (fun ~degraded:_ ->
+      T.count "parent.units" 1;
+      let job =
+        S.spawn ~timeout_s:30.0 ~name:"telemetry-fork" (fun () ->
             (* The worker inherits enabled=true across the fork; profile
-               only its own work, exactly as Experiments.Harness does. *)
+               only its own work, as a prefixed pool job does. *)
             T.reset ();
             T.with_span "work" (fun () -> T.count "worker.units" 11);
             T.snapshot ())
       in
-      match outcome.S.value with
+      let rec await () =
+        match S.wait [ job ] with _, [ (_, r) ] -> r | _ -> await ()
+      in
+      match await () with
       | Result.Error e -> Alcotest.failf "worker failed: %s" (E.to_string e)
       | Ok worker_profile ->
           T.merge ~prefix:[ "fork" ] worker_profile;
@@ -255,9 +256,9 @@ let merge_from_forked_worker =
           Alcotest.(check (option int))
             "worker counter crossed the pipe" (Some 11)
             (T.find_counter p "worker.units");
-          (* The parent's own supervision counters coexist. *)
-          Alcotest.(check (option int)) "parent supervision counted" (Some 1)
-            (T.find_counter p "supervisor.attempts");
+          (* The parent's own counters coexist. *)
+          Alcotest.(check (option int)) "parent counter kept" (Some 1)
+            (T.find_counter p "parent.units");
           (* A pool job with a prefix: the worker profiles itself, the
              pool grafts the snapshot and charges each prefix node one
              call and the worker's wall time. *)

@@ -24,6 +24,14 @@ let rm_rf dir =
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   end
 
+(* One job of the pool, waited for. *)
+let run_job ~name f =
+  let job = S.spawn ~timeout_s:30.0 ~name f in
+  let rec await () =
+    match S.wait [ job ] with _, [ (_, r) ] -> r | _ -> await ()
+  in
+  await ()
+
 (* Tests install contexts; always leave the domain clean. *)
 let fresh f () =
   Tc.set None;
@@ -94,19 +102,15 @@ let fork_derives_child =
   fresh (fun () ->
       let ctx = Tc.mint_root () in
       Tc.set (Some ctx);
-      let outcome =
-        S.run
-          ~policy:{ S.timeout_s = 30.0; retries = 0 }
-          ~name:"tracectx-fork"
-          (fun ~degraded:_ ->
-            (* Runs in the forked worker: the supervisor must have
-               replaced the inherited context with a child of it. *)
-            match Tc.current () with
-            | None -> []
-            | Some c -> Tc.to_fields c)
-      in
       let fields =
-        match outcome.S.value with
+        match
+          run_job ~name:"tracectx-fork" (fun () ->
+              (* Runs in the forked worker: the supervisor must have
+                 replaced the inherited context with a child of it. *)
+              match Tc.current () with
+              | None -> []
+              | Some c -> Tc.to_fields c)
+        with
         | Ok f -> f
         | Result.Error e -> Alcotest.failf "worker: %s" (E.to_string e)
       in
@@ -140,17 +144,12 @@ let journal_events_stamped =
               let ctx = Tc.mint_root () in
               Tc.with_ctx ctx (fun () ->
                   Jn.emit Jn.Run_started [ ("run", "t") ];
-                  let outcome =
-                    S.run
-                      ~policy:
-                        { S.timeout_s = 30.0; retries = 0 }
-                      ~name:"stamped"
-                      (fun ~degraded:_ ->
-                        Jn.emit ~level:Jn.Debug Jn.Experiment_started
-                          [ ("experiment", "stamped") ];
+                  match
+                    run_job ~name:"stamped" (fun () ->
+                        Jn.emit ~level:Jn.Debug Jn.Worker_spawned
+                          [ ("worker", "stamped") ];
                         Unix.getpid ())
-                  in
-                  match outcome.S.value with
+                  with
                   | Ok _ -> ()
                   | Result.Error e ->
                       Alcotest.failf "worker: %s" (E.to_string e));
@@ -177,13 +176,11 @@ let journal_events_stamped =
                   Alcotest.(check bool)
                     (Jn.kind_name k ^ " stamped")
                     true (List.mem k kinds))
-                [ Jn.Run_started; Jn.Worker_spawned; Jn.Experiment_started ];
+                [ Jn.Run_started; Jn.Worker_spawned ];
               (* The worker's event is a child span: same trace, its own
                  span, parented under the request span. *)
               let worker_ev =
-                List.find
-                  (fun e -> e.Jn.ev_kind = Jn.Experiment_started)
-                  stamped
+                List.find (fun e -> e.Jn.ev_pid <> Unix.getpid ()) stamped
               in
               Alcotest.(check (option string)) "worker event parented"
                 (Some ctx.Tc.span_id)
@@ -313,6 +310,47 @@ let slice_selects_one_request =
            (fun (s : T.span) -> s.T.span_name = "estimate-a")
            root.T.children))
 
+(* Two shards of a campaign: each attempt's trace spawns a worker named
+   for the shard, whose profile is grafted under a span of that name. *)
+let slice_selects_one_shard =
+  fresh (fun () ->
+      let s1 = Tc.mint_root () and s2 = Tc.mint_root () in
+      let shard id work =
+        {
+          T.span_name = id;
+          calls = 1;
+          total_s = 0.2;
+          children =
+            [ { T.span_name = work; calls = 1; total_s = 0.1; children = [] } ];
+        }
+      in
+      let profile =
+        {
+          T.p_spans = [ shard "t481/cmos/42" "map-a"; shard "C1355/cmos/42" "map-b" ];
+          p_counters = [];
+          p_dists = [];
+        }
+      in
+      let spawned seq id pid ctx =
+        {
+          Jn.ev_seq = seq;
+          ev_time = 1000.0 +. float_of_int seq;
+          ev_pid = 100;
+          ev_level = Jn.Debug;
+          ev_kind = Jn.Worker_spawned;
+          ev_fields =
+            ("worker", id) :: ("worker_pid", string_of_int pid) :: Tc.to_fields ctx;
+        }
+      in
+      let events =
+        [ spawned 1 "t481/cmos/42" 201 s1; spawned 2 "C1355/cmos/42" 202 s2 ]
+      in
+      let sliced, evs = Tr.slice ~trace_id:s2.Tc.trace_id ~events profile in
+      Alcotest.(check (list string)) "exactly the second shard's subtree"
+        [ "C1355/cmos/42" ]
+        (List.map (fun (sp : T.span) -> sp.T.span_name) sliced.T.p_spans);
+      Alcotest.(check int) "only its spawn event" 1 (List.length evs))
+
 let trace_export_anchors_worker_track =
   fresh (fun () ->
       let r1, _, profile, events = slice_fixture () in
@@ -371,6 +409,7 @@ let () =
       ( "slicing",
         [
           tc "slice selects exactly one request" slice_selects_one_request;
+          tc "slice selects exactly one shard" slice_selects_one_shard;
           tc "chrome trace anchors the worker track"
             trace_export_anchors_worker_track;
         ] );
