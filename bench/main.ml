@@ -173,19 +173,6 @@ let micro_tests () =
                Runtime.Telemetry.count "bench.counter" 1;
                Runtime.Telemetry.observe "bench.dist" 1.0)))
   in
-  let telemetry_disabled_traced =
-    (* Same disabled path with a live trace context installed: the
-       per-request Tracectx must not reintroduce cost into guarded
-       emit/span sites when journal and telemetry are off. *)
-    let ctx = Runtime.Tracectx.mint_root () in
-    Test.make ~name:"telemetry-span-disabled-traced"
-      (Staged.stage (fun () ->
-           Runtime.Tracectx.with_ctx ctx (fun () ->
-               Runtime.Telemetry.with_span "bench.span" (fun () ->
-                   Runtime.Telemetry.count "bench.counter" 1;
-                   Runtime.Telemetry.observe "bench.dist" 1.0);
-               Runtime.Journal.emit Runtime.Journal.Request_done [])))
-  in
   let metrics_snapshot =
     (* What the daemon pays to answer the `metrics` verb inline (and the
        campaign coordinator per completion): merge caller gauges and
@@ -204,7 +191,7 @@ let micro_tests () =
   supervise
   @ [ classify; dc_solve; resyn; mapping; simulate ]
   @ matchlib_per_family @ sim_seq_vs_par
-  @ [ telemetry_disabled; telemetry_disabled_traced; metrics_snapshot ]
+  @ [ telemetry_disabled; metrics_snapshot ]
 
 let run_micro () =
   Format.printf "@.#### Microbenchmarks (bechamel) ####@.";

@@ -1117,12 +1117,14 @@ let trace_cmd =
   in
   let request_arg =
     let doc =
-      "Slice the export down to one request/shard: $(docv) is a trace id \
-       (t<pid>-<n>, as stamped on journal events) or a daemon request \
-       number. Only that trace's telemetry subtrees and journal events are \
-       exported, worker tracks still anchored on their PIDs."
+      "Slice the export down to one request/shard: $(docv) is a shard id \
+       (<circuit>/<library>/<seed>, or an experiment name for `all`), a \
+       worker name (req-<n>) or a daemon request number. Only that \
+       worker's telemetry subtree and the journal events naming it (every \
+       attempt's, for a retried shard) are exported, on its worker's PID \
+       track."
     in
-    Arg.(value & opt (some string) None & info [ "request" ] ~docv:"ID" ~doc)
+    Arg.(value & opt (some string) None & info [ "request" ] ~docv:"NAME" ~doc)
   in
   let run run_name out request =
     let prof = R.get_exn (T.load ~path:(profile_path_of run_name)) in
@@ -1136,17 +1138,17 @@ let trace_cmd =
       match request with
       | None -> (prof, events, "")
       | Some arg -> (
-          match Tr.resolve_trace_id ~events arg with
+          match Tr.resolve ~events arg with
           | None ->
               R.failf
                 ~context:[ ("request", arg) ]
                 R.Cli R.Validation_error
-                "no journal event of run %s carries trace id or request \
+                "no journal event of run %s names worker, shard or request \
                  number %S"
                 run_name arg
-          | Some trace_id ->
-              let p, evs = Tr.slice ~trace_id ~events prof in
-              (p, evs, Printf.sprintf ", sliced to trace %s" trace_id))
+          | Some worker ->
+              let p, evs = Tr.slice ~worker ~events prof in
+              (p, evs, Printf.sprintf ", sliced to worker %s" worker))
     in
     let out = match out with Some p -> p | None -> trace_path_of run_name in
     R.get_exn (Tr.save ~path:out ~events prof);
@@ -1161,10 +1163,10 @@ let trace_cmd =
        ~doc:
          "Export a profiled run as Chrome trace_event JSON: telemetry \
           spans become duration events, one track per worker PID \
-          (anchored at the journal's experiment_started / worker_spawned \
-          timestamps), and journal events become instants. --request <id> \
-          slices a single request/shard end-to-end by its trace id. Open \
-          the result in chrome://tracing or Perfetto. Requires a profiled \
+          (anchored at the journal's worker_spawned timestamps), and \
+          journal events become instants. --request <name> slices a \
+          single shard or daemon request by its worker name. Open the \
+          result in chrome://tracing or Perfetto. Requires a profiled \
           run (`all --profile`, `campaign`, or `serve`).")
     Term.(const run $ run_pos $ out_arg $ request_arg)
 

@@ -4,7 +4,6 @@ module S = Runtime.Supervisor
 module C = Runtime.Checkpoint
 module T = Runtime.Telemetry
 module Jn = Runtime.Journal
-module Tc = Runtime.Tracectx
 module M = Runtime.Metrics
 module Est = Techmap.Estimate
 module G = Cell.Genlib
@@ -262,7 +261,6 @@ type flight = {
   fl_attempt : int;  (** this invocation's attempt at the shard, from 1 *)
   fl_job : (string * float) list S.job;
   fl_started : float;
-  fl_ctx : Tc.t;  (** shard trace context; stamps every outcome event *)
 }
 
 let run cfg shards =
@@ -371,7 +369,6 @@ let run cfg shards =
       (cfg.backoff_initial_s *. (2.0 ** float_of_int (attempt - 1)))
   in
   let handle_failure fl err =
-    Tc.with_ctx fl.fl_ctx @@ fun () ->
     let id = fl.fl_shard.id in
     let err = E.with_context err [ ("shard", id) ] in
     let fields =
@@ -390,7 +387,6 @@ let run cfg shards =
     save_metrics ()
   in
   let handle_done fl scalars =
-    Tc.with_ctx fl.fl_ctx @@ fun () ->
     let wall_s = Unix.gettimeofday () -. fl.fl_started in
     let degraded = fl.fl_attempt > 1 in
     W.mark_done wq fl.fl_shard.id
@@ -424,12 +420,6 @@ let run cfg shards =
                   else 3600.0)
                  +. 60.0
                in
-               (* One trace per shard attempt: the lease record, the
-                  worker-spawned event naming the shard, the worker's own
-                  events and the outcome record all share the id, so
-                  [cntpower trace --request <id>] slices the shard. *)
-               let ctx = Tc.mint_root () in
-               Tc.with_ctx ctx @@ fun () ->
                let attempt = W.lease wq id ~ttl_s in
                let degraded = attempt > 1 in
                incr leases;
@@ -445,7 +435,6 @@ let run cfg shards =
                    fl_attempt = attempt;
                    fl_job = job;
                    fl_started = Unix.gettimeofday ();
-                   fl_ctx = ctx;
                  }
                  :: !flights
              end)

@@ -34,10 +34,10 @@
     profile, so [cntpower stats/trace/compare] work on a half-finished
     run.
 
-    Each shard attempt mints a {!Runtime.Tracectx}: the lease and outcome
-    records and the worker's journal events share one trace id, and the
-    [worker_spawned] event names the shard, so [cntpower trace --request
-    <id>] slices a single shard. The coordinator also keeps
+    Each shard runs in a worker named for its id: the queue log's
+    transitions name it as [shard], the pool's and the worker's journal
+    events as [worker], so [cntpower trace --request <id>] slices a
+    single shard, every attempt of it. The coordinator also keeps
     [_runs/<run>/metrics.json] fresh — an atomic {!Runtime.Metrics}
     snapshot rewritten after every state change, the [cntpower top <run>]
     data source. *)

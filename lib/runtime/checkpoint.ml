@@ -419,6 +419,9 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
 
+let io_error path msg =
+  E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s" msg
+
 let write_atomic ~path text =
   match
     mkdir_p (Filename.dirname path);
@@ -429,11 +432,9 @@ let write_atomic ~path text =
     Sys.rename tmp path
   with
   | () -> Ok ()
-  | exception Sys_error msg ->
-      E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s" msg
+  | exception Sys_error msg -> io_error path msg
   | exception Unix.Unix_error (err, _, _) ->
-      E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s"
-        (Unix.error_message err)
+      io_error path (Unix.error_message err)
 
 let read_file path =
   match
@@ -444,8 +445,59 @@ let read_file path =
     text
   with
   | text -> Ok text
-  | exception Sys_error msg ->
-      E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s" msg
+  | exception Sys_error msg -> io_error path msg
+
+(* JSONL logs ([events.jsonl], [queue.jsonl]): whole lines, each flushed,
+   so a crash tears at most the line being written and readers skip torn
+   lines. *)
+
+let ends_torn path =
+  Sys.file_exists path
+  && In_channel.with_open_bin path (fun ic ->
+         let n = In_channel.length ic in
+         n > 0L
+         && (In_channel.seek ic (Int64.pred n);
+             In_channel.input_char ic <> Some '\n'))
+
+let open_jsonl ~path =
+  match
+    mkdir_p (Filename.dirname path);
+    (* A line appended straight after a torn final line would merge into
+       it and be lost to the next reader: end the torn line first. *)
+    let torn = ends_torn path in
+    let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+    if torn then (
+      output_char oc '\n';
+      flush oc);
+    oc
+  with
+  | oc -> Ok oc
+  | exception Sys_error msg -> io_error path msg
+  | exception Unix.Unix_error (err, _, _) ->
+      io_error path (Unix.error_message err)
+
+let append_jsonl oc j =
+  let line = json_to_string_compact j ^ "\n" in
+  (try
+     output_string oc line;
+     flush oc
+   with Sys_error _ -> ());
+  String.length line
+
+let read_jsonl decode path =
+  let* text = read_file path in
+  let items, skipped =
+    List.fold_left
+      (fun (items, skipped) line ->
+        if String.trim line = "" then (items, skipped)
+        else
+          match Result.bind (json_of_string line) decode with
+          | Ok x -> (x :: items, skipped)
+          | Error _ -> (items, skipped + 1))
+      ([], 0)
+      (String.split_on_char '\n' text)
+  in
+  Ok (List.rev items, skipped)
 
 let with_path_context path = function
   | Ok _ as ok -> ok

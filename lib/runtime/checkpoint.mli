@@ -59,6 +59,30 @@ val write_atomic : path:string -> string -> (unit, Cnt_error.t) result
 
 val read_file : string -> (string, Cnt_error.t) result
 
+(** {2 JSONL logs}
+
+    The append-only logs ([events.jsonl], [queue.jsonl]) hold one
+    compact JSON value per line. Each line is written whole and flushed,
+    so a crash tears at most the line in flight, and readers skip torn
+    lines. *)
+
+val open_jsonl : path:string -> (out_channel, Cnt_error.t) result
+(** Open [path] for appending, creating it and its parent directories.
+    A final line torn short of its newline is ended first, so the next
+    appended line cannot merge into it. *)
+
+val append_jsonl : out_channel -> json -> int
+(** Append one line and flush; returns the bytes written. A failed write
+    is dropped: the log stays readable and the caller keeps running. *)
+
+val read_jsonl :
+  (json -> ('a, Cnt_error.t) result) ->
+  string ->
+  ('a list * int, Cnt_error.t) result
+(** Decode every non-blank line of a file, in file order, plus the number
+    of torn or corrupt lines skipped. Only an unreadable file is an
+    error. *)
+
 type status = Passed | Degraded  (** [Degraded]: from a degraded retry *)
 
 val status_name : status -> string

@@ -92,14 +92,9 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
       in
       loop ()
     in
-    (* The trace context is per-domain state: capture the spawner's and
-       re-install it in each worker so journal events emitted from the
-       parallel region stay correlated to the request that caused them. *)
-    let ctx = Tracectx.current () in
     let spawned =
       Array.init (d - 1) (fun i ->
           Domain.spawn (fun () ->
-              Tracectx.set ctx;
               worker_body (i + 1);
               (* Snapshot inside the worker: its DLS registry is only
                  reachable from here. *)

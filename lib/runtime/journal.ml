@@ -188,23 +188,13 @@ let rotated_path path i = Printf.sprintf "%s.%d" path i
 
 let open_sink ?max_bytes ?(keep = 4) ~path () =
   close_sink ();
-  match
-    J.mkdir_p (Filename.dirname path);
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-  with
-  | oc ->
-      sink := Some oc;
-      sink_path := Some path;
-      rot_max_bytes := max_bytes;
-      rot_keep := max 1 keep;
-      sink_bytes :=
-        (try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0);
-      Ok ()
-  | exception Sys_error msg ->
-      E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s" msg
-  | exception Unix.Unix_error (err, _, _) ->
-      E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s"
-        (Unix.error_message err)
+  let* oc = J.open_jsonl ~path in
+  sink := Some oc;
+  sink_path := Some path;
+  rot_max_bytes := max_bytes;
+  rot_keep := max 1 keep;
+  sink_bytes := (try out_channel_length oc with Sys_error _ -> 0);
+  Ok ()
 
 (* Roll the live file to [path.1], shifting [path.i] to [path.i+1] and
    dropping the oldest segment past [keep]. Best-effort: a rotation that
@@ -227,29 +217,17 @@ let rotate_sink path =
       try Sys.rename src (rotated_path path (i + 1)) with Sys_error _ -> ()
   done;
   (try Sys.rename path (rotated_path path 1) with Sys_error _ -> ());
-  (match
-     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-   with
-  | oc -> sink := Some oc
-  | exception Sys_error _ -> ());
+  (match J.open_jsonl ~path with Ok oc -> sink := Some oc | Error _ -> ());
   sink_bytes := 0
 
-(* A whole line then a flush: a crash can tear at most the line being
-   written, and readers skip torn lines (see [load]). *)
 let write_line ev =
   match !sink with
   | None -> ()
   | Some oc -> (
-      try
-        let line = J.json_to_string_compact (event_to_json ev) in
-        output_string oc line;
-        output_char oc '\n';
-        flush oc;
-        sink_bytes := !sink_bytes + String.length line + 1;
-        match (!rot_max_bytes, !sink_path) with
-        | Some limit, Some path when !sink_bytes >= limit -> rotate_sink path
-        | _ -> ()
-      with Sys_error _ -> ())
+      sink_bytes := !sink_bytes + J.append_jsonl oc (event_to_json ev);
+      match (!rot_max_bytes, !sink_path) with
+      | Some limit, Some path when !sink_bytes >= limit -> rotate_sink path
+      | _ -> ())
 
 let append_events evs = List.iter write_line evs
 
@@ -268,17 +246,6 @@ let echoes level =
 let emit ?(level = Info) ?msg kind fields =
   if !on then begin
     incr seq;
-    (* Stamp the active trace context onto every event (unless the call
-       site already carried trace fields): this is what lets [cntpower
-       trace --request] slice one request out of a shared journal. The
-       list append only happens when the journal is on, preserving the
-       zero-alloc disabled path. *)
-    let fields =
-      match Tracectx.current () with
-      | Some ctx when not (List.mem_assoc "trace" fields) ->
-          fields @ Tracectx.to_fields ctx
-      | _ -> fields
-    in
     let ev =
       {
         ev_seq = !seq;
@@ -294,7 +261,7 @@ let emit ?(level = Info) ?msg kind fields =
     | None -> write_line ev);
     if echoes level then
       match msg with
-      | Some m -> Format.eprintf "%s@." m
+      | Some m -> Format.eprintf "journal: %s@." m
       | None -> Format.eprintf "journal: %a@." pp_event ev
   end
 
@@ -321,22 +288,8 @@ let end_capture () =
 
 let find ev name = List.assoc_opt name ev.ev_fields
 
-let parse_lines text (evs0, skipped0) =
-  let lines = String.split_on_char '\n' text in
-  List.fold_left
-    (fun (evs, skipped) line ->
-      if String.trim line = "" then (evs, skipped)
-      else
-        match
-          let* j = J.json_of_string line in
-          event_of_json j
-        with
-        | Ok ev -> (ev :: evs, skipped)
-        | Error _ -> (evs, skipped + 1))
-    (evs0, skipped0) lines
-
 let load ~path =
-  let* main_text = J.read_file path in
+  let* live, skipped = J.read_jsonl event_of_json path in
   (* Rotated segments, oldest (highest index) first, then the live file:
      [load] sees one logical journal in append order. A rotated segment
      that vanishes mid-read (a concurrent rotation) is tolerated; only
@@ -345,13 +298,11 @@ let load ~path =
     let p = rotated_path path i in
     if Sys.file_exists p then segments (i + 1) (p :: acc) else acc
   in
-  let acc =
-    List.fold_left
-      (fun acc p ->
-        match J.read_file p with
-        | Ok text -> parse_lines text acc
-        | Error _ -> acc)
-      ([], 0) (segments 1 [])
+  let rotated =
+    List.filter_map
+      (fun p -> Result.to_option (J.read_jsonl event_of_json p))
+      (segments 1 [])
   in
-  let events, skipped = parse_lines main_text acc in
-  Ok (List.rev events, skipped)
+  Ok
+    ( List.concat_map fst rotated @ live,
+      List.fold_left (fun n (_, k) -> n + k) skipped rotated )

@@ -18,10 +18,10 @@
     {!begin_capture}s on entry (dropping the inherited sink), buffers its
     events in memory, and the supervisor ships them back over the result
     pipe for the parent to {!append_events} — same transport as worker
-    telemetry profiles. Events carry the emitting PID and a per-process
-    monotonic sequence number, so the merged file keeps full provenance:
-    file order is append order, and per-PID [seq] is strictly
-    increasing. *)
+    telemetry profiles — naming the worker in a [worker] field of each.
+    Events carry the emitting PID and a per-process monotonic sequence
+    number, so the merged file keeps full provenance: file order is
+    append order, and per-PID [seq] is strictly increasing. *)
 
 type level = Debug | Info | Warn
 
@@ -90,8 +90,9 @@ val verbosity : unit -> level option
 
 val open_sink :
   ?max_bytes:int -> ?keep:int -> path:string -> unit -> (unit, Cnt_error.t) result
-(** Open (append, create, parent directories as needed) the JSONL sink.
-    Any previously open sink is closed first. When [max_bytes] is given,
+(** Open the JSONL sink with {!Checkpoint.open_jsonl} (append, create,
+    parent directories as needed, a torn final line ended first). Any
+    previously open sink is closed first. When [max_bytes] is given,
     the sink rotates once it crosses that size: the live file becomes
     [path.1], existing [path.i] shift to [path.i+1], and segments past
     [keep] (default 4) are dropped — bounding a long-lived daemon's
@@ -102,12 +103,11 @@ val close_sink : unit -> unit
 (** Flush and close the sink if open. Safe to call when none is. *)
 
 val emit : ?level:level -> ?msg:string -> kind -> (string * string) list -> unit
-(** Record one event: stamp it with the next sequence number, the clock,
-    the PID, and the active {!Tracectx} (as [trace]/[span]/[parent]
-    fields, unless the call site already supplied a [trace] field), write
-    it to the sink (or the capture buffer inside a worker), and echo one
-    line to stderr when [level] passes the verbosity threshold ([msg]
-    overrides the default rendering). No-op when disabled — guard
+(** Record one event: stamp it with the next sequence number, the clock
+    and the PID, write it to the sink (or the capture buffer inside a
+    worker), and echo one line to stderr when [level] passes the
+    verbosity threshold ([msg] replaces the rendering of the kind and
+    fields after the ["journal: "] prefix). No-op when disabled — guard
     field-list construction on {!enabled} in hot paths. *)
 
 val begin_capture : unit -> unit

@@ -240,7 +240,6 @@ type 'job queued = {
   q_conn : conn;
   q_job : 'job;
   q_deadline_s : float;
-  q_ctx : Tracectx.t;  (** minted at admission; follows the request *)
 }
 
 type 'job flight = {
@@ -284,6 +283,19 @@ let jnw kind fields =
   if Journal.enabled () then Journal.emit ~level:Journal.Warn kind fields
 
 let req_ctx id = ("request", string_of_int id)
+
+(* Request [n] runs in worker [req-<n>]; every journal event of the
+   request names that worker, so [cntpower trace --request] reads one
+   request out of the shared journal by name. *)
+let worker_name id = Printf.sprintf "req-%d" id
+let req_fields id = [ req_ctx id; ("worker", worker_name id) ]
+
+(* Every frame takes a number, a refused one too, so no two requests
+   share a name. *)
+let next_id st =
+  let id = st.next_req in
+  st.next_req <- id + 1;
+  id
 
 (* Best-effort response: a client that vanished or stalled must never
    wedge the loop, so a failed write just closes that connection. *)
@@ -420,7 +432,8 @@ let reject st conn id e =
   st.rejected <- st.rejected + 1;
   Telemetry.count "serve.rejected" 1;
   jnw Journal.Request_rejected
-    [ req_ctx id; ("code", E.code_name e.E.code); ("message", e.E.message) ];
+    (req_fields id
+    @ [ ("code", E.code_name e.E.code); ("message", e.E.message) ]);
   respond st conn (error_response e)
 
 (* ------------------------------------------------------------------ *)
@@ -441,20 +454,11 @@ let dispatch st req now =
   end;
   let execute = st.h.execute in
   let job = req.q_job in
-  (* Spawn under the request's context: the Worker_spawned event gets the
-     trace fields and the fork inherits the context, so everything the
-     worker journals links back to this request. The per-request span
-     label in the telemetry prefix makes each request's profile subtree
-     addressable in profile.json. *)
+  let name = worker_name req.q_id in
   let worker =
-    Tracectx.with_ctx req.q_ctx (fun () ->
-        Supervisor.spawn
-          ~telemetry_prefix:[ "serve.request"; Tracectx.span_label req.q_ctx ]
-          ~close_in_child:(own_fds st)
-          ~timeout_s:req.q_deadline_s
-          ~name:(Printf.sprintf "req-%d" req.q_id)
-          (fun () ->
-            match execute job with Ok j -> j | Error e -> E.raise_error e))
+    Supervisor.spawn ~telemetry_prefix:[ "serve.request"; name ]
+      ~close_in_child:(own_fds st) ~timeout_s:req.q_deadline_s ~name
+      (fun () -> match execute job with Ok j -> j | Error e -> E.raise_error e)
   in
   st.flights <- { f_req = req; f_job = worker; f_started = now } :: st.flights
 
@@ -478,11 +482,8 @@ let try_dispatch st now =
 let request_done flight ~status ~wall extra =
   Telemetry.observe "serve.request_wall_s" wall;
   jn Journal.Request_done
-    ([
-       req_ctx flight.f_req.q_id;
-       ("status", status);
-       ("wall_s", Printf.sprintf "%.4f" wall);
-     ]
+    (req_fields flight.f_req.q_id
+    @ [ ("status", status); ("wall_s", Printf.sprintf "%.4f" wall) ]
     @ extra)
 
 let breaker_hot st now =
@@ -491,7 +492,6 @@ let breaker_hot st now =
   List.length st.crash_times >= st.cfg.breaker_threshold
 
 let on_worker_done st flight result now =
-  Tracectx.with_ctx flight.f_req.q_ctx @@ fun () ->
   st.flights <- List.filter (fun f -> f.f_req.q_id <> flight.f_req.q_id) st.flights;
   let wall = now -. flight.f_started in
   match result with
@@ -564,8 +564,7 @@ let bump_verb st v =
 
 let process_request st conn json now =
   Telemetry.count "serve.requests" 1;
-  let id = st.next_req in
-  st.next_req <- id + 1;
+  let id = next_id st in
   let verb =
     match Result.bind (J.field json "verb") (J.as_str "verb") with
     | Ok v -> Ok v
@@ -588,37 +587,24 @@ let process_request st conn json now =
          overloaded server must not spend on traffic it will refuse. *)
       shed st conn ~why:"queue-full"
   | Ok _ -> (
-      (* Every admitted request starts a trace: the context follows the
-         request through queueing, the forked worker, and completion, so
-         the journal and profile can be sliced per request. *)
-      let ctx = Tracectx.mint_root () in
       match
         let* deadline_s = parse_deadline st json in
         let* job = st.h.admit json in
         Ok (deadline_s, job)
       with
-      | Error e ->
-          Tracectx.with_ctx ctx (fun () ->
-              reject st conn id (E.with_context e [ req_ctx id ]))
+      | Error e -> reject st conn id (E.with_context e [ req_ctx id ])
       | Ok (deadline_s, job) ->
           let req =
-            {
-              q_id = id;
-              q_conn = conn;
-              q_job = job;
-              q_deadline_s = deadline_s;
-              q_ctx = ctx;
-            }
+            { q_id = id; q_conn = conn; q_job = job; q_deadline_s = deadline_s }
           in
           Telemetry.count "serve.admitted" 1;
-          Tracectx.with_ctx ctx (fun () ->
-              jn Journal.Request_admitted
-                ([
-                   req_ctx id;
-                   ("conn", string_of_int conn.c_id);
-                   ("deadline_s", Printf.sprintf "%.1f" deadline_s);
-                 ]
-                @ st.h.describe job));
+          jn Journal.Request_admitted
+            (req_fields id
+            @ [
+                ("conn", string_of_int conn.c_id);
+                ("deadline_s", Printf.sprintf "%.1f" deadline_s);
+              ]
+            @ st.h.describe job);
           st.queue <- st.queue @ [ req ];
           try_dispatch st now)
 
@@ -634,12 +620,12 @@ let process_buffer st conn now =
         let raw = Buffer.to_bytes conn.c_buf in
         let n = decode_len raw 0 in
         if n <= 0 then begin
-          reject st conn st.next_req
+          reject st conn (next_id st)
             (E.make E.Cli E.Parse_error "zero-length frame");
           close_conn st conn
         end
         else if n > st.cfg.max_request_bytes then begin
-          reject st conn st.next_req
+          reject st conn (next_id st)
             (E.makef
                ~context:
                  [
@@ -658,7 +644,7 @@ let process_buffer st conn now =
             (len - header_bytes - n);
           (match J.json_of_string payload with
           | Error e ->
-              reject st conn st.next_req
+              reject st conn (next_id st)
                 (E.with_context e [ ("frame_bytes", string_of_int n) ])
           | Ok json -> process_request st conn json now);
           go ()
@@ -678,7 +664,7 @@ let on_conn_readable st conn now =
            the truncated-frame probe in the tests half-closes) and drop
            the connection. *)
         if Buffer.length conn.c_buf > 0 then
-          reject st conn st.next_req
+          reject st conn (next_id st)
             (E.makef
                ~context:[ ("buffered_bytes", string_of_int (Buffer.length conn.c_buf)) ]
                E.Cli E.Parse_error
@@ -790,10 +776,9 @@ let drain_expired st now =
   Supervisor.abort_all (List.map (fun f -> f.f_job) st.flights);
   List.iter
     (fun flight ->
-      Tracectx.with_ctx flight.f_req.q_ctx @@ fun () ->
       st.failed <- st.failed + 1;
       jnw Journal.Worker_killed
-        [ req_ctx flight.f_req.q_id; ("reason", "drain-timeout") ];
+        (req_fields flight.f_req.q_id @ [ ("reason", "drain-timeout") ]);
       request_done flight ~status:"aborted" ~wall:(now -. flight.f_started) [];
       respond st flight.f_req.q_conn
         (error_response

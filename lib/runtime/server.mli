@@ -45,10 +45,13 @@
     snapshot (request counts by verb and outcome, queue depth, in-flight
     workers, latency distributions, cache hit ratios).
 
-    Every admitted request mints a {!Tracectx}: its journal events, the
-    forked worker's events, and the per-request telemetry subtree (under
-    [serve.request/trace:<id>]) all carry the same trace id, so
-    [cntpower trace --request <id>] can slice one request end-to-end. *)
+    Every request frame takes the next request number [n] and, once
+    admitted, runs in the worker [req-<n>]. The daemon's own events for
+    the request carry both [request] and [worker], the worker's events
+    come back from the pool named for it, and its telemetry subtree sits
+    under [serve.request/req-<n>], so [cntpower trace --request <n>]
+    slices one request end-to-end and two runs of the same batch have
+    the same span paths. *)
 
 type config = {
   socket_path : string;

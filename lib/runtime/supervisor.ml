@@ -35,7 +35,6 @@ type 'a state =
 
 type 'a job = {
   name : string;
-  ctx : Tracectx.t option;  (** the spawner's; stamps parent-side events *)
   prefix : string list;  (** [[]]: no profile *)
   timeout_s : float;
   started : float;
@@ -44,17 +43,20 @@ type 'a job = {
   mutable state : 'a state;
 }
 
-let in_ctx job f =
-  let saved = Tracectx.current () in
-  Tracectx.set job.ctx;
-  Fun.protect ~finally:(fun () -> Tracectx.set saved) f
-
 let emit ?(level = Journal.Debug) job kind pid fields =
   if Journal.enabled () then
-    in_ctx job (fun () ->
-        Journal.emit ~level kind
-          (worker_ctx ~name:job.name
-             (("worker_pid", string_of_int pid) :: fields)))
+    Journal.emit ~level kind
+      (worker_ctx ~name:job.name (("worker_pid", string_of_int pid) :: fields))
+
+(* The worker's own events name it too, so its story can be read out of
+   the shared journal by worker name alone. *)
+let name_worker job (ev : Journal.event) =
+  if List.mem_assoc "worker" ev.Journal.ev_fields then ev
+  else
+    {
+      ev with
+      Journal.ev_fields = ev.Journal.ev_fields @ [ ("worker", job.name) ];
+    }
 
 (* The worker never lets anything escape: compute, flush the inherited
    stdio so its output lands before the parent resumes, ship the result
@@ -65,9 +67,6 @@ let child ~close_in_child ~profiled wr f =
     (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
     close_in_child;
   Journal.begin_capture ();
-  (* The trace context rode the fork in process memory; derive a child
-     span so the worker's events link back to the spawning request. *)
-  Tracectx.set (Option.map Tracectx.child (Tracectx.current ()));
   if profiled then Telemetry.reset ();
   let result = E.protect ~stage:E.Experiment f in
   let profile = if profiled then Some (Telemetry.snapshot ()) else None in
@@ -90,7 +89,6 @@ let spawn ?(telemetry_prefix = []) ?(close_in_child = []) ?(timeout_s = 0.0)
   let job state =
     {
       name;
-      ctx = Tracectx.current ();
       prefix = telemetry_prefix;
       timeout_s;
       started;
@@ -150,7 +148,7 @@ let reap job pid =
           : (_, E.t) result * Journal.event list * Telemetry.profile option)
       with
       | result, events, profile ->
-          Journal.append_events events;
+          Journal.append_events (List.map (name_worker job) events);
           Option.iter
             (graft job.prefix (Unix.gettimeofday () -. job.started))
             profile;

@@ -18,12 +18,13 @@
     fails with the typed error of that exception, which is not
     retryable.
 
-    When the {!Journal} is enabled the pool narrates itself under each
-    job's trace context: [worker_spawned] / [worker_exited] /
-    [worker_timeout] / [worker_killed] from the parent, and the worker's
-    own captured events (it {!Journal.begin_capture}s right after the
-    fork) ride the result pipe back next to the result and are appended
-    to the on-disk journal with their worker-PID provenance. *)
+    When the {!Journal} is enabled the pool narrates each job under its
+    name: [worker_spawned] / [worker_exited] / [worker_timeout] /
+    [worker_killed] from the parent, and the worker's own captured events
+    (it {!Journal.begin_capture}s right after the fork) ride the result
+    pipe back next to the result and are appended to the on-disk journal
+    with their worker-PID provenance. Every one of them carries
+    [worker=<name>], so a job's events are found by its name alone. *)
 
 type 'a job
 (** A forked worker computing an ['a]. *)
@@ -39,8 +40,8 @@ val spawn :
     from now ([<= 0.] or absent: none). The worker's value (or typed
     error) is marshalled back, so ['a] must not contain closures; any
     exception escaping [f] becomes a typed error via
-    {!Cnt_error.protect}. The worker runs under a {!Tracectx.child} of
-    the caller's context, which also stamps the parent-side events.
+    {!Cnt_error.protect}. [name] identifies the job in its journal
+    events and errors; callers keep it unique per unit of work.
     [close_in_child] lists descriptors the child must not keep open (the
     daemon's listening socket and client connections).
 

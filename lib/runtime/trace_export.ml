@@ -7,9 +7,9 @@ let us s = s *. 1e6
    parent's start so the tree shape and the measured durations survive
    even though Telemetry aggregates by path rather than timestamping
    individual calls. A child whose name has its own anchor in [starts] —
-   a request's [trace:<id>] subtree or a shard's, whose worker spawn the
-   journal timestamped — is promoted onto that track instead of being
-   laid inline, giving one causally-linked lane per request/shard. *)
+   a shard's or a daemon request's subtree, named for the worker whose
+   spawn the journal timestamped — is promoted onto that track instead
+   of being laid inline, giving one lane per request/shard. *)
 let rec span_events ~starts ~pid ~start (s : T.span) acc =
   let ev =
     J.Obj
@@ -27,7 +27,7 @@ let rec span_events ~starts ~pid ~start (s : T.span) acc =
   let acc, _ =
     List.fold_left
       (fun (acc, cursor) (child : T.span) ->
-        match List.assoc_opt child.T.span_name starts with
+        match starts child.T.span_name with
         | Some (cpid, cstart) when cpid <> pid ->
             (span_events ~starts ~pid:cpid ~start:cstart child acc, cursor)
         | _ ->
@@ -80,49 +80,38 @@ let to_trace ?(events = []) (p : T.profile) =
     | Some ev -> ev.Journal.ev_pid
     | None -> ( match events with ev :: _ -> ev.Journal.ev_pid | [] -> 0)
   in
-  (* Anchors for span subtrees, keyed by span name, from each
+  (* Anchors for span subtrees, keyed by worker name, from each
      [worker_spawned] event: a shard's subtree is named for its worker
-     (the shard id), a daemon request's for its trace ([trace:<id>]). The
+     (the shard id), a daemon request's for its worker ([req-<n>]). The
      last spawn wins: a retry re-spawns the same shard, and the merged
      tree holds only the attempts that returned a profile. *)
   let spawns =
     List.filter_map
       (fun ev ->
-        match Option.bind (Journal.find ev "worker_pid") int_of_string_opt with
-        | Some pid when ev.Journal.ev_kind = Journal.Worker_spawned ->
-            let names =
-              List.filter_map Fun.id
-                [
-                  Journal.find ev "worker";
-                  Option.map (( ^ ) "trace:") (Journal.find ev "trace");
-                ]
-            in
-            Some (names, (pid, ev.Journal.ev_time -. t0))
+        match
+          ( Journal.find ev "worker",
+            Option.bind (Journal.find ev "worker_pid") int_of_string_opt )
+        with
+        | Some name, Some pid when ev.Journal.ev_kind = Journal.Worker_spawned
+          ->
+            Some (name, (pid, ev.Journal.ev_time -. t0))
         | _ -> None)
       events
   in
-  let starts =
-    List.fold_left
-      (fun acc (names, anchor) ->
-        List.fold_left
-          (fun acc name -> (name, anchor) :: List.remove_assoc name acc)
-          acc names)
-      [] spawns
-  in
+  let latest = List.rev spawns in
+  let starts name = List.assoc_opt name latest in
   let metadata =
     process_name ~pid:main_pid "cntpower (driver)"
     :: List.filter_map
-         (fun (names, (pid, _)) ->
-           match names with
-           | name :: _ when pid <> main_pid ->
-               Some (process_name ~pid ("worker: " ^ name))
-           | _ -> None)
+         (fun (name, (pid, _)) ->
+           if pid <> main_pid then Some (process_name ~pid ("worker: " ^ name))
+           else None)
          spawns
   in
   let spans, _ =
     List.fold_left
       (fun (acc, cursor) (s : T.span) ->
-        match List.assoc_opt s.T.span_name starts with
+        match starts s.T.span_name with
         | Some (pid, start) -> (span_events ~starts ~pid ~start s acc, cursor)
         | None ->
             ( span_events ~starts ~pid:main_pid ~start:cursor s acc,
@@ -142,38 +131,25 @@ let save ~path ?events p =
 (* ------------------------------------------------------------------ *)
 (* Per-request slicing                                                 *)
 
-let resolve_trace_id ~events arg =
-  let has_trace id =
-    List.exists (fun ev -> Journal.find ev "trace" = Some id) events
-  in
-  if has_trace arg then Some arg
+(* The queue log's transitions name a shard, everything else its worker. *)
+let names worker ev =
+  Journal.find ev "worker" = Some worker
+  || Journal.find ev "shard" = Some worker
+
+let resolve ~events arg =
+  if List.exists (names arg) events then Some arg
   else
-    (* Not a trace id: try it as a request number and read the trace id
-       off any journal event of that request. *)
     List.find_map
       (fun ev ->
-        if Journal.find ev "request" = Some arg then Journal.find ev "trace"
+        if Journal.find ev "request" = Some arg then Journal.find ev "worker"
         else None)
       events
 
-let slice ~trace_id ?(events = []) (p : T.profile) =
-  let evs =
-    List.filter (fun ev -> Journal.find ev "trace" = Some trace_id) events
-  in
-  (* A shard's subtree is named for the worker its trace spawned, a
-     daemon request's for the trace itself. *)
-  let names =
-    ("trace:" ^ trace_id)
-    :: List.filter_map
-         (fun ev ->
-           if ev.Journal.ev_kind = Journal.Worker_spawned then
-             Journal.find ev "worker"
-           else None)
-         evs
-  in
+let slice ~worker ?(events = []) (p : T.profile) =
   let rec collect acc (s : T.span) =
-    if List.mem s.T.span_name names then s :: acc
+    if s.T.span_name = worker then s :: acc
     else List.fold_left collect acc s.T.children
   in
   let spans = List.rev (List.fold_left collect [] p.T.p_spans) in
-  ({ T.p_spans = spans; p_counters = []; p_dists = [] }, evs)
+  ( { T.p_spans = spans; p_counters = []; p_dists = [] },
+    List.filter (names worker) events )

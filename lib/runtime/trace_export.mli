@@ -6,10 +6,10 @@
 
     - every telemetry span becomes a complete ([ph = "X"]) event. Spans
       are aggregated by path (calls + total wall), not individually
-      timestamped, so the exporter synthesizes a timeline: a shard's span
-      (named for its shard id) or a daemon request's [trace:<id>] span
-      starts at the [worker_spawned] journal event whose [worker] or
-      [trace] field names it, on the PID track of that event's
+      timestamped, so the exporter synthesizes a timeline: a span named
+      for a worker — a shard's (its shard id) or a daemon request's
+      ([req-<n>]) — starts at the latest [worker_spawned] journal event
+      whose [worker] field names it, on the PID track of that event's
       [worker_pid] (one track per worker), and its children are laid out
       sequentially inside it, preserving the measured durations and the
       tree shape;
@@ -35,27 +35,30 @@ val save :
 
 (** {2 Per-request slicing}
 
-    Every daemon request and every shard attempt of [cntpower all] or
-    [cntpower campaign] mints a {!Tracectx}, so its journal events carry
-    [trace] fields. A request's telemetry subtree is rooted at a span
-    named [trace:<id>], a shard's at a span named for its shard id, the
-    [worker] of the trace's [worker_spawned] event. These helpers cut
-    one request's or shard's story out of a shared run directory
-    ([cntpower trace --request <id>]). *)
+    Every shard of [cntpower all] or [cntpower campaign] and every daemon
+    request runs in a worker with a unique name: the experiment name,
+    the shard id [<circuit>/<library>/<seed>], or [req-<n>]. Its
+    telemetry subtree is a span of that name, and its journal events
+    name it: the pool's own and the worker's shipped-back events in a
+    [worker] field, the queue log's transitions in a [shard] field, the
+    daemon's request events in both [request] and [worker]. These
+    helpers cut one unit's story out of a shared run directory
+    ([cntpower trace --request <name>]). A run directory written by an
+    older build has no names on the workers' own events, so its slices
+    hold only the pool's and the queue log's events. *)
 
-val resolve_trace_id :
-  events:Journal.event list -> string -> string option
-(** Accepts either a trace id (any event carries it verbatim) or a
-    request number (the [request] journal field); returns the trace id,
-    or [None] when the journal knows nothing about the argument. *)
+val resolve : events:Journal.event list -> string -> string option
+(** Accepts a worker name or shard id that some event names, or a
+    daemon request number (the [request] field), and returns the worker
+    name; [None] when the journal knows nothing about the argument. *)
 
 val slice :
-  trace_id:string ->
+  worker:string ->
   ?events:Journal.event list ->
   Telemetry.profile ->
   Telemetry.profile * Journal.event list
-(** The sub-profile (every subtree named [trace:<id>] or for a worker
-    the trace spawned, promoted to top level; counters and dists are
-    run-global, so dropped) and only the events stamped with that trace
-    — ready to pass to {!to_trace}/{!save}, where the subtree anchors on
-    its worker's PID track. *)
+(** The sub-profile (every subtree named [worker], promoted to top level;
+    counters and dists are run-global, so dropped) and only the events
+    that name the worker — every attempt's, for a retried shard — ready
+    to pass to {!to_trace}/{!save}, where the subtree anchors on its
+    worker's PID track. *)

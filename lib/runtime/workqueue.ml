@@ -121,53 +121,17 @@ let apply tbl order rc =
   | Done | Quarantined -> st.st_fields <- rc.rc_fields
   | Failed -> ())
 
-let parse_lines text =
-  String.split_on_char '\n' text
-  |> List.fold_left
-       (fun (rcs, skipped) line ->
-         if String.trim line = "" then (rcs, skipped)
-         else
-           match
-             let* j = J.json_of_string line in
-             record_of_json j
-           with
-           | Ok rc -> (rc :: rcs, skipped)
-           | Error _ -> (rcs, skipped + 1))
-       ([], 0)
-  |> fun (rcs, skipped) -> (List.rev rcs, skipped)
-
-let load ~path =
-  let* text = J.read_file path in
-  Ok (parse_lines text)
+let load ~path = J.read_jsonl record_of_json path
 
 let open_ ~path =
-  let text =
-    if Sys.file_exists path then J.read_file path else Ok ""
+  let* records, skipped =
+    if Sys.file_exists path then load ~path else Ok ([], 0)
   in
-  let* text = text in
-  let records, skipped = parse_lines text in
-  match
-    J.mkdir_p (Filename.dirname path);
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-  with
-  | oc ->
-      (* A crash can tear the final line short of its newline; appending
-         straight after it would merge the next record into the torn
-         line, losing it on the following replay. Terminate it first. *)
-      let n = String.length text in
-      if n > 0 && text.[n - 1] <> '\n' then begin
-        output_char oc '\n';
-        flush oc
-      end;
-      let tbl = Hashtbl.create 64 in
-      let order = ref [] in
-      List.iter (apply tbl order) records;
-      Ok ({ wq_path = path; wq_oc = oc; wq_tbl = tbl; wq_order = !order }, skipped)
-  | exception Sys_error msg ->
-      E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s" msg
-  | exception Unix.Unix_error (err, _, _) ->
-      E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s"
-        (Unix.error_message err)
+  let* oc = J.open_jsonl ~path in
+  let tbl = Hashtbl.create 64 in
+  let order = ref [] in
+  List.iter (apply tbl order) records;
+  Ok ({ wq_path = path; wq_oc = oc; wq_tbl = tbl; wq_order = !order }, skipped)
 
 let close t = try close_out t.wq_oc with Sys_error _ -> ()
 let path t = t.wq_path
@@ -175,14 +139,8 @@ let path t = t.wq_path
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)
 
-(* Whole line then flush: a crash tears at most this record, and replay
-   skips torn lines (same contract as Journal.write_line). *)
 let append t rc =
-  (try
-     output_string t.wq_oc (J.json_to_string_compact (record_to_json rc));
-     output_char t.wq_oc '\n';
-     flush t.wq_oc
-   with Sys_error _ -> ());
+  ignore (J.append_jsonl t.wq_oc (record_to_json rc));
   let order = ref t.wq_order in
   apply t.wq_tbl order rc;
   t.wq_order <- !order
@@ -207,7 +165,17 @@ let transition t shard state ~attempt ~expires ~fields =
     };
   if Jn.enabled () then begin
     let kind, level = journal_kind state in
-    Jn.emit ~level kind
+    (* A done record carries every result scalar; its live echo names the
+       shard, the attempt and the wall time only. *)
+    let msg =
+      match (state, List.assoc_opt "wall_s" fields) with
+      | Done, Some wall_s ->
+          Some
+            (Printf.sprintf "shard_done %s attempt=%d wall_s=%s" shard attempt
+               wall_s)
+      | _ -> None
+    in
+    Jn.emit ~level ?msg kind
       (("shard", shard) :: ("attempt", string_of_int attempt) :: fields)
   end
 

@@ -8,9 +8,10 @@
     {v enqueued -> leased -> done
                         \-> failed -> leased -> ... -> quarantined v}
 
-    Lines are written whole and flushed immediately (the {!Journal}
-    idiom), so a [kill -9] of the coordinator tears at most the line in
-    flight; {!open_} skips torn lines and reports how many. Because the
+    Lines are written whole and flushed immediately by the JSONL
+    appender the {!Journal} also uses ({!Checkpoint.open_jsonl}), so a
+    [kill -9] of the coordinator tears at most the line in flight;
+    {!open_} skips torn lines and reports how many. Because the
     log is the single durable source of truth, replaying it reconstructs
     the exact queue state: which shards are done (with their result
     scalars carried in the [done] record's fields), which hold a stale
@@ -52,8 +53,10 @@ val path : t -> string
 
     Each call appends one flushed record and updates the replayed state;
     the on-disk log and the in-memory view never diverge. A matching
-    journal event ([shard_enqueued] .. [shard_quarantined]) is emitted
-    when the {!Journal} is enabled. *)
+    journal event ([shard_enqueued] .. [shard_quarantined]) carrying the
+    record's fields is emitted when the {!Journal} is enabled; the live
+    echo of [shard_done] names only the shard, the attempt and the
+    [wall_s] field. *)
 
 val enqueue : t -> string -> bool
 (** Record a shard as available with a fresh attempt count: a new shard,

@@ -110,6 +110,47 @@ let summary_renders_all_statuses () =
   Alcotest.(check bool) "failure names its shard" true (contains "shard=broken");
   Alcotest.(check bool) "counts" true (contains "1 passed, 1 failed")
 
+(* The live echo of a done shard names the shard and its wall time; the
+   result scalars stay in the queue record and the journal event. *)
+let done_echo_is_short () =
+  let cfg = all_cfg (temp_dir "all-runs") in
+  let path = Filename.temp_file "stderr" ".txt" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  let flush_err () =
+    Format.pp_print_flush Format.err_formatter ();
+    flush stderr
+  in
+  flush_err ();
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  Runtime.Journal.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.Journal.set_enabled false;
+      flush_err ();
+      Unix.dup2 saved Unix.stderr;
+      Unix.close saved)
+    (fun () ->
+      let scalars = [ ("total_uW", 2.25); ("edp", 7.0) ] in
+      ignore (ok (Cg.run cfg [ ok_shard "one" scalars ])));
+  let lines =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (String.starts_with ~prefix:"journal: shard_done")
+  in
+  match lines with
+  | [ line ] ->
+      let words = String.split_on_char ' ' line in
+      Alcotest.(check bool) ("no s: field in " ^ line) false
+        (List.exists (String.starts_with ~prefix:"s:") words);
+      Alcotest.(check (list string)) "shard and attempt, then wall time"
+        [ "journal:"; "shard_done"; "one"; "attempt=1" ]
+        (List.filteri (fun i _ -> i < 4) words);
+      Alcotest.(check int) "nothing after the wall time" 5 (List.length words)
+  | _ ->
+      Alcotest.failf "expected one shard_done echo, got %d" (List.length lines)
+
 let checkpoint_and_resume () =
   let cfg = all_cfg (temp_dir "all-runs") in
   let s1 = ok (Cg.run cfg [ ok_shard "alpha" [ ("a", 1.0) ]; failing_shard "beta" ]) in
@@ -208,6 +249,8 @@ let () =
           Alcotest.test_case "all pass exits 0" `Quick all_pass_exit_zero;
           Alcotest.test_case "summary rendering" `Quick
             summary_renders_all_statuses;
+          Alcotest.test_case "done echo leaves out the scalars" `Quick
+            done_echo_is_short;
         ] );
       ( "checkpoint",
         [

@@ -416,9 +416,22 @@ let journal_records_lifecycle () =
   (with_server ~journal:jpath @@ fun sock pid ->
    check_ok_payload "one ok" "j" (call sock (work ~payload:"j" ()));
    check_error "one crash" R.Worker_killed (call sock (work ~mode:"crash" ()));
+   check_error "one refusal" R.Validation_error
+     (call sock (work ~mode:"reject" ()));
    Alcotest.(check int) "drained" exit_drained (stop pid));
   let events, skipped = R.get_exn (Jn.load ~path:jpath) in
   Alcotest.(check int) "no torn lines" 0 skipped;
+  (* Request n runs in worker req-<n>, and every event of the request,
+     the refused one's too, names it. *)
+  List.iter
+    (fun (e : Jn.event) ->
+      match Jn.find e "request" with
+      | Some n ->
+          Alcotest.(check (option string))
+            (Jn.kind_name e.Jn.ev_kind ^ " names its worker")
+            (Some ("req-" ^ n)) (Jn.find e "worker")
+      | None -> ())
+    events;
   let has k =
     List.exists (fun (e : Jn.event) -> e.Jn.ev_kind = k) events
   in
@@ -431,6 +444,7 @@ let journal_records_lifecycle () =
       ("worker_spawned", Jn.Worker_spawned);
       ("request_done", Jn.Request_done);
       ("worker_killed", Jn.Worker_killed);
+      ("request_rejected", Jn.Request_rejected);
       ("server_draining", Jn.Server_draining);
       ("server_stopped", Jn.Server_stopped);
     ];
