@@ -232,7 +232,9 @@ let run_profile () =
         (Cell.Genlib.libraries ()));
   T.with_span "bench.pipeline" (fun () ->
       let nl = Circuits.Multiplier.generate ~width:8 in
-      let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
+      let aig =
+        T.with_span "synth.resyn2rs" (fun () -> Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl))
+      in
       let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
       let mapped = Techmap.Mapper.map ml aig in
       ignore (Techmap.Estimate.run ~patterns:65536 mapped));

@@ -127,15 +127,6 @@ let fanout_counts t =
   List.iter (fun (_, lit) -> fc.(node_of_lit lit) <- fc.(node_of_lit lit) + 1) t.outs;
   fc
 
-let checkpoint t = t.num
-
-let rollback t ck =
-  assert (ck >= t.ninputs + 1 && ck <= t.num);
-  for node = ck to t.num - 1 do
-    Hashtbl.remove t.strash (t.fanin0.(node), t.fanin1.(node))
-  done;
-  t.num <- ck
-
 let build_expr t e leaves =
   let module E = Logic.Expr in
   let rec go = function
@@ -272,17 +263,6 @@ let cleanup t =
   done;
   List.iter (fun (name, lit) -> add_output fresh name (map_lit lit)) (List.rev t.outs);
   fresh
-
-let copy t =
-  {
-    fanin0 = Array.copy t.fanin0;
-    fanin1 = Array.copy t.fanin1;
-    num = t.num;
-    strash = Hashtbl.copy t.strash;
-    ninputs = t.ninputs;
-    names = Array.copy t.names;
-    outs = t.outs;
-  }
 
 let pp_stats ppf t =
   Format.fprintf ppf "aig: inputs=%d outputs=%d ands=%d depth=%d" t.ninputs

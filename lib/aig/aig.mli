@@ -62,11 +62,6 @@ val depth : t -> int
 val fanout_counts : t -> int array
 (** Number of AND-node and output references to each node. *)
 
-val checkpoint : t -> int
-val rollback : t -> int -> unit
-(** [rollback t ck] discards every AND node created after [checkpoint t]
-    returned [ck]. No surviving node may reference the discarded ones. *)
-
 val build_expr : t -> Logic.Expr.t -> lit array -> lit
 (** [build_expr t e leaves] instantiates expression [e] with [Var i] bound to
     [leaves.(i)]. *)
@@ -84,7 +79,5 @@ val simulate : t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
 
 val cleanup : t -> t
 (** Copy, keeping only nodes reachable from the outputs. *)
-
-val copy : t -> t
 
 val pp_stats : Format.formatter -> t -> unit

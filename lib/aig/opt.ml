@@ -78,11 +78,25 @@ let rec aig_cost = function
       (3 * (List.length children - 1))
       + List.fold_left (fun a e -> a + aig_cost e) 0 children
 
+module Factored = Hashtbl.Make (Logic.Truthtable)
+
 let cut_rebuild ~zero_cost ~k ~max_cuts t =
   let n = Aig.num_nodes t in
   let ninputs = Aig.num_inputs t in
   let cuts = Cut.enumerate t ~k ~max_cuts in
   let fanouts = Aig.fanout_counts t in
+  (* Few distinct functions occur among a pass's cuts: factor each once.
+     The table lives for this pass only. *)
+  let factored = Factored.create 1024 in
+  let factor tt =
+    match Factored.find_opt factored tt with
+    | Some r -> r
+    | None ->
+        let expr = E.factor_tt tt in
+        let r = (expr, aig_cost expr) in
+        Factored.add factored tt r;
+        r
+  in
   (* Pass 1: pick a replacement per node (or none). *)
   let choice : (Cut.cut * E.t) option array = Array.make n None in
   for node = ninputs + 1 to n - 1 do
@@ -90,9 +104,7 @@ let cut_rebuild ~zero_cost ~k ~max_cuts t =
     Array.iter
       (fun (cut : Cut.cut) ->
         if Array.length cut.leaves >= 2 && cut.leaves <> [| node |] then begin
-          let tt = Cut.cut_tt t node cut in
-          let expr = E.factor_tt tt in
-          let cost = aig_cost expr in
+          let expr, cost = factor cut.fn in
           let saved = Cut.mffc_size t fanouts node cut in
           let gain = saved - cost in
           let accept = if zero_cost then gain >= 0 else gain > 0 in
@@ -157,7 +169,3 @@ let resyn2rs t =
   in
   let t0 = once t in
   iterate t0 (Aig.num_ands t0) 3
-
-let node_count_script t =
-  let t' = resyn2rs t in
-  (Aig.num_ands t', Aig.depth t')

@@ -15,7 +15,9 @@ val rewrite : ?zero_cost:bool -> ?k:int -> ?max_cuts:int -> Aig.t -> Aig.t
     accept the replacement when it saves AIG nodes compared to the
     maximum-fanout-free cone of the cut ([zero_cost] also accepts
     size-neutral replacements, which perturbs the structure like ABC's
-    [rw -z]). *)
+    [rw -z]). Each distinct cut function is factored once per pass: a
+    table keyed by the function, created for the pass and dropped with it
+    (no table outlives a call, so forked workers share none). *)
 
 val refactor : ?k:int -> ?max_cuts:int -> Aig.t -> Aig.t
 (** Same engine with larger cuts (default [k = 8]), corresponding to ABC's
@@ -24,6 +26,3 @@ val refactor : ?k:int -> ?max_cuts:int -> Aig.t -> Aig.t
 val resyn2rs : Aig.t -> Aig.t
 (** Optimization script modeled after ABC's [resyn2rs]: interleaved balance,
     rewrite and refactor passes, iterated while the node count improves. *)
-
-val node_count_script : Aig.t -> int * int
-(** [(ands, depth)] after {!resyn2rs}; convenience for reporting. *)

@@ -59,12 +59,27 @@ val expand : t -> int -> t
 (** [expand t n] re-views [t] as a function of [n >= nvars t] variables that
     ignores the new ones. *)
 
+val stretch : t -> int -> int array -> t
+(** [stretch t n pos] re-views [t] as a function of [n] variables in which
+    variable [i] of [t] becomes variable [pos.(i)] and the others are
+    ignored. [pos] is strictly ascending with [pos.(i) < n]: it places a
+    cut's leaves among a larger cut's. *)
+
 val of_int64 : int -> int64 -> t
 (** [of_int64 n w] builds a table of [n <= 6] variables from the low [2^n]
     bits of [w]. *)
 
 val to_int64 : t -> int64
 (** Inverse of {!of_int64}; the table must have at most 6 variables. *)
+
+val word_flip : int64 -> int -> int64
+(** {!flip_input} on the word of {!to_int64}, without building a table.
+    Tables of at most 6 variables run {!depends_on}, {!shrink},
+    {!stretch} and {!isop} on their word too. *)
+
+val word_permute : int64 -> int array -> int64
+(** {!permute} on the word of {!to_int64}, as at most [nvars - 1]
+    variable swaps. *)
 
 val of_bits : int -> bool array -> t
 (** [of_bits n values] with [Array.length values = 2^n]. *)

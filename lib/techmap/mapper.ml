@@ -32,7 +32,7 @@ let compute_matches ml aig ~k ~max_cuts =
     Array.iter
       (fun (cut : Cut.cut) ->
         if not (cut.Cut.leaves = [| node |]) then begin
-          let tt_full = Cut.cut_tt aig node cut in
+          let tt_full = cut.Cut.fn in
           let support = T.support tt_full in
           if support <> [] then begin
             let tt = T.shrink tt_full in

@@ -65,48 +65,6 @@ let insert t k key cand =
     Hashtbl.replace table key kept
   end
 
-(* Word kernels on one-word tables (<= 6 variables: minterm [m] is bit
-   [m] of the [int64], as in [T.to_int64]). They are the word-level
-   [T.flip_input] and [T.permute], kept here because only the enumeration
-   below needs them. [var_mask.(i)] selects the minterms where input [i]
-   is 1. *)
-let var_mask = Array.init max_pins (fun i -> T.to_int64 (T.var max_pins i))
-
-(* Negate input [i]: the halves where it is 0 and 1 trade places. *)
-let flip w i =
-  let s = 1 lsl i and m = var_mask.(i) in
-  Int64.logor
-    (Int64.shift_right_logical (Int64.logand w m) s)
-    (Int64.shift_left (Int64.logand w (Int64.lognot m)) s)
-
-(* Exchange inputs [i < j] with one delta swap: each minterm with input
-   [i] set and [j] clear trades bits with its partner [delta] above. *)
-let swap w i j =
-  let delta = (1 lsl j) - (1 lsl i) in
-  let m = Int64.logand var_mask.(i) (Int64.lognot var_mask.(j)) in
-  let d = Int64.logand (Int64.logxor (Int64.shift_right_logical w delta) w) m in
-  Int64.logxor (Int64.logxor w d) (Int64.shift_left d delta)
-
-(* [T.permute] (input [v] becomes input [perm.(v)]) as at most k - 1
-   swaps: settle input 0, then 1, ... in place. *)
-let permute w perm =
-  let k = Array.length perm in
-  let pos = Array.init k Fun.id (* pos.(v): where input v sits now *)
-  and at = Array.init k Fun.id (* at.(p): which input sits at p *) in
-  let w = ref w in
-  for v = 0 to k - 1 do
-    let a = pos.(v) and b = perm.(v) in
-    if a <> b then begin
-      w := swap !w (min a b) (max a b);
-      let u = at.(b) in
-      pos.(u) <- a;
-      at.(a) <- u;
-      pos.(v) <- b;
-      at.(b) <- v
-    end
-  done;
-  !w
-
 (* Variants reach [insert] in a fixed order: gates in library order,
    permutations lexicographic, [inv_mask] ascending. [insert] keeps the
    first of equally good candidates, so this order decides each key's
@@ -136,7 +94,7 @@ let build lib =
         let variants = Array.make (1 lsl k) 0L in
         List.iter
           (fun perm ->
-            let p = permute base perm in
+            let p = T.word_permute base perm in
             (* Re-inserting a (gate, key) pair is a no-op, so a variant
                already met for this gate is skipped, and so is the whole
                batch of a [p] already met: it repeats an earlier batch.
@@ -146,7 +104,7 @@ let build lib =
               for j = 0 to k - 1 do
                 let half = 1 lsl j in
                 for inv_mask = half to (2 * half) - 1 do
-                  variants.(inv_mask) <- flip variants.(inv_mask - half) perm.(j)
+                  variants.(inv_mask) <- T.word_flip variants.(inv_mask - half) perm.(j)
                 done
               done;
               Array.iteri

@@ -86,19 +86,6 @@ let mux_function () =
   in
   Alcotest.check tt "mux" expected f
 
-let rollback_works () =
-  let aig = A.create () in
-  let a = A.add_input aig "a" and b = A.add_input aig "b" in
-  let _x = A.mk_and aig a b in
-  let ck = A.checkpoint aig in
-  let _y = A.mk_and aig a (A.lit_not b) in
-  let _z = A.mk_and aig (A.lit_not a) b in
-  A.rollback aig ck;
-  Alcotest.(check int) "back to one and" 1 (A.num_ands aig);
-  (* The rolled-back structure can be rebuilt. *)
-  let y2 = A.mk_and aig a (A.lit_not b) in
-  Alcotest.(check bool) "fresh node" true (A.node_of_lit y2 >= A.num_inputs aig + 1)
-
 let netlist_roundtrip () =
   let nl = N.create () in
   let a = N.add_input nl "a" in
@@ -163,12 +150,86 @@ let cut_tt_full_adder () =
   match input_cut with
   | None -> Alcotest.fail "expected the PI cut {a,b,c}"
   | Some cut ->
-      let f = Cut.cut_tt aig node cut in
+      let f = cut.fn in
       let f = if A.is_complemented sum_lit then T.lognot f else f in
       let parity =
         List.fold_left (fun acc i -> T.logxor acc (T.var 3 i)) (T.const 3 false) [ 0; 1; 2 ]
       in
       Alcotest.check tt "sum is parity" parity f
+
+(* The list-based enumeration Cut used to run, kept as the reference for
+   the cut order: merge every pair of fanin cuts, sort and deduplicate
+   with polymorphic [compare] (size, then leaves lexicographically), drop
+   every proper superset of another candidate, keep the first
+   [max_cuts - 1] and the trivial cut last. Returns leaf arrays. *)
+let reference_cuts t ~k ~max_cuts =
+  let merge a b =
+    let la = Array.length a and lb = Array.length b in
+    let out = Array.make (la + lb) 0 in
+    let rec go i j n =
+      if i = la && j = lb then Some (Array.sub out 0 n)
+      else if n = k then None
+      else begin
+        let v, i', j' =
+          if j = lb || (i < la && a.(i) < b.(j)) then (a.(i), i + 1, j)
+          else if i = la || b.(j) < a.(i) then (b.(j), i, j + 1)
+          else (a.(i), i + 1, j + 1)
+        in
+        out.(n) <- v;
+        go i' j' (n + 1)
+      end
+    in
+    go 0 0 0
+  in
+  let subset a b = Array.for_all (fun x -> Array.mem x b) a in
+  let n = A.num_nodes t in
+  let cuts = Array.make n [||] in
+  for node = 0 to n - 1 do
+    if not (A.is_and t node) then cuts.(node) <- [| [| node |] |]
+    else begin
+      let f0 = A.node_of_lit (A.fanin0 t node) and f1 = A.node_of_lit (A.fanin1 t node) in
+      let acc = ref [] in
+      Array.iter
+        (fun c0 ->
+          Array.iter
+            (fun c1 -> Option.iter (fun c -> acc := c :: !acc) (merge c0 c1))
+            cuts.(f1))
+        cuts.(f0);
+      let all = List.sort_uniq compare !acc in
+      let irredundant =
+        List.filter (fun c -> not (List.exists (fun c' -> c' <> c && subset c' c) all)) all
+      in
+      let by_size =
+        List.sort (fun a b -> compare (Array.length a) (Array.length b)) irredundant
+      in
+      let kept = List.filteri (fun i _ -> i < max_cuts - 1) by_size in
+      cuts.(node) <- Array.of_list (kept @ [ [| node |] ])
+    end
+  done;
+  cuts
+
+let cut_order_matches_reference =
+  QCheck.Test.make ~count:40 ~name:"cut order and functions match the reference"
+    QCheck.(make Gen.(triple (int_bound 10_000) (int_range 6 10) (int_range 40 200)))
+    (fun (seed, inputs, ands) ->
+      let rng = Logic.Prng.create (Int64.of_int (seed + 11)) in
+      let aig = random_aig rng ~inputs ~ands ~outs:4 in
+      List.for_all
+        (fun (k, max_cuts) ->
+          let cuts = Cut.enumerate aig ~k ~max_cuts in
+          let reference = reference_cuts aig ~k ~max_cuts in
+          let same_leaves cs rs =
+            Array.length cs = Array.length rs
+            && Array.for_all2 (fun (c : Cut.cut) r -> c.leaves = r) cs rs
+          in
+          let carried_fn node (c : Cut.cut) =
+            T.equal c.fn
+              (A.cone_tt aig node (Array.map (fun l -> A.lit_of_node l false) c.leaves))
+          in
+          Array.for_all2 same_leaves cuts reference
+          && Array.for_all Fun.id
+               (Array.mapi (fun node cs -> Array.for_all (carried_fn node) cs) cuts))
+        [ (4, 8); (8, 4); (6, 10); (3, 16) ])
 
 let pass_preserves name pass =
   QCheck.Test.make ~count:60 ~name
@@ -266,7 +327,6 @@ let () =
           Alcotest.test_case "constant folding" `Quick constant_folding;
           Alcotest.test_case "xor function" `Quick xor_function;
           Alcotest.test_case "mux function" `Quick mux_function;
-          Alcotest.test_case "rollback" `Quick rollback_works;
           Alcotest.test_case "netlist roundtrip" `Quick netlist_roundtrip;
           Alcotest.test_case "cleanup removes dead" `Quick cleanup_removes_dead;
         ] );
@@ -274,7 +334,8 @@ let () =
         [
           Alcotest.test_case "trivial cut present" `Quick cut_enumeration_trivial;
           Alcotest.test_case "full-adder sum cut tt" `Quick cut_tt_full_adder;
-        ] );
+        ]
+        @ qt [ cut_order_matches_reference ] );
       ( "aiger",
         Alcotest.
           [

@@ -171,6 +171,56 @@ let qcheck_tt_gen n =
   QCheck.Gen.(
     map (fun bits -> T.of_bits n (Array.of_list bits)) (list_size (return (1 lsl n)) bool))
 
+(* The minterm of [m]'s bits at [vars] (bit [j] of the result is bit
+   [vars.(j)] of [m]). *)
+let gather m vars =
+  let r = ref 0 in
+  Array.iteri (fun j v -> if (m lsr v) land 1 = 1 then r := !r lor (1 lsl j)) vars;
+  !r
+
+(* support, shrink and stretch, which run on the word for tables of at
+   most 6 variables, against their minterm-by-minterm definitions. Some
+   variables are cofactored away so that supports vary. *)
+let word_ops_match_definitions =
+  QCheck.Test.make ~count:300 ~name:"support, shrink and stretch match definitions"
+    QCheck.(make Gen.(triple (int_range 1 8) (int_range 0 8) (int_bound 1_000_000)))
+    (fun (n, extra, seed) ->
+      let rng = Logic.Prng.create (Int64.of_int (seed + 1)) in
+      let f = T.of_bits n (Array.init (1 lsl n) (fun _ -> Logic.Prng.bool rng)) in
+      let f =
+        List.fold_left
+          (fun f v -> if Logic.Prng.int rng 3 = 0 then T.cofactor f v (Logic.Prng.bool rng) else f)
+          f
+          (List.init n Fun.id)
+      in
+      let minterms k = List.init (1 lsl k) Fun.id in
+      let support =
+        List.filter
+          (fun v -> List.exists (fun m -> T.eval f m <> T.eval f (m lxor (1 lsl v))) (minterms n))
+          (List.init n Fun.id)
+      in
+      let sup = Array.of_list support in
+      let s = T.shrink f in
+      let wide = min 8 (n + extra) in
+      let pos =
+        (* [n] ascending positions among [wide] *)
+        let chosen = Array.make wide false in
+        let left = ref n in
+        for p = 0 to wide - 1 do
+          if !left > 0 && (wide - p = !left || Logic.Prng.bool rng) then begin
+            chosen.(p) <- true;
+            decr left
+          end
+        done;
+        Array.of_list (List.filter (fun p -> chosen.(p)) (List.init wide Fun.id))
+      in
+      let g = T.stretch f wide pos in
+      T.support f = support
+      && T.nvars s = Array.length sup
+      && List.for_all (fun m -> T.eval s (gather m sup) = T.eval f m) (minterms n)
+      && T.nvars g = wide
+      && List.for_all (fun m -> T.eval g m = T.eval f (gather m pos)) (minterms wide))
+
 let isop_covers_exactly n =
   QCheck.Test.make ~count:200
     ~name:(Printf.sprintf "isop covers exactly (n=%d)" n)
@@ -336,7 +386,8 @@ let () =
           Alcotest.test_case "permute identity" `Quick tt_permute_identity;
           Alcotest.test_case "flip input" `Quick tt_flip_input;
           Alcotest.test_case "int64 roundtrip / parity" `Quick tt_int64_roundtrip;
-        ] );
+        ]
+        @ qt [ word_ops_match_definitions ] );
       ( "isop",
         qt
           [

@@ -344,6 +344,44 @@ let generalized_maps_fewer_gates_on_ecc () =
     (float_of_int (M.Mapped.num_gates m_gen)
     < 0.6 *. float_of_int (M.Mapped.num_gates m_cmos))
 
+(* Per suite circuit: ANDs after resyn2rs, then cells mapped with the
+   generalized, conventional and CMOS families. Every Table 1 row is
+   built on these, so a change to cut enumeration, rewriting or mapping
+   that moves one fails here. Totals: 14 425 ANDs, 53 743 cells. *)
+let pinned_counts =
+  [
+    ("C2670", 591, [ 512; 677; 677 ]);
+    ("C1908", 195, [ 90; 294; 294 ]);
+    ("C3540", 1074, [ 895; 1482; 1482 ]);
+    ("dalu", 1100, [ 794; 1359; 1359 ]);
+    ("C7552", 2029, [ 1647; 2728; 2728 ]);
+    ("C6288", 2334, [ 2983; 3653; 3653 ]);
+    ("C5315", 1234, [ 1087; 1521; 1521 ]);
+    ("des", 2672, [ 1683; 3564; 3564 ]);
+    ("i10", 1509, [ 1565; 2487; 2487 ]);
+    ("t481", 532, [ 402; 902; 902 ]);
+    ("i8", 787, [ 886; 1295; 1295 ]);
+    ("C1355", 368, [ 165; 555; 555 ]);
+  ]
+
+let suite_counts_pinned () =
+  let families = [ "cntfet-generalized"; "cntfet-conventional"; "cmos" ] in
+  Alcotest.(check (list string))
+    "every suite circuit pinned"
+    (List.map (fun (e : Circuits.Suite.entry) -> e.Circuits.Suite.name) Circuits.Suite.all)
+    (List.map (fun (name, _, _) -> name) pinned_counts);
+  List.iter
+    (fun (name, ands, cells) ->
+      let entry = Circuits.Suite.find name in
+      let aig = Aigs.Opt.resyn2rs (A.of_netlist (entry.Circuits.Suite.generate ())) in
+      Alcotest.(check int) (name ^ " ANDs") ands (A.num_ands aig);
+      List.iter2
+        (fun family expected ->
+          let m = M.Mapper.map (ml_of family) aig in
+          Alcotest.(check int) (name ^ " cells, " ^ family) expected (M.Mapped.num_gates m))
+        families cells)
+    pinned_counts
+
 (* ------------------------------------------------------------------ *)
 (* Verify (exact BDD-based CEC) *)
 
@@ -487,5 +525,6 @@ let () =
           suite_circuit_mapping "C1355";
           suite_circuit_mapping "C1908";
           Alcotest.test_case "gen wins on ECC" `Slow generalized_maps_fewer_gates_on_ecc;
+          Alcotest.test_case "suite ANDs and cells pinned" `Slow suite_counts_pinned;
         ] );
     ]
