@@ -174,19 +174,39 @@ let micro_tests () =
                Runtime.Telemetry.observe "bench.dist" 1.0)))
   in
   let metrics_snapshot =
-    (* What the daemon pays to answer the `metrics` verb inline (and the
-       campaign coordinator per completion): merge caller gauges and
-       lifecycle counters with the telemetry registry into a snapshot. *)
+    (* What a long-lived daemon pays to answer the `metrics` verb inline
+       (and the campaign coordinator per completion): caller gauges with
+       the registry's counters and distributions, after 10 000 requests
+       have each left a `serve.request/req-<n>` subtree. The subtrees are
+       grafted only for this micro and dropped after it, so no other
+       micro runs beside them; collection is on only for the snapshot. *)
+    let module T = Runtime.Telemetry in
     let gauges =
       List.init 8 (fun i -> (Printf.sprintf "gauge%d" i, float_of_int i))
     in
-    let counters = List.init 24 (fun i -> (Printf.sprintf "serve.c%d" i, i)) in
+    let graft () =
+      T.set_enabled true;
+      T.reset ();
+      T.with_span "estimate" (fun () ->
+          T.with_span "estimate.simulate" (fun () -> T.count "sim.words" 64);
+          T.observe "sim.patterns_per_s" 1e6);
+      let request = T.snapshot () in
+      T.reset ();
+      List.iter
+        (fun name -> T.count ("serve." ^ name) 0)
+        [ "served"; "failed"; "shed"; "rejected" ];
+      T.set_enabled false;
+      for n = 1 to 10_000 do
+        T.merge ~prefix:[ "serve.request"; Printf.sprintf "req-%d" n ] request
+      done
+    in
     let started = Unix.gettimeofday () in
-    Test.make ~name:"metrics-snapshot"
+    Test.make_with_resource ~name:"metrics-snapshot" Test.uniq ~allocate:graft
+      ~free:T.reset
       (Staged.stage (fun () ->
-           ignore
-             (Runtime.Metrics.make ~source:"bench" ~started ~gauges ~counters
-                ())))
+           T.set_enabled true;
+           ignore (Runtime.Metrics.make ~source:"bench" ~started ~gauges ());
+           T.set_enabled false))
   in
   supervise
   @ [ classify; dc_solve; resyn; mapping; simulate ]

@@ -58,20 +58,15 @@ let validate_timeout t =
       R.Cli R.Validation_error
       "--timeout must be a finite number of seconds >= 0 (got %g)" t
 
-let validate_retries r =
-  if r < 0 || r > 1000 then
+(* An integer flag outside [lo, hi] is a typed usage error. *)
+let validate_range flag ~lo ~hi v =
+  if v < lo || v > hi then
     R.failf
-      ~context:[ ("retries", string_of_int r) ]
-      R.Cli R.Validation_error "--retries must be in [0, 1000] (got %d)" r
+      ~context:[ (flag, string_of_int v) ]
+      R.Cli R.Validation_error "--%s must be in [%d, %d] (got %d)" flag lo hi v
 
-let validate_domains = function
-  | None -> ()
-  | Some d ->
-      if d < 1 || d > Runtime.Dpool.max_domains then
-        R.failf
-          ~context:[ ("domains", string_of_int d) ]
-          R.Cli R.Validation_error "--domains must be in [1, %d] (got %d)"
-          Runtime.Dpool.max_domains d
+let validate_domains =
+  Option.iter (validate_range "domains" ~lo:1 ~hi:Runtime.Dpool.max_domains)
 
 (* Shared by the pipeline commands: pin the simulation domain count.
    Results are bit-identical for any domain count; --domains only moves
@@ -358,13 +353,6 @@ let check_cmd =
 
 module Cg = Experiments.Campaign
 
-let run_dir_of run_name = Filename.concat "_runs" run_name
-let manifest_path_of run_name = Filename.concat (run_dir_of run_name) "manifest.json"
-let profile_path_of run_name = Filename.concat (run_dir_of run_name) "profile.json"
-let events_path_of run_name = Filename.concat (run_dir_of run_name) "events.jsonl"
-let trace_path_of run_name = Filename.concat (run_dir_of run_name) "trace.json"
-let metrics_path_of run_name = Filename.concat (run_dir_of run_name) "metrics.json"
-
 let log_level_arg =
   let doc =
     "Verbosity of the live event echo on stderr: $(b,quiet) silences all \
@@ -378,13 +366,80 @@ let log_level_arg =
         (Some Jn.Info)
     & info [ "log-level" ] ~docv:"LEVEL" ~doc)
 
-(* The event journal is always on for a run: shard transitions are its
-   observable surface, and `trace` and post-mortems feed on them. An
-   invalid configuration (an existing queue log without --resume among
-   them) leaves as a typed error. *)
-let run_journaled cfg shards =
+(* The flags `all` and `campaign` read alike, in one term: --run (named
+   [default_run] unless given), --resume, --only, the --inject-* family,
+   and the pipeline's library files, patterns, seed, log level and
+   domains. Its setup validates and applies them, and starts the run's
+   Campaign.config; each command then sets its own worker count,
+   deadline and attempt budget. *)
+let supervised_term ~default_run =
+  let run_arg =
+    let doc =
+      "Run name; the queue log, manifest, journal, metrics and profile live \
+       under _runs/$(docv)/."
+    in
+    Arg.(value & opt string default_run & info [ "run" ] ~docv:"NAME" ~doc)
+  in
+  let resume_arg =
+    let doc =
+      "Continue an existing run: reclaim leases left by a dead coordinator, \
+       skip shards the queue log records as done with the same seed and \
+       pattern count, and re-run every other one. Without this flag an \
+       existing queue log is refused."
+    in
+    Arg.(value & flag & info [ "resume" ] ~doc)
+  in
+  let names name doc =
+    Arg.(value & opt_all string [] & info [ name ] ~docv:"NAME" ~doc)
+  in
+  let only_arg =
+    names "only"
+      "Run only the shards $(docv) names (repeatable): an experiment of \
+       `all`, or a campaign shard by its id <circuit>/<library>/<seed> or \
+       by its circuit. Shards run in their usual order; a name that \
+       selects no shard is a usage error (exit 13)."
+  in
+  let crash_arg =
+    names "inject-crash"
+      "Fault injection: SIGKILL the worker of the shard $(docv) names (as \
+       for --only) on every attempt — a deterministic poison shard."
+  in
+  let flaky_arg =
+    names "inject-flaky"
+      "Fault injection: SIGKILL the named shard's worker on its first \
+       attempt only, so the degraded retry succeeds."
+  in
+  let hang_arg =
+    names "inject-hang"
+      "Fault injection: wedge the named shard's worker until the deadline \
+       kills it."
+  in
+  let setup campaign resume only inj_crash inj_flaky inj_hang libfiles
+      patterns seed log_level domains =
+    validate_patterns patterns;
+    validate_seed seed;
+    apply_runtime_opts ~domains;
+    (* Before the run starts: shard workers fork from this process, so
+       registrations are inherited by every shard. *)
+    load_library_files libfiles;
+    Jn.set_verbosity log_level;
+    let inject = { Cg.no_inject with Cg.inj_crash; inj_flaky; inj_hang } in
+    ({ (Cg.default_config ~campaign) with Cg.resume; inject }, only, patterns, seed)
+  in
+  Term.(
+    const setup $ run_arg $ resume_arg $ only_arg $ crash_arg $ flaky_arg
+    $ hang_arg $ library_file_arg $ patterns_arg $ seed_arg $ log_level_arg
+    $ domains_arg)
+
+(* Select the shards --only names, then run them with the event journal
+   on: shard transitions are its observable surface, and `trace` and
+   post-mortems feed on them. An invalid configuration (an existing queue
+   log without --resume among them) leaves as a typed error. *)
+let run_supervised cfg ~only shards =
+  let shards = R.get_exn (Cg.select ~only shards) in
   Jn.set_enabled true;
-  (match Jn.open_sink ~path:(Cg.events_path cfg) () with
+  let events = Cg.run_file ~runs_dir:cfg.Cg.runs_dir cfg.Cg.campaign "events.jsonl" in
+  (match Jn.open_sink ~path:events () with
   | Ok () -> ()
   | Result.Error e ->
       Format.eprintf "cntpower: cannot open event journal: %a@." R.pp e;
@@ -395,11 +450,11 @@ let run_journaled cfg shards =
   T.set_enabled false;
   R.get_exn result
 
+let print_run_files cfg =
+  Format.fprintf std "queue: %s@.manifest: %s@." (Cg.queue_path cfg)
+    (Cg.manifest_path cfg)
+
 let all_cmd =
-  let only_arg =
-    let doc = "Run only the named experiments (repeatable); see the list in each entry name." in
-    Arg.(value & opt_all string [] & info [ "only" ] ~docv:"NAME" ~doc)
-  in
   let strict_arg =
     let keep_going =
       ( false,
@@ -442,21 +497,6 @@ let all_cmd =
     in
     Arg.(value & opt int 1 & info [ "retries" ] ~doc)
   in
-  let resume_arg =
-    let doc =
-      "Continue an existing run: skip experiments the queue log records as \
-       done with the same seed and pattern count and re-run every other \
-       one. Without this flag an existing queue log is refused."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let run_name_arg =
-    let doc =
-      "Run name; the queue log, manifest, journal, metrics and profile live \
-       under _runs/$(docv)/."
-    in
-    Arg.(value & opt string "all" & info [ "run" ] ~docv:"NAME" ~doc)
-  in
   let profile_arg =
     let doc =
       "Collect per-run telemetry (hierarchical spans, counters, simulator \
@@ -467,38 +507,9 @@ let all_cmd =
     in
     Arg.(value & flag & info [ "profile" ] ~doc)
   in
-  let inject_crash_arg =
-    let doc =
-      "Fault injection (testing the supervisor): SIGKILL the worker of the \
-       named experiment on every attempt."
-    in
-    Arg.(value & opt_all string [] & info [ "inject-crash" ] ~docv:"NAME" ~doc)
-  in
-  let inject_hang_arg =
-    let doc =
-      "Fault injection: make the named experiment's worker hang until the \
-       watchdog kills it."
-    in
-    Arg.(value & opt_all string [] & info [ "inject-hang" ] ~docv:"NAME" ~doc)
-  in
-  let inject_flaky_arg =
-    let doc =
-      "Fault injection: SIGKILL the named experiment's worker on the first \
-       attempt only, so the degraded retry succeeds."
-    in
-    Arg.(value & opt_all string [] & info [ "inject-flaky" ] ~docv:"NAME" ~doc)
-  in
-  let run libfiles patterns seed strict only with_blifs timeout retries resume
-      run_name profile log_level domains inj_crash inj_hang inj_flaky =
-    validate_patterns patterns;
-    validate_seed seed;
+  let run (cfg, only, patterns, seed) strict with_blifs timeout retries profile =
     validate_timeout timeout;
-    validate_retries retries;
-    apply_runtime_opts ~domains;
-    (* Before the run starts: experiment workers fork from this process,
-       so registrations are inherited by every experiment. *)
-    load_library_files libfiles;
-    Jn.set_verbosity log_level;
+    validate_range "retries" ~lo:0 ~hi:1000 retries;
     let budget ~degraded = if degraded then max 1 (patterns / 2) else patterns in
     (* One shard per experiment, keyed for resume on the run's seed and
        pattern count; the worker prints its report on stdout. *)
@@ -513,50 +524,42 @@ let all_cmd =
             run ~degraded);
       }
     in
+    (* Run an experiment, print its report and return its scalars;
+       [fixed] marks one that sheds nothing on a degraded retry. *)
+    let experiment id doc run print scalars =
+      shard id doc (fun ~degraded ->
+          let r = run degraded in
+          print std r;
+          scalars r)
+    in
+    let fixed run _ = run () in
+    let module X = Experiments in
     let shards =
       [
-        shard "libchar" "library characterization (E2, E4-E6)" (fun ~degraded:_ ->
-            let r = Experiments.Exp_libchar.run () in
-            Experiments.Exp_libchar.print std r;
-            Experiments.Exp_libchar.scalars r);
-        shard "patterns" "I_off pattern census (E3, E8, A1)" (fun ~degraded:_ ->
-            let r = Experiments.Exp_patterns.run () in
-            Experiments.Exp_patterns.print std r;
-            Experiments.Exp_patterns.scalars r);
-        shard "tgate" "transmission-gate transfer study (E7)" (fun ~degraded:_ ->
-            let r = Experiments.Exp_tgate.run () in
-            Experiments.Exp_tgate.print std r;
-            Experiments.Exp_tgate.scalars r);
-        shard "delay" "intrinsic inverter delays (E9)" (fun ~degraded:_ ->
-            let r = Experiments.Exp_delay.run () in
-            Experiments.Exp_delay.print std r;
-            Experiments.Exp_delay.scalars r);
-        shard "dynamic" "dynamic / reconfigurable cells (E10)" (fun ~degraded:_ ->
-            let r = Experiments.Exp_dynamic.run () in
-            Experiments.Exp_dynamic.print std r;
-            Experiments.Exp_dynamic.scalars r);
-        shard "pla" "programmable ambipolar PLA (E11)" (fun ~degraded:_ ->
-            let r = Experiments.Exp_pla.run () in
-            Experiments.Exp_pla.print std r;
-            Experiments.Exp_pla.scalars r);
-        shard "seq" "clocked CRC engine (E12)" (fun ~degraded ->
-            let cycles = if degraded then 250 else 500 in
-            let rows = Experiments.Exp_seq.run ~cycles () in
-            Experiments.Exp_seq.print std rows;
-            Experiments.Exp_seq.scalars rows);
-        shard "sensitivity" "supply/temperature/variation (E13-E15)" (fun ~degraded ->
-            let mc = if degraded then 500 else 1000 in
-            let r = Experiments.Exp_sensitivity.run ~mc_samples:mc () in
-            Experiments.Exp_sensitivity.print std r;
-            Experiments.Exp_sensitivity.scalars r);
-        shard "table1" "Table 1 reproduction (E1)" (fun ~degraded ->
-            let summary =
-              Experiments.Exp_table1.run ~patterns:(budget ~degraded) ~seed ()
-            in
-            Experiments.Exp_table1.print std summary;
-            Experiments.Exp_table1.scalars summary);
+        experiment "libchar" "library characterization (E2, E4-E6)"
+          (fixed X.Exp_libchar.run) X.Exp_libchar.print X.Exp_libchar.scalars;
+        experiment "patterns" "I_off pattern census (E3, E8, A1)"
+          (fixed X.Exp_patterns.run) X.Exp_patterns.print X.Exp_patterns.scalars;
+        experiment "tgate" "transmission-gate transfer study (E7)"
+          (fixed X.Exp_tgate.run) X.Exp_tgate.print X.Exp_tgate.scalars;
+        experiment "delay" "intrinsic inverter delays (E9)"
+          (fixed X.Exp_delay.run) X.Exp_delay.print X.Exp_delay.scalars;
+        experiment "dynamic" "dynamic / reconfigurable cells (E10)"
+          (fixed X.Exp_dynamic.run) X.Exp_dynamic.print X.Exp_dynamic.scalars;
+        experiment "pla" "programmable ambipolar PLA (E11)"
+          (fixed X.Exp_pla.run) X.Exp_pla.print X.Exp_pla.scalars;
+        experiment "seq" "clocked CRC engine (E12)"
+          (fun degraded -> X.Exp_seq.run ~cycles:(if degraded then 250 else 500) ())
+          X.Exp_seq.print X.Exp_seq.scalars;
+        experiment "sensitivity" "supply/temperature/variation (E13-E15)"
+          (fun degraded ->
+            X.Exp_sensitivity.run ~mc_samples:(if degraded then 500 else 1000) ())
+          X.Exp_sensitivity.print X.Exp_sensitivity.scalars;
+        experiment "table1" "Table 1 reproduction (E1)"
+          (fun degraded -> X.Exp_table1.run ~patterns:(budget ~degraded) ~seed ())
+          X.Exp_table1.print X.Exp_table1.scalars;
         shard "ablations" "A2-A5 ablations" (fun ~degraded:_ ->
-            Experiments.Ablations.print std ();
+            X.Ablations.print std ();
             []);
       ]
       @ List.map
@@ -568,33 +571,25 @@ let all_cmd =
                 run_blif_pipeline std ~patterns:(budget ~degraded) ~seed path))
           with_blifs
     in
-    let shards =
-      match only with
-      | [] -> shards
-      | names -> List.filter (fun (sh : Cg.shard) -> List.mem sh.Cg.id names) shards
-    in
-    if shards = [] then
-      R.failf R.Cli R.Validation_error "no experiment matches the --only filter";
     let cfg =
       {
-        (Cg.default_config ~campaign:run_name) with
+        cfg with
         Cg.workers = 1;
         shard_timeout_s = timeout;
         max_attempts = retries + 1;
-        resume;
         strict;
-        inject = { Cg.no_inject with Cg.inj_crash; inj_flaky; inj_hang };
       }
     in
     if profile then begin
       T.set_enabled true;
       T.reset ()
     end;
-    let s = run_journaled cfg shards in
+    let s = run_supervised cfg ~only shards in
     Cg.print_results std s;
-    Format.fprintf std "queue: %s@.manifest: %s@." (Cg.queue_path cfg)
-      (Cg.manifest_path cfg);
-    if profile then Format.fprintf std "profile: %s@." (Cg.profile_path cfg);
+    print_run_files cfg;
+    if profile then
+      Format.fprintf std "profile: %s@."
+        (Cg.run_file ~runs_dir:cfg.Cg.runs_dir cfg.Cg.campaign "profile.json");
     Cg.exit_status cfg s
   in
   Cmd.v
@@ -607,23 +602,10 @@ let all_cmd =
           and the results in the manifest rendered from it; --resume \
           continues an interrupted run, with a final pass/fail summary.")
     Term.(
-      const run $ library_file_arg $ patterns_arg $ seed_arg $ strict_arg
-      $ only_arg $ with_blif_arg $ timeout_arg $ retries_arg $ resume_arg
-      $ run_name_arg $ profile_arg $ log_level_arg $ domains_arg
-      $ inject_crash_arg $ inject_hang_arg $ inject_flaky_arg)
+      const run $ supervised_term ~default_run:"all" $ strict_arg
+      $ with_blif_arg $ timeout_arg $ retries_arg $ profile_arg)
 
 let campaign_cmd =
-  let run_name_arg =
-    let doc =
-      "Campaign name; the queue log, manifest, journal and profile live \
-       under _runs/$(docv)/."
-    in
-    Arg.(value & opt string "campaign" & info [ "run" ] ~docv:"NAME" ~doc)
-  in
-  let only_arg =
-    let doc = "Restrict the sweep to the given circuits (repeatable)." in
-    Arg.(value & opt_all string [] & info [ "only" ] ~docv:"CIRCUIT" ~doc)
-  in
   let library_arg =
     let doc =
       "Restrict the sweep to the given libraries (repeatable); default \
@@ -659,36 +641,6 @@ let campaign_cmd =
     in
     Arg.(value & opt int 3 & info [ "max-attempts" ] ~docv:"N" ~doc)
   in
-  let resume_arg =
-    let doc =
-      "Continue an existing campaign: reclaim leases left by a dead \
-       coordinator, skip shards the queue log records as done with the \
-       same seed and pattern count, and re-run every other one. Without \
-       this flag an existing queue log is refused."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let inject_crash_arg =
-    let doc =
-      "Fault injection: SIGKILL the worker of the named shard (id or \
-       circuit name) on every attempt — a deterministic poison shard."
-    in
-    Arg.(value & opt_all string [] & info [ "inject-crash" ] ~docv:"SHARD" ~doc)
-  in
-  let inject_flaky_arg =
-    let doc =
-      "Fault injection: SIGKILL the named shard's worker on the first \
-       attempt only, so the retry succeeds."
-    in
-    Arg.(value & opt_all string [] & info [ "inject-flaky" ] ~docv:"SHARD" ~doc)
-  in
-  let inject_hang_arg =
-    let doc =
-      "Fault injection: wedge the named shard's worker until the deadline \
-       kill."
-    in
-    Arg.(value & opt_all string [] & info [ "inject-hang" ] ~docv:"SHARD" ~doc)
-  in
   let inject_kill_after_arg =
     let doc =
       "Fault injection: SIGKILL the coordinator itself right after the \
@@ -700,38 +652,17 @@ let campaign_cmd =
       & opt (some int) None
       & info [ "inject-kill-after" ] ~docv:"N" ~doc)
   in
-  let run run_name only libs libfiles seeds_n patterns seed workers
-      shard_timeout max_attempts resume log_level domains inj_crash inj_flaky
-      inj_hang kill_after =
-    validate_patterns patterns;
-    validate_seed seed;
+  let run (cfg, only, patterns, seed) libs seeds_n workers shard_timeout
+      max_attempts kill_after =
     validate_timeout shard_timeout;
-    if workers < 1 || workers > 128 then
-      R.failf
-        ~context:[ ("workers", string_of_int workers) ]
-        R.Cli R.Validation_error "--workers must be in [1, 128] (got %d)"
-        workers;
-    if max_attempts < 1 || max_attempts > 100 then
-      R.failf
-        ~context:[ ("max-attempts", string_of_int max_attempts) ]
-        R.Cli R.Validation_error "--max-attempts must be in [1, 100] (got %d)"
-        max_attempts;
-    if seeds_n < 1 || seeds_n > 10_000 then
-      R.failf
-        ~context:[ ("seeds", string_of_int seeds_n) ]
-        R.Cli R.Validation_error "--seeds must be in [1, 10000] (got %d)"
-        seeds_n;
+    validate_range "workers" ~lo:1 ~hi:128 workers;
+    validate_range "max-attempts" ~lo:1 ~hi:100 max_attempts;
+    validate_range "seeds" ~lo:1 ~hi:10_000 seeds_n;
     (match kill_after with
     | Some n when n < 1 ->
         R.failf R.Cli R.Validation_error
           "--inject-kill-after must be >= 1 (got %d)" n
     | _ -> ());
-    apply_runtime_opts ~domains;
-    load_library_files libfiles;
-    Jn.set_verbosity log_level;
-    let circuits =
-      match only with [] -> Circuits.Suite.all | names -> List.map find_circuit names
-    in
     let libraries =
       match libs with
       | [] -> Cell.Genlib.libraries ()
@@ -740,28 +671,23 @@ let campaign_cmd =
     let seeds = List.init seeds_n (fun i -> Int64.add seed (Int64.of_int i)) in
     let cfg =
       {
-        (Cg.default_config ~campaign:run_name) with
+        cfg with
         Cg.workers;
         shard_timeout_s = shard_timeout;
         max_attempts;
-        resume;
-        inject =
-          {
-            Cg.inj_crash;
-            inj_flaky;
-            inj_hang;
-            inj_kill_after = kill_after;
-          };
+        inject = { cfg.Cg.inject with Cg.inj_kill_after = kill_after };
       }
     in
     (* Telemetry is always on for a campaign: workers ship their profiles
        back through the supervisor pipe. *)
     T.set_enabled true;
     T.reset ();
-    let s = run_journaled cfg (Cg.grid ~circuits ~libraries ~seeds ~patterns) in
+    let s =
+      run_supervised cfg ~only
+        (Cg.grid ~circuits:Circuits.Suite.all ~libraries ~seeds ~patterns)
+    in
     Format.fprintf std "%a@." Cg.pp_summary s;
-    Format.fprintf std "queue: %s@.manifest: %s@." (Cg.queue_path cfg)
-      (Cg.manifest_path cfg);
+    print_run_files cfg;
     match Cg.quarantined s with
     | [] -> 0
     | ids ->
@@ -787,10 +713,8 @@ let campaign_cmd =
           done. Results stream into the run manifest and telemetry \
           profile, so stats/trace/compare work mid-campaign.")
     Term.(
-      const run $ run_name_arg $ only_arg $ library_arg $ library_file_arg
-      $ seeds_arg $ patterns_arg $ seed_arg $ workers_arg $ shard_timeout_arg
-      $ max_attempts_arg $ resume_arg $ log_level_arg $ domains_arg
-      $ inject_crash_arg $ inject_flaky_arg $ inject_hang_arg
+      const run $ supervised_term ~default_run:"campaign" $ library_arg
+      $ seeds_arg $ workers_arg $ shard_timeout_arg $ max_attempts_arg
       $ inject_kill_after_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -799,19 +723,26 @@ let campaign_cmd =
 let golden_cmd =
   let manifest_arg =
     let doc = "Run manifest to read (written by `cntpower all`)." in
-    Arg.(value & opt string (manifest_path_of "all") & info [ "manifest" ] ~docv:"FILE" ~doc)
+    Arg.(value & opt string (Cg.run_file "all" "manifest.json") & info [ "manifest" ] ~docv:"FILE" ~doc)
   in
   let golden_arg =
     let doc = "Golden metrics file." in
     Arg.(value & opt string "golden/golden.json" & info [ "golden" ] ~docv:"FILE" ~doc)
   in
-  let check_arg =
-    let doc = "Compare the manifest against the golden file (default action)." in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
+  (* One choice: --check and --update together are a usage error. *)
   let update_arg =
-    let doc = "Regenerate the golden file from the manifest instead of checking." in
-    Arg.(value & flag & info [ "update" ] ~doc)
+    let check =
+      ( false,
+        Arg.info [ "check" ]
+          ~doc:"Compare the manifest against the golden file (default)." )
+    in
+    let update =
+      ( true,
+        Arg.info [ "update" ]
+          ~doc:"Regenerate the golden file from the manifest instead of checking."
+      )
+    in
+    Arg.(value & vflag false [ check; update ])
   in
   let rtol_arg =
     let doc =
@@ -824,8 +755,7 @@ let golden_cmd =
     let doc = "On --update, restrict the golden set to the named experiments (repeatable)." in
     Arg.(value & opt_all string [] & info [ "only" ] ~docv:"NAME" ~doc)
   in
-  let run manifest golden check update rtol only =
-    ignore check;
+  let run manifest golden update rtol only =
     if rtol < 0.0 || rtol > 1.0 then
       R.failf R.Cli R.Validation_error "--rtol must be in [0, 1] (got %g)" rtol;
     let m = R.get_exn (C.load ~path:manifest) in
@@ -902,32 +832,33 @@ let golden_cmd =
           headline numbers) with per-metric relative tolerances; nonzero \
           exit on drift. --update regenerates the golden file.")
     Term.(
-      const run $ manifest_arg $ golden_arg $ check_arg $ update_arg $ rtol_arg
-      $ only_arg)
+      const run $ manifest_arg $ golden_arg $ update_arg $ rtol_arg $ only_arg)
 
 (* ------------------------------------------------------------------ *)
 (* `stats`: render a run's telemetry profile. *)
 
+(* A run's journal for `stats` and `trace`, read leniently: torn or
+   corrupt lines are skipped with a warning (silent data loss is not
+   OK), and a missing or unreadable journal reads as none. *)
+let load_journal path =
+  if not (Sys.file_exists path) then None
+  else
+    match Jn.load ~path with
+    | Ok (evs, skipped) ->
+        if skipped > 0 then
+          Format.eprintf
+            "cntpower: skipped %d malformed line(s) in %s (torn write?)@."
+            skipped path;
+        Some (evs, skipped)
+    | Result.Error e ->
+        Format.eprintf "cntpower: cannot read journal %s: %a@." path R.pp e;
+        None
+
 (* Machine-readable stats rendering: span paths flattened, quantiles
    precomputed — the shape scripts want, on the Checkpoint JSON dialect. *)
 let stats_json ~path ?journal prof =
-  let rec flatten prefix acc (s : Runtime.Telemetry.span) =
-    let p = prefix ^ s.T.span_name in
-    let acc =
-      C.Obj
-        [
-          ("path", C.Str p);
-          ("calls", C.Num (float_of_int s.T.calls));
-          ("total_s", C.Num s.T.total_s);
-        ]
-      :: acc
-    in
-    List.fold_left (flatten (p ^ "/")) acc s.T.children
-  in
   C.Obj
-    ([
-       ("profile", C.Str path);
-     ]
+    ([ ("profile", C.Str path) ]
     @ (match journal with
       | None -> []
       | Some (events, skipped) ->
@@ -940,27 +871,25 @@ let stats_json ~path ?journal prof =
                 ] );
           ])
     @ [
-      ("spans", C.Arr (List.rev (List.fold_left (flatten "") [] prof.T.p_spans)));
-      ( "counters",
-        C.Obj
-          (List.map (fun (k, v) -> (k, C.Num (float_of_int v))) prof.T.p_counters)
-      );
-      ( "dists",
-        C.Arr
-          (List.map
-             (fun (name, d) ->
-               C.Obj
-                 [
-                   ("name", C.Str name);
-                   ("count", C.Num (float_of_int d.T.d_count));
-                   ("mean", C.Num (T.mean d));
-                   ("p50", C.Num (T.percentile d 0.5));
-                   ("p95", C.Num (T.percentile d 0.95));
-                   ("min", C.Num (if d.T.d_count = 0 then 0.0 else d.T.d_min));
-                   ("max", C.Num (if d.T.d_count = 0 then 0.0 else d.T.d_max));
-                 ])
-             prof.T.p_dists) );
-    ])
+        ( "spans",
+          C.Arr
+            (List.map
+               (fun (p, (s : T.span)) ->
+                 C.Obj
+                   [
+                     ("path", C.Str p);
+                     ("calls", C.Num (float_of_int s.T.calls));
+                     ("total_s", C.Num s.T.total_s);
+                   ])
+               (T.flatten prof.T.p_spans)) );
+        ("counters", C.obj (fun v -> C.Num (float_of_int v)) prof.T.p_counters);
+        ( "dists",
+          C.Arr
+            (List.map
+               (fun (name, d) ->
+                 C.Obj (("name", C.Str name) :: T.summary_fields (T.summarize d)))
+               prof.T.p_dists) );
+      ])
 
 (* Span ordering for `stats`: applied recursively, so every level of the
    tree (and the --json flattening, which walks the same tree) comes out
@@ -1028,7 +957,7 @@ let stats_cmd =
           R.Cli R.Validation_error "--top must be >= 1 (got %d)" n
     | _ -> ());
     let path =
-      match file with Some p -> p | None -> profile_path_of run_name
+      match file with Some p -> p | None -> Cg.run_file run_name "profile.json"
     in
     let prof = R.get_exn (T.load ~path) in
     let prof =
@@ -1041,23 +970,10 @@ let stats_cmd =
       match file with
       | Some _ -> None
       | None ->
-          let epath = events_path_of run_name in
-          if Sys.file_exists epath then
-            match Jn.load ~path:epath with
-            | Ok (evs, skipped) -> Some (List.length evs, skipped)
-            | Result.Error e ->
-                Format.eprintf "cntpower: cannot read journal %s: %a@." epath
-                  R.pp e;
-                None
-          else None
+          Option.map
+            (fun (evs, skipped) -> (List.length evs, skipped))
+            (load_journal (Cg.run_file run_name "events.jsonl"))
     in
-    (match journal with
-    | Some (_, skipped) when skipped > 0 ->
-        Format.eprintf
-          "cntpower: journal for run %s has %d malformed line(s) (torn \
-           write?)@."
-          run_name skipped
-    | _ -> ());
     if json then print_string (C.json_to_string (stats_json ~path ?journal prof))
     else begin
       Format.fprintf std "profile: %s@." path;
@@ -1089,20 +1005,6 @@ let stats_cmd =
 (* ------------------------------------------------------------------ *)
 (* `trace`: Chrome trace_event export of profile + journal.            *)
 
-let load_events_lenient path =
-  if Sys.file_exists path then
-    match Jn.load ~path with
-    | Ok (evs, skipped) ->
-        if skipped > 0 then
-          Format.eprintf
-            "cntpower: skipped %d malformed line(s) in %s (torn write?)@."
-            skipped path;
-        (evs, skipped)
-    | Result.Error e ->
-        Format.eprintf "cntpower: cannot read journal %s: %a@." path R.pp e;
-        ([], 0)
-  else ([], 0)
-
 let trace_cmd =
   let run_pos =
     let doc =
@@ -1127,8 +1029,11 @@ let trace_cmd =
     Arg.(value & opt (some string) None & info [ "request" ] ~docv:"NAME" ~doc)
   in
   let run run_name out request =
-    let prof = R.get_exn (T.load ~path:(profile_path_of run_name)) in
-    let events, skipped = load_events_lenient (events_path_of run_name) in
+    let prof = R.get_exn (T.load ~path:(Cg.run_file run_name "profile.json")) in
+    let events, skipped =
+      Option.value ~default:([], 0)
+        (load_journal (Cg.run_file run_name "events.jsonl"))
+    in
     if events = [] then
       Format.eprintf
         "cntpower: no journal events for run %s; spans will be laid out \
@@ -1150,7 +1055,7 @@ let trace_cmd =
               let p, evs = Tr.slice ~worker ~events prof in
               (p, evs, Printf.sprintf ", sliced to worker %s" worker))
     in
-    let out = match out with Some p -> p | None -> trace_path_of run_name in
+    let out = match out with Some p -> p | None -> Cg.run_file run_name "trace.json" in
     R.get_exn (Tr.save ~path:out ~events prof);
     Format.fprintf std
       "trace: %s (%d journal events, %d torn/corrupt line(s) skipped%s; \
@@ -1237,12 +1142,12 @@ let compare_cmd =
   in
   let profile_of = function
     | `File p -> R.get_exn (T.load ~path:p)
-    | `Run r -> R.get_exn (T.load ~path:(profile_path_of r))
+    | `Run r -> R.get_exn (T.load ~path:(Cg.run_file r "profile.json"))
   in
   let manifest_of = function
     | `File _ -> None
     | `Run r ->
-        let path = manifest_path_of r in
+        let path = Cg.run_file r "manifest.json" in
         if not (Sys.file_exists path) then None
         else (
           match C.load ~path with
@@ -1339,9 +1244,6 @@ type serve_job = {
   sj_inject : string option;
 }
 
-let opt_field json name conv ~default =
-  match C.field json name with Result.Error _ -> Ok default | Ok v -> conv v
-
 let as_int name v =
   match C.as_num name v with
   | Result.Error _ as e -> e
@@ -1357,7 +1259,7 @@ let as_int name v =
    is refused before a worker is ever spawned. *)
 let serve_admit ~allow_inject json =
   let ( let* ) = Result.bind in
-  let* verb = Result.bind (C.field json "verb") (C.as_str "verb") in
+  let* verb = C.str_field json "verb" in
   let* () =
     if verb = "estimate" then Ok ()
     else
@@ -1365,10 +1267,8 @@ let serve_admit ~allow_inject json =
         "unknown verb %S (this daemon speaks \"estimate\", \"health\" and \
          \"metrics\")" verb
   in
-  let* blif = Result.bind (C.field json "blif") (C.as_str "blif") in
-  let* lib_name =
-    opt_field json "library" (C.as_str "library") ~default:"cntfet-generalized"
-  in
+  let* blif = C.str_field json "blif" in
+  let* lib_name = C.opt_field C.as_str json "library" ~default:"cntfet-generalized" in
   let* lib =
     match Cell.Genlib.find_library lib_name with
     | Some l -> Ok l
@@ -1378,17 +1278,14 @@ let serve_admit ~allow_inject json =
           R.Cli R.Validation_error "unknown library %S" lib_name
   in
   let* patterns =
-    opt_field json "patterns" (as_int "patterns")
-      ~default:Techmap.Estimate.default_patterns
+    C.opt_field as_int json "patterns" ~default:Techmap.Estimate.default_patterns
   in
   let* seed =
-    opt_field json "seed"
-      (fun v -> Result.map Int64.of_int (as_int "seed" v))
+    C.opt_field (fun n v -> Result.map Int64.of_int (as_int n v)) json "seed"
       ~default:42L
   in
   let* domains =
-    opt_field json "domains"
-      (fun v -> Result.map Option.some (as_int "domains" v))
+    C.opt_field (fun n v -> Result.map Option.some (as_int n v)) json "domains"
       ~default:None
   in
   let* () =
@@ -1400,17 +1297,15 @@ let serve_admit ~allow_inject json =
   let* nl = Nets.Blif.parse_string blif in
   let* (_ : Nets.Check.report) = Nets.Check.check nl in
   let* inject =
-    match C.field json "inject" with
-    | Result.Error _ -> Ok None
-    | Ok v ->
-        let* s = C.as_str "inject" v in
+    C.opt_field
+      (fun n v ->
+        let* s = C.as_str n v in
         if not allow_inject then
           R.error R.Cli R.Validation_error
             "fault injection is disabled (start the daemon with --allow-inject)"
         else if s = "crash" || s = "hang" then Ok (Some s)
-        else
-          R.error R.Cli R.Validation_error
-            "unknown inject %S (crash or hang)" s
+        else R.error R.Cli R.Validation_error "unknown inject %S (crash or hang)" s)
+      json "inject" ~default:None
   in
   Ok
     {
@@ -1530,11 +1425,7 @@ let serve_cmd =
         ~context:[ ("journal-max-bytes", string_of_int journal_max_bytes) ]
         R.Cli R.Validation_error "--journal-max-bytes must be >= 0 (got %d)"
         journal_max_bytes;
-    if journal_keep < 1 || journal_keep > 1000 then
-      R.failf
-        ~context:[ ("journal-keep", string_of_int journal_keep) ]
-        R.Cli R.Validation_error "--journal-keep must be in [1, 1000] (got %d)"
-        journal_keep;
+    validate_range "journal-keep" ~lo:1 ~hi:1000 journal_keep;
     apply_runtime_opts ~domains;
     (* Before the daemon binds: request admission resolves library names
        against the registry, and estimation workers fork from here. *)
@@ -1545,18 +1436,17 @@ let serve_cmd =
       | Some n -> n
       | None -> Printf.sprintf "serve-%d" (int_of_float (Unix.time ()))
     in
-    (* Telemetry and the journal are always on for the daemon: the
-       per-request profile merge and the typed lifecycle events are the
-       observable surface `stats`/`trace`/`compare` feed on. *)
-    T.set_enabled true;
-    T.reset ();
+    (* The journal is always on for the daemon, as is the telemetry
+       Sv.run turns on: the typed lifecycle events and the per-request
+       profile merge are the observable surface `stats`/`trace`/`compare`
+       feed on. *)
     Jn.set_enabled true;
     (match
        Jn.open_sink
          ?max_bytes:
            (if journal_max_bytes = 0 then None else Some journal_max_bytes)
          ~keep:journal_keep
-         ~path:(events_path_of run_name) ()
+         ~path:(Cg.run_file run_name "events.jsonl") ()
      with
     | Ok () -> ()
     | Result.Error e ->
@@ -1572,7 +1462,7 @@ let serve_cmd =
         drain_timeout_s = drain;
         breaker_threshold = breaker;
         breaker_window_s = window;
-        metrics_path = Some (metrics_path_of run_name);
+        metrics_path = Some (Cg.run_file run_name "metrics.json");
       }
     in
     Format.fprintf std
@@ -1589,8 +1479,8 @@ let serve_cmd =
     let result = Sv.run cfg handlers in
     let prof = T.snapshot () in
     T.set_enabled false;
-    (match T.save ~path:(profile_path_of run_name) prof with
-    | Ok () -> Format.fprintf std "profile: %s@." (profile_path_of run_name)
+    (match T.save ~path:(Cg.run_file run_name "profile.json") prof with
+    | Ok () -> Format.fprintf std "profile: %s@." (Cg.run_file run_name "profile.json")
     | Result.Error e ->
         Format.eprintf "cntpower: cannot write profile: %a@." R.pp e);
     Jn.close_sink ();
@@ -1798,7 +1688,7 @@ let metrics_source arg =
   in
   if is_socket arg || Filename.check_suffix arg ".sock" then `Socket arg
   else if Filename.check_suffix arg ".json" then `File arg
-  else `File (metrics_path_of arg)
+  else `File (Cg.run_file arg "metrics.json")
 
 let fetch_metrics ~timeout_s = function
   | `Socket sock ->

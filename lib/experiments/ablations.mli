@@ -12,13 +12,8 @@
 
 type mapping_stats = { gates : int; area : float; delay : float }
 
-val a2_objective : ?circuit:string -> unit -> (string * mapping_stats) list
 val a3_script : ?circuit:string -> unit -> (string * mapping_stats) list
-val a4_cut_size : ?circuit:string -> unit -> (int * mapping_stats) list
 val a5_no_xor_cells : ?circuit:string -> unit -> (string * mapping_stats) list
-
-val a6_wire_load : ?circuit:string -> unit -> (float * float * float) list
-(** [(wire_cap_aF, PT_generalized_uW, PT_cmos_uW)] per sweep point. *)
 
 val print : Format.formatter -> unit -> unit
 (** Run all four ablations on the default circuit (C6288, the multiplier,

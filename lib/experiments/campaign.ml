@@ -52,12 +52,12 @@ let default_config ~campaign =
     inject = no_inject;
   }
 
-let dir cfg = Filename.concat cfg.runs_dir cfg.campaign
-let queue_path cfg = Filename.concat (dir cfg) "queue.jsonl"
-let manifest_path cfg = Filename.concat (dir cfg) "manifest.json"
-let profile_path cfg = Filename.concat (dir cfg) "profile.json"
-let events_path cfg = Filename.concat (dir cfg) "events.jsonl"
-let metrics_path cfg = Filename.concat (dir cfg) "metrics.json"
+let run_file ?(runs_dir = "_runs") run name =
+  Filename.concat (Filename.concat runs_dir run) name
+
+let file cfg = run_file ~runs_dir:cfg.runs_dir cfg.campaign
+let queue_path cfg = file cfg "queue.jsonl"
+let manifest_path cfg = file cfg "manifest.json"
 
 (* ------------------------------------------------------------------ *)
 (* The Table 1 grid                                                    *)
@@ -164,18 +164,30 @@ let exit_status cfg s =
   if quarantined s = [] then 0 else if cfg.strict then 11 else 10
 
 (* ------------------------------------------------------------------ *)
-(* Fault injection (worker side)                                       *)
+(* Selection and fault injection                                       *)
 
-let inject_matches patterns id =
+(* A name picks a shard by its id or by the id's first '/' component (a
+   grid shard's circuit): the one rule of --only and the injections. *)
+let named names id =
   let head = List.hd (String.split_on_char '/' id) in
-  List.exists (fun p -> p = id || p = head) patterns
+  List.exists (fun n -> n = id || n = head) names
+
+let select ~only shards =
+  let unmatched n = not (List.exists (fun sh -> named [ n ] sh.id) shards) in
+  match List.find_opt unmatched only with
+  | Some n ->
+      E.error
+        ~context:[ ("only", n) ]
+        E.Cli E.Validation_error "--only %S selects no shard" n
+  | None when only = [] -> Ok shards
+  | None -> Ok (List.filter (fun sh -> named only sh.id) shards)
 
 let apply_injection inject id ~degraded =
   if
-    inject_matches inject.inj_crash id
-    || ((not degraded) && inject_matches inject.inj_flaky id)
+    named inject.inj_crash id
+    || ((not degraded) && named inject.inj_flaky id)
   then Unix.kill (Unix.getpid ()) Sys.sigkill
-  else if inject_matches inject.inj_hang id then
+  else if named inject.inj_hang id then
     while true do
       Unix.sleepf 3600.0
     done
@@ -263,6 +275,11 @@ type flight = {
   fl_started : float;
 }
 
+(* The manifest, profile and metrics are views of the queue log: a failed
+   write is reported and the run goes on. *)
+let write_failed what e =
+  Format.eprintf "campaign: %s write failed: %a@." what E.pp e
+
 let run cfg shards =
   let* () = validate cfg shards in
   let t0 = Unix.gettimeofday () in
@@ -309,13 +326,13 @@ let run cfg shards =
         if Jn.enabled () then
           Jn.emit ~level:Jn.Debug Jn.Checkpoint_written
             [ ("path", manifest_path cfg) ]
-    | Error e -> Format.eprintf "campaign: manifest write failed: %a@." E.pp e
+    | Error e -> write_failed "manifest" e
   in
   let save_profile () =
     if T.enabled () then
-      match T.save ~path:(profile_path cfg) (T.snapshot ()) with
+      match T.save ~path:(file cfg "profile.json") (T.snapshot ()) with
       | Ok () -> ()
-      | Error e -> Format.eprintf "campaign: profile write failed: %a@." E.pp e
+      | Error e -> write_failed "profile" e
   in
   save_manifest ();
   let total_shards = List.length shards in
@@ -336,32 +353,34 @@ let run cfg shards =
   let in_run id = Hashtbl.mem by_id id in
   let pending () = List.filter in_run (W.ready wq) in
   (* Live status for pollers ([cntpower top <run>]): an atomic snapshot
-     after every state change, cheap enough to write eagerly. *)
+     after every state change, cheap enough to write eagerly. The
+     coordinator's numbers are gauges: the per-state shard counts go down
+     as well as up (a failed shard leased again), and none of them is a
+     telemetry counter. *)
   let save_metrics () =
     let snap =
       M.make ~source:"campaign" ~started:t0
         ~gauges:
-          [
-            ("shards_total", float_of_int total_shards);
-            ("workers_busy", float_of_int (List.length !flights));
-            ("workers_max", float_of_int cfg.workers);
-            ("queue_depth", float_of_int (List.length (pending ())));
-          ]
-        ~counters:
-          [
-            ("campaign.completed", !completed);
-            ("campaign.done", W.count wq W.Done);
-            ("campaign.failed", W.count wq W.Failed);
-            ("campaign.quarantined", W.count wq W.Quarantined);
-            ("campaign.leases", !leases);
-            ("campaign.reclaimed", List.length stale);
-            ("campaign.resumed", resumed);
-          ]
+          (List.map
+             (fun (k, n) -> (k, float_of_int n))
+             [
+               ("shards_total", total_shards);
+               ("workers_busy", List.length !flights);
+               ("workers_max", cfg.workers);
+               ("queue_depth", List.length (pending ()));
+               ("campaign.completed", !completed);
+               ("campaign.done", W.count wq W.Done);
+               ("campaign.failed", W.count wq W.Failed);
+               ("campaign.quarantined", W.count wq W.Quarantined);
+               ("campaign.leases", !leases);
+               ("campaign.reclaimed", List.length stale);
+               ("campaign.resumed", resumed);
+             ])
         ()
     in
-    match M.save ~path:(metrics_path cfg) snap with
+    match M.save ~path:(file cfg "metrics.json") snap with
     | Ok () -> ()
-    | Error e -> Format.eprintf "campaign: metrics write failed: %a@." E.pp e
+    | Error e -> write_failed "metrics" e
   in
   save_metrics ();
   let backoff_delay attempt =

@@ -40,7 +40,10 @@
     single shard, every attempt of it. The coordinator also keeps
     [_runs/<run>/metrics.json] fresh — an atomic {!Runtime.Metrics}
     snapshot rewritten after every state change, the [cntpower top <run>]
-    data source. *)
+    data source. Its telemetry counters and distributions come from the
+    registry; the coordinator's own numbers (shards per queue state,
+    leases, completions, reclaimed and resumed shards) are gauges, since
+    a shard count falls when a failed shard is leased again. *)
 
 type shard = {
   id : string;  (** unique in the run; the manifest entry's name *)
@@ -61,9 +64,15 @@ val grid :
     ["<circuit>/<library>/<seed>"] per cell: generate, check, resyn2rs,
     map and estimate. *)
 
-(** Deterministic fault injection, for tests and the CI resilience jobs.
-    Shards match by full id or by its first ['/']-separated component (a
-    grid shard's circuit name). *)
+val select : only:string list -> shard list -> (shard list, Runtime.Cnt_error.t) result
+(** The shards [only] names, in shard order; every shard when [only] is
+    empty. A name picks a shard by its full id or by the id's first
+    ['/']-separated component (a grid shard's circuit name), the rule the
+    fault injections below use too. A name that picks no shard is a
+    [cli/validation-error] naming it. *)
+
+(** Deterministic fault injection, for tests and the CI resilience jobs;
+    each list names shards by the rule of {!select}. *)
 type inject = {
   inj_crash : string list;  (** SIGKILL the worker on every attempt *)
   inj_flaky : string list;
@@ -132,11 +141,12 @@ val exit_status : config -> summary -> int
 
 (** {2 Run directory layout} *)
 
-val dir : config -> string
+val run_file : ?runs_dir:string -> string -> string -> string
+(** [run_file run name] is [<runs_dir>/<run>/<name>], [runs_dir]
+    defaulting to ["_runs"]: the one place a run's files are named —
+    [queue.jsonl], [manifest.json], [events.jsonl], [profile.json],
+    [metrics.json] (the live {!Runtime.Metrics} snapshot) and the
+    [trace.json] export. *)
+
 val queue_path : config -> string
 val manifest_path : config -> string
-val profile_path : config -> string
-val events_path : config -> string
-
-val metrics_path : config -> string
-(** [_runs/<run>/metrics.json] — live {!Runtime.Metrics} snapshot. *)

@@ -193,78 +193,52 @@ let number_to_string f =
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%.17g" f
 
-let json_to_string v =
-  let b = Buffer.create 1024 in
-  let indent d = Buffer.add_string b (String.make (2 * d) ' ') in
+(* One printer for both renderings: pretty (two-space indentation, a
+   trailing newline) for the documents people read, compact (one line)
+   for journal events and the Chrome trace, where indentation would
+   triple the size. *)
+let render ~pretty v =
+  let b = Buffer.create 256 in
+  let newline d =
+    if pretty then begin
+      Buffer.add_char b '\n';
+      Buffer.add_string b (String.make (2 * d) ' ')
+    end
+  in
   let rec emit d = function
     | Null -> Buffer.add_string b "null"
     | Bool true -> Buffer.add_string b "true"
     | Bool false -> Buffer.add_string b "false"
     | Num f -> Buffer.add_string b (number_to_string f)
     | Str s -> escape_string b s
-    | Arr [] -> Buffer.add_string b "[]"
-    | Arr items ->
-        Buffer.add_string b "[\n";
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_string b ",\n";
-            indent (d + 1);
-            emit (d + 1) item)
-          items;
-        Buffer.add_char b '\n';
-        indent d;
-        Buffer.add_char b ']'
-    | Obj [] -> Buffer.add_string b "{}"
+    | Arr items -> seq d '[' ']' (emit (d + 1)) items
     | Obj fields ->
-        Buffer.add_string b "{\n";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string b ",\n";
-            indent (d + 1);
+        seq d '{' '}'
+          (fun (k, v) ->
             escape_string b k;
-            Buffer.add_string b ": ";
+            Buffer.add_string b (if pretty then ": " else ":");
             emit (d + 1) v)
-          fields;
-        Buffer.add_char b '\n';
-        indent d;
-        Buffer.add_char b '}'
+          fields
+  and seq : 'a. int -> char -> char -> ('a -> unit) -> 'a list -> unit =
+   fun d opening closing item items ->
+    Buffer.add_char b opening;
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ',';
+        newline (d + 1);
+        item x)
+      items;
+    if items <> [] then newline d;
+    Buffer.add_char b closing
   in
   emit 0 v;
-  Buffer.add_char b '\n';
+  if pretty then Buffer.add_char b '\n';
   Buffer.contents b
 
-(* Compact single-line rendering: one journal event per line in
-   events.jsonl, and the (large) Chrome trace file, where pretty-printing
-   would triple the size. *)
-let json_to_string_compact v =
-  let b = Buffer.create 256 in
-  let rec emit = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num f -> Buffer.add_string b (number_to_string f)
-    | Str s -> escape_string b s
-    | Arr items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char b ',';
-            emit item)
-          items;
-        Buffer.add_char b ']'
-    | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char b ',';
-            escape_string b k;
-            Buffer.add_char b ':';
-            emit v)
-          fields;
-        Buffer.add_char b '}'
-  in
-  emit v;
-  Buffer.contents b
+let json_to_string v = render ~pretty:true v
+let json_to_string_compact v = render ~pretty:false v
+
+let obj encode pairs = Obj (List.map (fun (k, v) -> (k, encode v)) pairs)
 
 (* Decoding helpers: every shape violation is a typed parse error naming
    the offending field. *)
@@ -298,6 +272,27 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
+(* Typed field readers: every artifact decoder reads its fields through
+   these, so a shape violation reads the same whichever file it is in. *)
+
+let num_field j name = Result.bind (field j name) (as_num name)
+let str_field j name = Result.bind (field j name) (as_str name)
+let arr_field decode j name =
+  Result.bind (Result.bind (field j name) (as_arr name)) (map_result decode)
+
+let opt_field decode j name ~default =
+  match field j name with Ok v -> decode name v | Error _ -> Ok default
+
+let obj_field ?default decode j name =
+  match (field j name, default) with
+  | Ok (Obj members), _ ->
+      map_result
+        (fun (k, v) -> Result.map (fun x -> (k, x)) (decode k v))
+        members
+  | Ok _, _ -> E.error E.Cli E.Parse_error "field %S must be an object" name
+  | Error _, Some d -> Ok d
+  | (Error _ as e), None -> e
+
 (* ------------------------------------------------------------------ *)
 (* Manifest                                                            *)
 
@@ -305,10 +300,10 @@ type status = Passed | Degraded
 
 let status_name = function Passed -> "passed" | Degraded -> "degraded"
 
-let status_of_name = function
-  | "passed" -> Ok Passed
-  | "degraded" -> Ok Degraded
-  | other -> E.error E.Cli E.Parse_error "unknown entry status %S" other
+let status_of_name s =
+  match List.find_opt (fun st -> status_name st = s) [ Passed; Degraded ] with
+  | Some st -> Ok st
+  | None -> E.error E.Cli E.Parse_error "unknown entry status %S" s
 
 type entry = {
   experiment : string;
@@ -354,34 +349,23 @@ let entry_to_json e =
       ("attempts", Num (float_of_int e.attempts));
       ("status", Str (status_name e.status));
       ("digest", Str e.digest);
-      ("scalars", Obj (List.map (fun (k, v) -> (k, Num v)) e.scalars));
+      ("scalars", obj (fun v -> Num v) e.scalars);
     ]
 
 let entry_of_json j =
-  let* experiment = Result.bind (field j "experiment") (as_str "experiment") in
-  let* seed_str = Result.bind (field j "seed") (as_str "seed") in
+  let* experiment = str_field j "experiment" in
+  let* seed_str = str_field j "seed" in
   let* seed =
     match Int64.of_string_opt seed_str with
     | Some s -> Ok s
     | None -> E.error E.Cli E.Parse_error "field \"seed\" is not an int64"
   in
-  let* patterns = Result.bind (field j "patterns") (as_num "patterns") in
-  let* wall_time = Result.bind (field j "wall_time") (as_num "wall_time") in
-  let* attempts = Result.bind (field j "attempts") (as_num "attempts") in
-  let* status_str = Result.bind (field j "status") (as_str "status") in
-  let* status = status_of_name status_str in
-  let* digest = Result.bind (field j "digest") (as_str "digest") in
-  let* scalars =
-    match field j "scalars" with
-    | Ok (Obj fields) ->
-        map_result
-          (fun (k, v) ->
-            let* f = as_num k v in
-            Ok (k, f))
-          fields
-    | Ok _ -> E.error E.Cli E.Parse_error "field \"scalars\" must be an object"
-    | Error _ -> Ok []
-  in
+  let* patterns = num_field j "patterns" in
+  let* wall_time = num_field j "wall_time" in
+  let* attempts = num_field j "attempts" in
+  let* status = Result.bind (str_field j "status") status_of_name in
+  let* digest = str_field j "digest" in
+  let* scalars = obj_field ~default:[] as_num j "scalars" in
   Ok
     {
       experiment;
@@ -403,10 +387,9 @@ let manifest_to_json m =
     ]
 
 let manifest_of_json j =
-  let* run_name = Result.bind (field j "run") (as_str "run") in
-  let* created = Result.bind (field j "created") (as_num "created") in
-  let* entries_json = Result.bind (field j "entries") (as_arr "entries") in
-  let* entries = map_result entry_of_json entries_json in
+  let* run_name = str_field j "run" in
+  let* created = num_field j "created" in
+  let* entries = arr_field entry_of_json j "entries" in
   Ok { run_name; created; entries }
 
 (* ------------------------------------------------------------------ *)
@@ -419,33 +402,24 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755
     with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
 
-let io_error path msg =
-  E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s" msg
+(* Run a file operation; its failure is a typed io-error naming [path]. *)
+let io path f =
+  let fail msg = E.error ~context:[ ("path", path) ] E.Cli E.Io_error "%s" msg in
+  match f () with
+  | v -> Ok v
+  | exception Sys_error msg -> fail msg
+  | exception Unix.Unix_error (err, _, _) -> fail (Unix.error_message err)
 
 let write_atomic ~path text =
-  match
-    mkdir_p (Filename.dirname path);
-    let tmp = path ^ ".tmp" in
-    let oc = open_out tmp in
-    output_string oc text;
-    close_out oc;
-    Sys.rename tmp path
-  with
-  | () -> Ok ()
-  | exception Sys_error msg -> io_error path msg
-  | exception Unix.Unix_error (err, _, _) ->
-      io_error path (Unix.error_message err)
+  io path (fun () ->
+      mkdir_p (Filename.dirname path);
+      let tmp = path ^ ".tmp" in
+      let oc = open_out tmp in
+      output_string oc text;
+      close_out oc;
+      Sys.rename tmp path)
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    text
-  with
-  | text -> Ok text
-  | exception Sys_error msg -> io_error path msg
+let read_file path = io path (fun () -> In_channel.with_open_bin path In_channel.input_all)
 
 (* JSONL logs ([events.jsonl], [queue.jsonl]): whole lines, each flushed,
    so a crash tears at most the line being written and readers skip torn
@@ -460,21 +434,16 @@ let ends_torn path =
              In_channel.input_char ic <> Some '\n'))
 
 let open_jsonl ~path =
-  match
-    mkdir_p (Filename.dirname path);
-    (* A line appended straight after a torn final line would merge into
-       it and be lost to the next reader: end the torn line first. *)
-    let torn = ends_torn path in
-    let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-    if torn then (
-      output_char oc '\n';
-      flush oc);
-    oc
-  with
-  | oc -> Ok oc
-  | exception Sys_error msg -> io_error path msg
-  | exception Unix.Unix_error (err, _, _) ->
-      io_error path (Unix.error_message err)
+  io path (fun () ->
+      mkdir_p (Filename.dirname path);
+      (* A line appended straight after a torn final line would merge into
+         it and be lost to the next reader: end the torn line first. *)
+      let torn = ends_torn path in
+      let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+      if torn then (
+        output_char oc '\n';
+        flush oc);
+      oc)
 
 let append_jsonl oc j =
   let line = json_to_string_compact j ^ "\n" in
@@ -499,17 +468,14 @@ let read_jsonl decode path =
   in
   Ok (List.rev items, skipped)
 
-let with_path_context path = function
-  | Ok _ as ok -> ok
-  | Result.Error e -> Result.Error (E.with_context e [ ("path", path) ])
+let load_json decode ~path =
+  let* text = read_file path in
+  Result.map_error
+    (fun e -> E.with_context e [ ("path", path) ])
+    (Result.bind (json_of_string text) decode)
 
 let save ~path m = write_atomic ~path (json_to_string (manifest_to_json m))
-
-let load ~path =
-  let* text = read_file path in
-  with_path_context path
-    (let* j = json_of_string text in
-     manifest_of_json j)
+let load ~path = load_json manifest_of_json ~path
 
 (* ------------------------------------------------------------------ *)
 (* Golden results                                                      *)
@@ -568,27 +534,19 @@ let golden_to_json metrics =
              metrics) );
     ]
 
-let golden_of_json j =
-  let* metrics_json = Result.bind (field j "metrics") (as_arr "metrics") in
-  map_result
-    (fun mj ->
-      let* g_experiment =
-        Result.bind (field mj "experiment") (as_str "experiment")
-      in
-      let* g_metric = Result.bind (field mj "metric") (as_str "metric") in
-      let* g_value = Result.bind (field mj "value") (as_num "value") in
-      let* g_rtol = Result.bind (field mj "rtol") (as_num "rtol") in
-      Ok { g_experiment; g_metric; g_value; g_rtol })
-    metrics_json
+let golden_metric_of_json j =
+  let* g_experiment = str_field j "experiment" in
+  let* g_metric = str_field j "metric" in
+  let* g_value = num_field j "value" in
+  let* g_rtol = num_field j "rtol" in
+  Ok { g_experiment; g_metric; g_value; g_rtol }
+
+let golden_of_json j = arr_field golden_metric_of_json j "metrics"
 
 let save_golden ~path metrics =
   write_atomic ~path (json_to_string (golden_to_json metrics))
 
-let load_golden ~path =
-  let* text = read_file path in
-  with_path_context path
-    (let* j = json_of_string text in
-     golden_of_json j)
+let load_golden ~path = load_json golden_of_json ~path
 
 let check_golden m metrics =
   List.filter_map

@@ -12,7 +12,12 @@
 
     The JSON reader/writer is self-contained (no external dependency) and
     accepts standard JSON; malformed input surfaces as a typed
-    [Parse_error] with position context, never an exception. *)
+    [Parse_error] with position context, never an exception. It is the
+    one JSON dialect of the runtime: every artifact decoder — manifest
+    entry, golden file, profile, metrics snapshot, journal event, queue
+    record, daemon error payload and [serve] admission — reads its
+    fields through the typed readers below, so a shape violation reads
+    the same in every file. *)
 
 (** Minimal JSON document model. *)
 type json =
@@ -31,12 +36,16 @@ val json_to_string_compact : json -> string
 (** Single-line rendering without a trailing newline; used for JSONL
     event lines ({!Journal}) and the Chrome trace ({!Trace_export}). *)
 
+val obj : ('a -> json) -> (string * 'a) list -> json
+(** An object from an association list, each value encoded: the inverse
+    of {!obj_field}. *)
+
 (** {2 Decoding and I/O helpers}
 
-    Shared with {!Telemetry}, {!Journal}, {!Metrics} and {!Workqueue}
-    so every on-disk artifact ([manifest.json], [golden.json],
-    [profile.json], [events.jsonl], [queue.jsonl]) uses one JSON dialect
-    and one typed error path. *)
+    Shared with {!Telemetry}, {!Journal}, {!Metrics}, {!Workqueue} and
+    {!Server} so every artifact ([manifest.json], [golden.json],
+    [profile.json], [metrics.json], [events.jsonl], [queue.jsonl], the
+    daemon's frames) uses one JSON dialect and one typed error path. *)
 
 val field : json -> string -> (json, Cnt_error.t) result
 (** Required object field; a missing field or a non-object is a typed
@@ -44,20 +53,53 @@ val field : json -> string -> (json, Cnt_error.t) result
 
 val as_num : string -> json -> (float, Cnt_error.t) result
 val as_str : string -> json -> (string, Cnt_error.t) result
-val as_arr : string -> json -> (json list, Cnt_error.t) result
+(** [as_num name v]: [v] as a number, else a [Parse_error] naming
+    [name]; likewise a string. *)
 
-val map_result :
-  ('a -> ('b, Cnt_error.t) result) -> 'a list -> ('b list, Cnt_error.t) result
-(** [List.map] that stops at the first error. *)
+(** {3 Typed field readers}
 
-val mkdir_p : string -> unit
-(** Create a directory and its missing parents; existing ones are fine. *)
+    Every artifact decoder reads its fields through these; each failure
+    is a [Parse_error] that names the field. *)
+
+val num_field : json -> string -> (float, Cnt_error.t) result
+(** Required number field. *)
+
+val str_field : json -> string -> (string, Cnt_error.t) result
+
+val arr_field :
+  (json -> ('a, Cnt_error.t) result) ->
+  json ->
+  string ->
+  ('a list, Cnt_error.t) result
+(** An array field decoded element by element, in order. *)
+
+val opt_field :
+  (string -> json -> ('a, Cnt_error.t) result) ->
+  json ->
+  string ->
+  default:'a ->
+  ('a, Cnt_error.t) result
+(** [opt_field as_num j name ~default]: an absent field reads as
+    [default]; a present one must decode. *)
+
+val obj_field :
+  ?default:(string * 'a) list ->
+  (string -> json -> ('a, Cnt_error.t) result) ->
+  json ->
+  string ->
+  ((string * 'a) list, Cnt_error.t) result
+(** An object field decoded member by member ([decode key value]), in
+    member order. A missing field is an error unless [default] is given;
+    a field that is not an object always is. *)
 
 val write_atomic : path:string -> string -> (unit, Cnt_error.t) result
 (** Write text to a temp file next to [path] and rename it into place,
     creating parent directories as needed. *)
 
-val read_file : string -> (string, Cnt_error.t) result
+val load_json :
+  (json -> ('a, Cnt_error.t) result) -> path:string -> ('a, Cnt_error.t) result
+(** Read, parse and decode one JSON file; a parse or decode error
+    carries the [path]. *)
 
 (** {2 JSONL logs}
 
@@ -84,8 +126,6 @@ val read_jsonl :
     error. *)
 
 type status = Passed | Degraded  (** [Degraded]: from a degraded retry *)
-
-val status_name : status -> string
 
 type entry = {
   experiment : string;

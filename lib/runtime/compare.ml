@@ -53,15 +53,10 @@ let delta_rel i =
 (* ------------------------------------------------------------------ *)
 (* Matching                                                            *)
 
-(* Flatten a span tree into (path, total_s) rows; calls are not compared
-   (attempt counts legitimately differ between runs). *)
-let flatten_spans spans =
-  let rec go prefix acc (s : T.span) =
-    let path = prefix ^ s.T.span_name in
-    let acc = (path, s.T.total_s) :: acc in
-    List.fold_left (go (path ^ "/")) acc s.T.children
-  in
-  List.fold_left (go "") [] spans
+(* Spans compare by path on total time; calls are not compared (attempt
+   counts legitimately differ between runs). *)
+let span_totals spans =
+  List.map (fun (path, (s : T.span)) -> (path, s.T.total_s)) (T.flatten spans)
 
 (* Union of two assoc lists by key, preserving a deterministic order. *)
 let union_keys base cur =
@@ -83,44 +78,41 @@ let pair ~kind ~verdict base cur =
       })
     keys
 
-let span_verdict tol b c =
+(* A metric on one side only is missing or added, whatever its kind;
+   [judge] decides the pairs. *)
+let verdict judge b c =
   match (b, c) with
   | None, None -> Within
   | Some _, None -> Missing
   | None, Some _ -> Added
-  | Some b, Some c ->
+  | Some b, Some c -> judge b c
+
+let span_verdict tol =
+  verdict (fun b c ->
       if b < tol.min_wall_s && c < tol.min_wall_s then Within
       else if c > b *. (1.0 +. tol.wall_rtol) then Regressed
       else if c < b *. (1.0 -. tol.wall_rtol) then Improved
-      else Within
+      else Within)
 
 (* Distributions in the profile are throughput-like (patterns/s, parallel
    speedup): higher is better, so only a drop beyond tolerance fails. *)
-let dist_verdict rtol b c =
-  match (b, c) with
-  | None, None -> Within
-  | Some _, None -> Missing
-  | None, Some _ -> Added
-  | Some b, Some c ->
+let dist_verdict rtol =
+  verdict (fun b c ->
       if c < b *. (1.0 -. rtol) then Regressed
       else if c > b *. (1.0 +. rtol) then Improved
-      else Within
+      else Within)
 
-let drift_verdict rtol b c =
-  match (b, c) with
-  | None, None -> Within
-  | Some _, None -> Missing
-  | None, Some _ -> Added
-  | Some b, Some c ->
+let drift_verdict rtol =
+  verdict (fun b c ->
       let scale = Float.max (Float.abs b) 1e-300 in
-      if Float.abs (c -. b) > rtol *. scale then Regressed else Within
+      if Float.abs (c -. b) > rtol *. scale then Regressed else Within)
 
 let compare_profiles ?(tol = default) ~base cur =
   let spans =
     pair ~kind:Span
       ~verdict:(span_verdict tol)
-      (flatten_spans base.T.p_spans)
-      (flatten_spans cur.T.p_spans)
+      (span_totals base.T.p_spans)
+      (span_totals cur.T.p_spans)
   in
   let counters =
     pair ~kind:Counter
@@ -131,8 +123,8 @@ let compare_profiles ?(tol = default) ~base cur =
   let dists =
     pair ~kind:Dist
       ~verdict:(dist_verdict tol.dist_rtol)
-      (List.map (fun (k, d) -> (k, T.mean d)) base.T.p_dists)
-      (List.map (fun (k, d) -> (k, T.mean d)) cur.T.p_dists)
+      (List.map (fun (k, d) -> (k, (T.summarize d).T.mean)) base.T.p_dists)
+      (List.map (fun (k, d) -> (k, (T.summarize d).T.mean)) cur.T.p_dists)
   in
   spans @ counters @ dists
 

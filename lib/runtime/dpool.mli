@@ -22,8 +22,6 @@
 val max_domains : int
 (** Upper bound on worker domains per pool run (64). *)
 
-val recommended : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
 
 val set_default : int option -> unit
 (** Override the process-wide default domain count used when {!run} gets
@@ -44,7 +42,7 @@ val default_domains : unit -> int
 (** The effective default: the {!set_default} override if any, else the
     [CNTPOWER_DOMAINS] environment variable (when it parses as an int in
     [1, max_domains] — garbage earns one stderr warning and is ignored,
-    see {!env_domains_checked}), else {!recommended}. *)
+    see {!env_domains_checked}), else [Domain.recommended_domain_count ()]. *)
 
 type stats = {
   domains_used : int;  (** workers that actually ran (1 = sequential) *)

@@ -32,8 +32,6 @@ val graceful : outcome -> bool
 val contained : outcome -> bool
 (** True unless the verdict is [Escaped _]. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 val summarize : Format.formatter -> outcome list -> int
 (** Print one line per outcome and return the number of [Escaped] cases. *)
 

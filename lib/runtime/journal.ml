@@ -41,11 +41,8 @@ type event = {
 
 let level_name = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
 
-let level_of_name = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | _ -> None
+let level_of_name s =
+  List.find_opt (fun l -> level_name l = s) [ Debug; Info; Warn ]
 
 let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
 
@@ -76,32 +73,20 @@ let kind_name = function
   | Lease_reclaimed -> "lease_reclaimed"
   | Custom s -> s
 
-let kind_of_name = function
-  | "run_started" -> Run_started
-  | "run_finished" -> Run_finished
-  | "worker_spawned" -> Worker_spawned
-  | "worker_exited" -> Worker_exited
-  | "worker_timeout" -> Worker_timeout
-  | "worker_killed" -> Worker_killed
-  | "checkpoint_written" -> Checkpoint_written
-  | "solver_damped_retry" -> Solver_damped_retry
-  | "golden_drift" -> Golden_drift
-  | "server_started" -> Server_started
-  | "server_draining" -> Server_draining
-  | "server_stopped" -> Server_stopped
-  | "request_admitted" -> Request_admitted
-  | "request_rejected" -> Request_rejected
-  | "request_done" -> Request_done
-  | "overload_shed" -> Overload_shed
-  | "worker_respawned" -> Worker_respawned
-  | "breaker_tripped" -> Breaker_tripped
-  | "shard_enqueued" -> Shard_enqueued
-  | "shard_leased" -> Shard_leased
-  | "shard_done" -> Shard_done
-  | "shard_failed" -> Shard_failed
-  | "shard_quarantined" -> Shard_quarantined
-  | "lease_reclaimed" -> Lease_reclaimed
-  | other -> Custom other
+let all_kinds =
+  [
+    Run_started; Run_finished; Worker_spawned; Worker_exited; Worker_timeout;
+    Worker_killed; Checkpoint_written; Solver_damped_retry; Golden_drift;
+    Server_started; Server_draining; Server_stopped; Request_admitted;
+    Request_rejected; Request_done; Overload_shed; Worker_respawned;
+    Breaker_tripped; Shard_enqueued; Shard_leased; Shard_done; Shard_failed;
+    Shard_quarantined; Lease_reclaimed;
+  ]
+
+let kind_of_name s =
+  match List.find_opt (fun k -> kind_name k = s) all_kinds with
+  | Some k -> k
+  | None -> Custom s
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -123,7 +108,6 @@ let sink_bytes = ref 0
 let enabled () = !on
 let set_enabled b = on := b
 let set_verbosity v = echo_threshold := v
-let verbosity () = !echo_threshold
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -136,33 +120,23 @@ let event_to_json ev =
       ("pid", J.Num (float_of_int ev.ev_pid));
       ("level", J.Str (level_name ev.ev_level));
       ("event", J.Str (kind_name ev.ev_kind));
-      ("fields", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) ev.ev_fields));
+      ("fields", J.obj (fun v -> J.Str v) ev.ev_fields);
     ]
 
 let ( let* ) = Result.bind
 
 let event_of_json j =
-  let* seq = Result.bind (J.field j "seq") (J.as_num "seq") in
-  let* ev_time = Result.bind (J.field j "t") (J.as_num "t") in
-  let* pid = Result.bind (J.field j "pid") (J.as_num "pid") in
-  let* level_str = Result.bind (J.field j "level") (J.as_str "level") in
+  let* seq = J.num_field j "seq" in
+  let* ev_time = J.num_field j "t" in
+  let* pid = J.num_field j "pid" in
+  let* level_str = J.str_field j "level" in
   let* ev_level =
     match level_of_name level_str with
     | Some l -> Ok l
     | None -> E.error E.Cli E.Parse_error "unknown event level %S" level_str
   in
-  let* kind_str = Result.bind (J.field j "event") (J.as_str "event") in
-  let* ev_fields =
-    match J.field j "fields" with
-    | Ok (J.Obj fields) ->
-        J.map_result
-          (fun (k, v) ->
-            let* s = J.as_str k v in
-            Ok (k, s))
-          fields
-    | Ok _ -> E.error E.Cli E.Parse_error "field \"fields\" must be an object"
-    | Error e -> Error e
-  in
+  let* kind_str = J.str_field j "event" in
+  let* ev_fields = J.obj_field J.as_str j "fields" in
   Ok
     {
       ev_seq = int_of_float seq;

@@ -86,8 +86,6 @@ val set_verbosity : level option -> unit
     and warnings (default), [Some Debug] echoes everything. The on-disk
     journal always records every event regardless of verbosity. *)
 
-val verbosity : unit -> level option
-
 val open_sink :
   ?max_bytes:int -> ?keep:int -> path:string -> unit -> (unit, Cnt_error.t) result
 (** Open the JSONL sink with {!Checkpoint.open_jsonl} (append, create,
@@ -124,9 +122,6 @@ val append_events : event list -> unit
     sink verbatim — no re-stamping, no echo (the worker already echoed to
     the shared stderr as it ran). *)
 
-val event_to_json : event -> Checkpoint.json
-val event_of_json : Checkpoint.json -> (event, Cnt_error.t) result
-
 val load : path:string -> (event list * int, Cnt_error.t) result
 (** Parse a journal: rotated segments ([path.N] oldest first, then
     [path.1]) followed by the live file, as one logical event stream in
@@ -137,7 +132,3 @@ val load : path:string -> (event list * int, Cnt_error.t) result
 
 val find : event -> string -> string option
 (** Field lookup. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** One-line human rendering, e.g.
-    ["worker_spawned worker=table1 worker_pid=4243"]. *)

@@ -1,15 +1,5 @@
-module E = Cnt_error
 module J = Checkpoint
 module T = Telemetry
-
-type dist_summary = {
-  m_count : int;
-  m_sum : float;
-  m_min : float;
-  m_max : float;
-  m_p50 : float;
-  m_p95 : float;
-}
 
 type t = {
   m_source : string;
@@ -17,56 +7,28 @@ type t = {
   m_uptime_s : float;
   m_gauges : (string * float) list;
   m_counters : (string * int) list;
-  m_dists : (string * dist_summary) list;
+  m_dists : (string * T.summary) list;
 }
 
-let summarize (d : T.dist) =
-  {
-    m_count = d.T.d_count;
-    m_sum = d.T.d_sum;
-    m_min = (if d.T.d_count = 0 then 0.0 else d.T.d_min);
-    m_max = (if d.T.d_count = 0 then 0.0 else d.T.d_max);
-    m_p50 = T.percentile d 0.5;
-    m_p95 = T.percentile d 0.95;
-  }
-
-let by_name (a, _) (b, _) = compare (a : string) b
-
-let make ~source ~started ?(gauges = []) ?(counters = []) () =
-  let prof =
-    if T.enabled () then T.snapshot ()
-    else { T.p_spans = []; p_counters = []; p_dists = [] }
-  in
-  (* Caller counters win over telemetry counters with the same name: the
-     caller's lifecycle totals (served/shed/...) are authoritative, and
-     telemetry may track the same names. *)
-  let merged =
-    List.fold_left
-      (fun acc (name, n) -> (name, n) :: List.remove_assoc name acc)
-      prof.T.p_counters counters
-  in
+let make ~source ~started ?(gauges = []) () =
+  let on = T.enabled () in
   let now = Unix.gettimeofday () in
   {
     m_source = source;
     m_time = now;
     m_uptime_s = max 0.0 (now -. started);
-    m_gauges = List.sort by_name gauges;
-    m_counters = List.sort by_name merged;
+    m_gauges = List.sort (fun (a, _) (b, _) -> String.compare a b) gauges;
+    m_counters = (if on then T.counters () else []);
     m_dists =
-      List.sort by_name
-        (List.map (fun (name, d) -> (name, summarize d)) prof.T.p_dists);
+      (if on then List.map (fun (k, d) -> (k, T.summarize d)) (T.dists ())
+       else []);
   }
-
-let drop_suffix s suffix =
-  let n = String.length s and m = String.length suffix in
-  if n > m && String.sub s (n - m) m = suffix then Some (String.sub s 0 (n - m))
-  else None
 
 let hit_ratios m =
   List.filter_map
     (fun (name, hits) ->
-      match drop_suffix name ".hits" with
-      | None -> None
+      match Filename.chop_suffix_opt ~suffix:".hits" name with
+      | None | Some "" -> None
       | Some base -> (
           match List.assoc_opt (base ^ ".misses") m.m_counters with
           | Some misses when hits + misses > 0 ->
@@ -81,17 +43,6 @@ let hit_ratios m =
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
 
-let dist_to_json d =
-  J.Obj
-    [
-      ("count", J.Num (float_of_int d.m_count));
-      ("sum", J.Num d.m_sum);
-      ("min", J.Num d.m_min);
-      ("max", J.Num d.m_max);
-      ("p50", J.Num d.m_p50);
-      ("p95", J.Num d.m_p95);
-    ]
-
 let to_json m =
   J.Obj
     [
@@ -99,73 +50,39 @@ let to_json m =
       ("source", J.Str m.m_source);
       ("time", J.Num m.m_time);
       ("uptime_s", J.Num m.m_uptime_s);
-      ("gauges", J.Obj (List.map (fun (k, v) -> (k, J.Num v)) m.m_gauges));
-      ( "counters",
-        J.Obj
-          (List.map (fun (k, v) -> (k, J.Num (float_of_int v))) m.m_counters)
-      );
-      ("dists", J.Obj (List.map (fun (k, d) -> (k, dist_to_json d)) m.m_dists));
+      ("gauges", J.obj (fun v -> J.Num v) m.m_gauges);
+      ("counters", J.obj (fun v -> J.Num (float_of_int v)) m.m_counters);
+      ("dists", J.obj (fun d -> J.Obj (T.summary_fields d)) m.m_dists);
     ]
 
 let ( let* ) = Result.bind
 
-let num_field j name =
-  let* v = J.field j name in
-  J.as_num name v
-
-let dist_of_json name j =
-  let* m_count = num_field j "count" in
-  let* m_sum = num_field j "sum" in
-  let* m_min = num_field j "min" in
-  let* m_max = num_field j "max" in
-  let* m_p50 = num_field j "p50" in
-  let* m_p95 = num_field j "p95" in
-  Ok (name, { m_count = int_of_float m_count; m_sum; m_min; m_max; m_p50; m_p95 })
-
-let assoc_field j name =
-  match J.field j name with
-  | Ok (J.Obj fields) -> Ok fields
-  | Ok _ -> E.error E.Cli E.Parse_error "field %S must be an object" name
-  | Error e -> Error e
+(* The mean is derived, so a snapshot written without one still loads. *)
+let summary_of_json _ j =
+  let* count = J.num_field j "count" in
+  let* sum = J.num_field j "sum" in
+  let* min = J.num_field j "min" in
+  let* max = J.num_field j "max" in
+  let* p50 = J.num_field j "p50" in
+  let* p95 = J.num_field j "p95" in
+  let count = int_of_float count in
+  let mean = if count = 0 then 0.0 else sum /. float_of_int count in
+  Ok { T.count; sum; mean; min; max; p50; p95 }
 
 let of_json j =
-  let* source = Result.bind (J.field j "source") (J.as_str "source") in
-  let* time = num_field j "time" in
-  let* uptime = num_field j "uptime_s" in
-  let* gauge_fields = assoc_field j "gauges" in
-  let* m_gauges =
-    J.map_result
-      (fun (k, v) ->
-        let* n = J.as_num k v in
-        Ok (k, n))
-      gauge_fields
-  in
-  let* counter_fields = assoc_field j "counters" in
+  let* m_source = J.str_field j "source" in
+  let* m_time = J.num_field j "time" in
+  let* m_uptime_s = J.num_field j "uptime_s" in
+  let* m_gauges = J.obj_field J.as_num j "gauges" in
   let* m_counters =
-    J.map_result
-      (fun (k, v) ->
-        let* n = J.as_num k v in
-        Ok (k, int_of_float n))
-      counter_fields
+    J.obj_field (fun k v -> Result.map int_of_float (J.as_num k v)) j "counters"
   in
-  let* dist_fields = assoc_field j "dists" in
-  let* m_dists = J.map_result (fun (k, v) -> dist_of_json k v) dist_fields in
-  Ok
-    {
-      m_source = source;
-      m_time = time;
-      m_uptime_s = uptime;
-      m_gauges;
-      m_counters;
-      m_dists;
-    }
+  let* m_dists = J.obj_field summary_of_json j "dists" in
+  Ok { m_source; m_time; m_uptime_s; m_gauges; m_counters; m_dists }
 
 let save ~path m = J.write_atomic ~path (J.json_to_string (to_json m))
 
-let load ~path =
-  let* text = J.read_file path in
-  let* j = J.json_of_string text in
-  of_json j
+let load ~path = J.load_json of_json ~path
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -199,11 +116,7 @@ let pp ppf m =
   if m.m_dists <> [] then begin
     Format.fprintf ppf "distributions:@.";
     List.iter
-      (fun (k, d) ->
-        Format.fprintf ppf
-          "  %-32s n=%d mean=%.4g p50=%.4g p95=%.4g max=%.4g@." k d.m_count
-          (if d.m_count = 0 then 0.0 else d.m_sum /. float_of_int d.m_count)
-          d.m_p50 d.m_p95 d.m_max)
+      (fun (k, d) -> Format.fprintf ppf "  %-32s %a@." k T.pp_summary d)
       m.m_dists
   end
 
@@ -239,9 +152,9 @@ let to_prometheus m =
     (fun (k, d) ->
       let name = "cntpower_" ^ sanitize k in
       line "# TYPE %s summary" name;
-      line "%s{quantile=\"0.5\"} %g" name d.m_p50;
-      line "%s{quantile=\"0.95\"} %g" name d.m_p95;
-      line "%s_sum %g" name d.m_sum;
-      line "%s_count %d" name d.m_count)
+      line "%s{quantile=\"0.5\"} %g" name d.T.p50;
+      line "%s{quantile=\"0.95\"} %g" name d.T.p95;
+      line "%s_sum %g" name d.T.sum;
+      line "%s_count %d" name d.T.count)
     m.m_dists;
   Buffer.contents buf

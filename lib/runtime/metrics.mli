@@ -2,11 +2,14 @@
     coordinator.
 
     {!Telemetry} aggregates a run's performance profile for post-hoc
-    analysis; this module turns the same registries — plus caller-supplied
-    instantaneous gauges (queue depth, in-flight workers) and lifecycle
-    counters (served / shed / quarantined totals) — into a small,
-    serializable point-in-time snapshot that can be polled while the
-    system is under load. Three surfaces consume it:
+    analysis; this module renders the live part of the same registry —
+    its counters and distribution summaries — next to the caller's
+    gauges as a small, serializable point-in-time snapshot that can be
+    polled while the system is under load. Counters come only from the
+    registry: a caller that wants a total in the snapshot counts it with
+    {!Telemetry.count}. Gauges are reads of the caller's own state (queue
+    depth, in-flight workers, shards per queue state), computed when the
+    snapshot is taken. Three surfaces consume it:
 
     - the [metrics] verb on the {!Server} daemon socket answers with a
       snapshot inline (never queued behind work, still served while
@@ -16,18 +19,9 @@
     - [cntpower top] / [cntpower metrics] render either source as a
       one-screen status, JSON, or Prometheus text exposition.
 
-    Building a snapshot is lock-free: {!make} reads the calling domain's
-    telemetry registry ({!Telemetry.snapshot}) and the caller's own
-    mutable counters — no locks, no cross-domain coordination. *)
-
-type dist_summary = {
-  m_count : int;
-  m_sum : float;
-  m_min : float;
-  m_max : float;
-  m_p50 : float;
-  m_p95 : float;
-}
+    Building a snapshot reads the calling domain's registry without
+    copying its span tree, so its cost does not grow with the requests a
+    daemon has served. *)
 
 type t = {
   m_source : string;  (** which subsystem: ["serve"] or ["campaign"] *)
@@ -35,22 +29,14 @@ type t = {
   m_uptime_s : float;
   m_gauges : (string * float) list;  (** instantaneous, sorted by name *)
   m_counters : (string * int) list;  (** monotonic totals, sorted *)
-  m_dists : (string * dist_summary) list;  (** sorted by name *)
+  m_dists : (string * Telemetry.summary) list;  (** sorted by name *)
 }
 
 val make :
-  source:string ->
-  started:float ->
-  ?gauges:(string * float) list ->
-  ?counters:(string * int) list ->
-  unit ->
-  t
-(** Snapshot now: caller-supplied gauges and counters merged with the
-    calling domain's telemetry counters and distribution summaries (when
-    telemetry is enabled; a disabled registry contributes nothing). A
-    caller counter takes precedence over a telemetry counter of the same
-    name — the caller's lifecycle totals are authoritative. [started]
-    anchors [m_uptime_s]. *)
+  source:string -> started:float -> ?gauges:(string * float) list -> unit -> t
+(** Snapshot now: the caller's gauges with the calling domain's
+    telemetry counters and distribution summaries (none when telemetry
+    is disabled). [started] anchors [m_uptime_s]. *)
 
 val hit_ratios : t -> (string * float * int * int) list
 (** Cache effectiveness derived from counter pairs: for every counter

@@ -55,21 +55,16 @@ let error_to_json (e : E.t) =
       ("stage", J.Str (E.stage_name e.E.stage));
       ("code", J.Str (E.code_name e.E.code));
       ("message", J.Str e.E.message);
-      ("context", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) e.E.context));
+      ("context", J.obj (fun v -> J.Str v) e.E.context);
     ]
 
 let error_of_json j =
   match
-    let* stage_s = Result.bind (J.field j "stage") (J.as_str "stage") in
-    let* code_s = Result.bind (J.field j "code") (J.as_str "code") in
-    let* message = Result.bind (J.field j "message") (J.as_str "message") in
+    let* stage_s = J.str_field j "stage" in
+    let* code_s = J.str_field j "code" in
+    let* message = J.str_field j "message" in
     let context =
-      match J.field j "context" with
-      | Ok (J.Obj pairs) ->
-          List.filter_map
-            (fun (k, v) -> match v with J.Str s -> Some (k, s) | _ -> None)
-            pairs
-      | _ -> []
+      Result.value ~default:[] (J.obj_field J.as_str j "context")
     in
     let stage = Option.value ~default:E.Cli (E.stage_of_name stage_s) in
     let code = Option.value ~default:E.Internal (E.code_of_name code_s) in
@@ -95,7 +90,7 @@ let overloaded_response ~retry_after_s ~state =
     ]
 
 let response_error j =
-  match Result.bind (J.field j "status") (J.as_str "status") with
+  match J.str_field j "status" with
   | Ok "ok" -> None
   | Ok "error" -> (
       match J.field j "error" with
@@ -106,7 +101,7 @@ let response_error j =
       | Error _ -> Some (E.make E.Cli E.Internal "error response without payload"))
   | Ok "overloaded" ->
       let retry =
-        match Result.bind (J.field j "retry_after_s") (J.as_num "retry_after_s") with
+        match J.num_field j "retry_after_s" with
         | Ok r -> Printf.sprintf "%g" r
         | Error _ -> "?"
       in
@@ -264,19 +259,21 @@ type 'job state = {
   mutable drain_deadline : float;
   mutable next_conn : int;
   mutable next_req : int;
-  mutable served : int;
-  mutable failed : int;
-  mutable shed : int;
-  mutable rejected : int;
-  mutable crashes : int;
-  mutable deadline_kills : int;
   mutable crash_times : float list;
   mutable backoff_s : float;
   mutable backoff_until : float;
   mutable respawn_pending : bool;
-  mutable verb_counts : (string * int) list;
   mutable last_metrics_write : float;
 }
+
+(* The daemon's lifecycle totals live in the telemetry registry alone, as
+   the counters [serve.<name>]: [health], the [metrics] verb and the
+   [server_stopped] event all read them there. *)
+let lifecycle =
+  [ "served"; "failed"; "shed"; "rejected"; "worker_crashes"; "deadline_kills" ]
+
+let bump name = Telemetry.count ("serve." ^ name) 1
+let total name = Telemetry.counter ("serve." ^ name)
 
 let jn kind fields = if Journal.enabled () then Journal.emit kind fields
 let jnw kind fields =
@@ -321,39 +318,23 @@ let state_name st =
 
 let health st now =
   health_response
-    [
-      ("state", J.Str (state_name st));
-      ("pid", J.Num (float_of_int (Unix.getpid ())));
-      ("socket", J.Str st.cfg.socket_path);
-      ("uptime_s", J.Num (now -. st.started));
-      ("workers_busy", J.Num (float_of_int (List.length st.flights)));
-      ("workers_max", J.Num (float_of_int st.cfg.max_workers));
-      ("queue_depth", J.Num (float_of_int (List.length st.queue)));
-      ("queue_limit", J.Num (float_of_int st.cfg.queue_limit));
-      ("served", J.Num (float_of_int st.served));
-      ("failed", J.Num (float_of_int st.failed));
-      ("shed", J.Num (float_of_int st.shed));
-      ("rejected", J.Num (float_of_int st.rejected));
-      ("worker_crashes", J.Num (float_of_int st.crashes));
-      ("deadline_kills", J.Num (float_of_int st.deadline_kills));
-      ("backoff_active", J.Bool (now < st.backoff_until));
-    ]
+    ([
+       ("state", J.Str (state_name st));
+       ("pid", J.Num (float_of_int (Unix.getpid ())));
+       ("socket", J.Str st.cfg.socket_path);
+       ("uptime_s", J.Num (now -. st.started));
+       ("workers_busy", J.Num (float_of_int (List.length st.flights)));
+       ("workers_max", J.Num (float_of_int st.cfg.max_workers));
+       ("queue_depth", J.Num (float_of_int (List.length st.queue)));
+       ("queue_limit", J.Num (float_of_int st.cfg.queue_limit));
+     ]
+    @ List.map (fun k -> (k, J.Num (float_of_int (total k)))) lifecycle
+    @ [ ("backoff_active", J.Bool (now < st.backoff_until)) ])
 
-let final_stats st =
-  [
-    ("served", string_of_int st.served);
-    ("failed", string_of_int st.failed);
-    ("shed", string_of_int st.shed);
-    ("rejected", string_of_int st.rejected);
-    ("worker_crashes", string_of_int st.crashes);
-    ("deadline_kills", string_of_int st.deadline_kills);
-  ]
-
-(* One live snapshot: the loop's own lifecycle totals (authoritative, and
-   available even with telemetry off) plus whatever the telemetry
-   registry has accumulated — latency dists and counters. Served both
-   by the [metrics] verb (inline, ahead of shedding, so it works under
-   load and while draining) and as periodic [metrics.json] writes. *)
+(* One live snapshot: the registry's counters and latency distributions,
+   with gauges read off the loop's queues. Served both by the [metrics]
+   verb (inline, ahead of shedding, so it works under load and while
+   draining) and as periodic [metrics.json] writes. *)
 let metrics_snapshot st now =
   Metrics.make ~source:"serve" ~started:st.started
     ~gauges:
@@ -366,16 +347,6 @@ let metrics_snapshot st now =
         ("backoff_active", if now < st.backoff_until then 1.0 else 0.0);
         ("draining", if st.draining = `No then 0.0 else 1.0);
       ]
-    ~counters:
-      ([
-         ("serve.served", st.served);
-         ("serve.failed", st.failed);
-         ("serve.shed", st.shed);
-         ("serve.rejected", st.rejected);
-         ("serve.worker_crashes", st.crashes);
-         ("serve.deadline_kills", st.deadline_kills);
-       ]
-      @ List.map (fun (v, n) -> ("serve.verb." ^ v, n)) st.verb_counts)
     ()
 
 let metrics_response st now =
@@ -417,8 +388,7 @@ let start_drain st reason now =
   end
 
 let shed st conn ~why =
-  st.shed <- st.shed + 1;
-  Telemetry.count "serve.shed" 1;
+  bump "shed";
   jnw Journal.Overload_shed
     [
       ("reason", why);
@@ -429,8 +399,7 @@ let shed st conn ~why =
     (overloaded_response ~retry_after_s:st.cfg.retry_after_s ~state:(state_name st))
 
 let reject st conn id e =
-  st.rejected <- st.rejected + 1;
-  Telemetry.count "serve.rejected" 1;
+  bump "rejected";
   jnw Journal.Request_rejected
     (req_fields id
     @ [ ("code", E.code_name e.E.code); ("message", e.E.message) ]);
@@ -496,16 +465,14 @@ let on_worker_done st flight result now =
   let wall = now -. flight.f_started in
   match result with
   | Ok json ->
-      st.served <- st.served + 1;
-      Telemetry.count "serve.served" 1;
+      bump "served";
       st.backoff_s <- st.cfg.backoff_initial_s;
       request_done flight ~status:"ok" ~wall [];
       respond st flight.f_req.q_conn (ok_response json)
   | Error e when e.E.code = E.Worker_killed ->
       (* The worker died, not the request: isolate, back off, maybe trip. *)
-      st.failed <- st.failed + 1;
-      st.crashes <- st.crashes + 1;
-      Telemetry.count "serve.worker_crashes" 1;
+      bump "failed";
+      bump "worker_crashes";
       st.crash_times <- now :: st.crash_times;
       st.backoff_until <- now +. st.backoff_s;
       st.backoff_s <- Float.min (st.backoff_s *. 2.0) st.cfg.backoff_max_s;
@@ -520,21 +487,20 @@ let on_worker_done st flight result now =
             ("crashes", string_of_int (List.length st.crash_times));
             ("window_s", Printf.sprintf "%.1f" st.cfg.breaker_window_s);
           ];
-        Telemetry.count "serve.breaker_trips" 1;
+        bump "breaker_trips";
         start_drain st `Breaker now
       end
   | Error e when e.E.code = E.Worker_timeout ->
-      st.failed <- st.failed + 1;
-      st.deadline_kills <- st.deadline_kills + 1;
-      Telemetry.count "serve.deadline_kills" 1;
+      bump "failed";
+      bump "deadline_kills";
       request_done flight ~status:"deadline" ~wall [];
       respond st flight.f_req.q_conn
         (error_response (E.with_context e [ req_ctx flight.f_req.q_id ]))
   | Error e ->
       (* Typed failure from the handler itself (or a refused fork): the
          worker is fine. *)
-      st.failed <- st.failed + 1;
-      Telemetry.count "serve.request_errors" 1;
+      bump "failed";
+      bump "request_errors";
       st.backoff_s <- st.cfg.backoff_initial_s;
       request_done flight ~status:"error" ~wall
         [ ("code", E.code_name e.E.code) ];
@@ -544,35 +510,29 @@ let on_worker_done st flight result now =
 (* Request admission                                                   *)
 
 let parse_deadline st json =
-  match J.field json "deadline_s" with
-  | Error _ -> Ok st.cfg.default_deadline_s
-  | Ok dj ->
-      let* d = J.as_num "deadline_s" dj in
-      if Float.is_finite d && d > 0.0 then
-        Ok (Float.min d st.cfg.max_deadline_s)
-      else
-        E.error
-          ~context:[ ("deadline_s", Printf.sprintf "%h" d) ]
-          E.Cli E.Validation_error
-          "deadline_s must be a finite number of seconds > 0"
-
-let bump_verb st v =
-  st.verb_counts <-
-    (match List.assoc_opt v st.verb_counts with
-    | Some n -> (v, n + 1) :: List.remove_assoc v st.verb_counts
-    | None -> (v, 1) :: st.verb_counts)
+  let some name v = Result.map Option.some (J.as_num name v) in
+  match J.opt_field some json "deadline_s" ~default:None with
+  | Error _ as e -> e
+  | Ok None -> Ok st.cfg.default_deadline_s
+  | Ok (Some d) when Float.is_finite d && d > 0.0 ->
+      Ok (Float.min d st.cfg.max_deadline_s)
+  | Ok (Some d) ->
+      E.error
+        ~context:[ ("deadline_s", Printf.sprintf "%h" d) ]
+        E.Cli E.Validation_error
+        "deadline_s must be a finite number of seconds > 0"
 
 let process_request st conn json now =
-  Telemetry.count "serve.requests" 1;
+  bump "requests";
   let id = next_id st in
   let verb =
-    match Result.bind (J.field json "verb") (J.as_str "verb") with
+    match J.str_field json "verb" with
     | Ok v -> Ok v
     | Error _ ->
         E.error ~context:[ req_ctx id ] E.Cli E.Validation_error
           "request needs a string \"verb\" field"
   in
-  (match verb with Ok v -> bump_verb st v | Error _ -> bump_verb st "invalid");
+  bump ("verb." ^ match verb with Ok v -> v | Error _ -> "invalid");
   match verb with
   | Error e -> reject st conn id e
   | Ok "health" -> respond st conn (health st now)
@@ -597,7 +557,7 @@ let process_request st conn json now =
           let req =
             { q_id = id; q_conn = conn; q_job = job; q_deadline_s = deadline_s }
           in
-          Telemetry.count "serve.admitted" 1;
+          bump "admitted";
           jn Journal.Request_admitted
             (req_fields id
             @ [
@@ -776,7 +736,7 @@ let drain_expired st now =
   Supervisor.abort_all (List.map (fun f -> f.f_job) st.flights);
   List.iter
     (fun flight ->
-      st.failed <- st.failed + 1;
+      bump "failed";
       jnw Journal.Worker_killed
         (req_fields flight.f_req.q_id @ [ ("reason", "drain-timeout") ]);
       request_done flight ~status:"aborted" ~wall:(now -. flight.f_started) [];
@@ -814,6 +774,10 @@ let run cfg h =
   in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle notify) in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle notify) in
+  (* Every snapshot lists each lifecycle total, 0 until it first moves. *)
+  Telemetry.set_enabled true;
+  Telemetry.reset ();
+  List.iter (fun k -> Telemetry.count ("serve." ^ k) 0) lifecycle;
   let now0 = Unix.gettimeofday () in
   let st =
     {
@@ -830,17 +794,10 @@ let run cfg h =
       drain_deadline = infinity;
       next_conn = 1;
       next_req = 1;
-      served = 0;
-      failed = 0;
-      shed = 0;
-      rejected = 0;
-      crashes = 0;
-      deadline_kills = 0;
       crash_times = [];
       backoff_s = cfg.backoff_initial_s;
       backoff_until = 0.0;
       respawn_pending = false;
-      verb_counts = [];
       last_metrics_write = 0.0;
     }
   in
@@ -916,5 +873,5 @@ let run cfg h =
       write_metrics st (Unix.gettimeofday ());
       jn Journal.Server_stopped
         (("reason", match reason with Tripped -> "breaker" | Drained -> "drained")
-        :: final_stats st);
+        :: List.map (fun k -> (k, string_of_int (total k))) lifecycle);
       Ok reason)

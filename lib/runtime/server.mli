@@ -45,6 +45,14 @@
     snapshot (request counts by verb and outcome, queue depth, in-flight
     workers, latency distributions, cache hit ratios).
 
+    The lifecycle totals ([served], [failed], [shed], [rejected],
+    [worker_crashes], [deadline_kills]) are counted once, as the
+    telemetry counters [serve.<name>], and the per-verb request counts
+    as [serve.verb.<verb>]: [health], the [metrics] verb and the final
+    [server_stopped] event all read the same registry. The loop's own
+    state holds no count, only the queues and workers the gauges are
+    read from.
+
     Every request frame takes the next request number [n] and, once
     admitted, runs in the worker [req-<n>]. The daemon's own events for
     the request carry both [request] and [worker], the worker's events
@@ -101,7 +109,9 @@ type stop = Drained  (** clean SIGTERM/SIGINT drain: exit 0 *)
 val run : config -> 'job handlers -> (stop, Cnt_error.t) result
 (** Bind the socket (replacing a stale file, refusing a live one) and
     serve until a drain completes. Only socket setup failures surface as
-    [Error]; per-request failures are responses, never exits. *)
+    [Error]; per-request failures are responses, never exits. Turns
+    telemetry on from an empty registry with every lifecycle counter at
+    0, and leaves it on, so the caller can save the daemon's profile. *)
 
 (** {2 Client side}
 
@@ -117,9 +127,6 @@ val call :
     Transport failures — no socket, refused connection, timeout, torn
     response — are typed [Io_error]s; a server-side failure is an [Ok]
     response whose payload {!response_error} decodes. *)
-
-val error_to_json : Cnt_error.t -> Checkpoint.json
-val error_of_json : Checkpoint.json -> Cnt_error.t option
 
 val response_error : Checkpoint.json -> Cnt_error.t option
 (** Decode the typed error of an ["error"] (or ["overloaded"]) response;

@@ -121,12 +121,13 @@ let with_span name f =
       f
   end
 
-let count name n =
-  if !on then
-    let counters = (registry ()).g_counters in
-    match Hashtbl.find_opt counters name with
-    | Some r -> r := !r + n
-    | None -> Hashtbl.replace counters name (ref n)
+let add_counter name n =
+  let counters = (registry ()).g_counters in
+  match Hashtbl.find_opt counters name with
+  | Some r -> r := !r + n
+  | None -> Hashtbl.replace counters name (ref n)
+
+let count name n = if !on then add_counter name n
 
 let fresh_dstate () =
   {
@@ -197,12 +198,19 @@ let sorted_assoc tbl f =
   Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
+let counter name =
+  match Hashtbl.find_opt (registry ()).g_counters name with
+  | Some r -> !r
+  | None -> 0
+
+let counters () = sorted_assoc (registry ()).g_counters (fun c -> !c)
+let dists () = sorted_assoc (registry ()).g_dists dist_of_dstate
+
 let snapshot () =
-  let r = registry () in
   {
-    p_spans = (span_of_node r.g_root).children;
-    p_counters = sorted_assoc r.g_counters (fun c -> !c);
-    p_dists = sorted_assoc r.g_dists dist_of_dstate;
+    p_spans = (span_of_node (registry ()).g_root).children;
+    p_counters = counters ();
+    p_dists = dists ();
   }
 
 let rec merge_span parent s =
@@ -232,12 +240,7 @@ let merge ?(prefix = []) p =
     List.fold_left (fun parent name -> child_of parent name) reg.g_root prefix
   in
   List.iter (merge_span anchor) p.p_spans;
-  List.iter
-    (fun (name, n) ->
-      match Hashtbl.find_opt reg.g_counters name with
-      | Some r -> r := !r + n
-      | None -> Hashtbl.replace reg.g_counters name (ref n))
-    p.p_counters;
+  List.iter (fun (name, n) -> add_counter name n) p.p_counters;
   List.iter (fun (name, d) -> merge_dist name d) p.p_dists
 
 (* ------------------------------------------------------------------ *)
@@ -245,18 +248,79 @@ let merge ?(prefix = []) p =
 
 let mean d = if d.d_count = 0 then 0.0 else d.d_sum /. float_of_int d.d_count
 
+(* The [k]-th smallest of [a] by quickselect on a copy. Float compares
+   on a [float array] box nothing, where [Array.sort] boxes every element
+   it reads: a live snapshot summarizes every distribution each time. *)
+let kth_smallest (a : float array) k =
+  let a = Array.copy a in
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while a.(!j) > pivot do decr j done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done;
+  a.(k)
+
 let percentile d q =
   let n = Array.length d.d_samples in
   if n = 0 then 0.0
-  else begin
-    let sorted = Array.copy d.d_samples in
-    Array.sort compare sorted;
+  else
     let rank = int_of_float (Float.of_int (n - 1) *. q +. 0.5) in
-    sorted.(max 0 (min (n - 1) rank))
-  end
+    kth_smallest d.d_samples (max 0 (min (n - 1) rank))
 
 let find_counter p name = List.assoc_opt name p.p_counters
 let find_dist p name = List.assoc_opt name p.p_dists
+
+type summary = {
+  count : int;
+  sum : float;
+  mean : float;
+  min : float;
+  max : float;
+  p50 : float;
+  p95 : float;
+}
+
+let summarize d =
+  let empty = d.d_count = 0 in
+  {
+    count = d.d_count;
+    sum = d.d_sum;
+    mean = mean d;
+    min = (if empty then 0.0 else d.d_min);
+    max = (if empty then 0.0 else d.d_max);
+    p50 = percentile d 0.5;
+    p95 = percentile d 0.95;
+  }
+
+let summary_fields s =
+  [
+    ("count", J.Num (float_of_int s.count));
+    ("sum", J.Num s.sum);
+    ("min", J.Num s.min);
+    ("max", J.Num s.max);
+    ("mean", J.Num s.mean);
+    ("p50", J.Num s.p50);
+    ("p95", J.Num s.p95);
+  ]
+
+let flatten spans =
+  let rec go prefix acc s =
+    let path = prefix ^ s.span_name in
+    List.fold_left (go (path ^ "/")) ((path, s) :: acc) s.children
+  in
+  List.rev (List.fold_left (go "") [] spans)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -272,58 +336,39 @@ let rec span_to_json s =
 
 let dist_to_json (name, d) =
   J.Obj
-    [
-      ("name", J.Str name);
-      ("count", J.Num (float_of_int d.d_count));
-      ("sum", J.Num d.d_sum);
-      ("min", J.Num (if d.d_count = 0 then 0.0 else d.d_min));
-      ("max", J.Num (if d.d_count = 0 then 0.0 else d.d_max));
-      (* Derived conveniences for downstream readers; recomputed on load. *)
-      ("mean", J.Num (mean d));
-      ("p50", J.Num (percentile d 0.5));
-      ("p95", J.Num (percentile d 0.95));
-      ("samples", J.Arr (Array.to_list (Array.map (fun v -> J.Num v) d.d_samples)));
-    ]
+    ((("name", J.Str name) :: summary_fields (summarize d))
+    @ [ ("samples", J.Arr (List.map (fun v -> J.Num v) (Array.to_list d.d_samples))) ])
 
 let to_json p =
   J.Obj
     [
       ("version", J.Num 1.0);
       ("spans", J.Arr (List.map span_to_json p.p_spans));
-      ( "counters",
-        J.Obj (List.map (fun (k, v) -> (k, J.Num (float_of_int v))) p.p_counters)
-      );
+      ("counters", J.obj (fun v -> J.Num (float_of_int v)) p.p_counters);
       ("dists", J.Arr (List.map dist_to_json p.p_dists));
     ]
 
 let ( let* ) = Result.bind
 
-let field j name = J.field j name
-let as_num = J.as_num
-let as_str = J.as_str
-let as_arr = J.as_arr
-
 let rec span_of_json j =
-  let* span_name = Result.bind (field j "name") (as_str "name") in
-  let* calls = Result.bind (field j "calls") (as_num "calls") in
-  let* total_s = Result.bind (field j "total_s") (as_num "total_s") in
-  let* children_json = Result.bind (field j "children") (as_arr "children") in
-  let* children = J.map_result span_of_json children_json in
+  let* span_name = J.str_field j "name" in
+  let* calls = J.num_field j "calls" in
+  let* total_s = J.num_field j "total_s" in
+  let* children = J.arr_field span_of_json j "children" in
   Ok { span_name; calls = int_of_float calls; total_s; children }
 
 let dist_of_json j =
-  let* name = Result.bind (field j "name") (as_str "name") in
-  let* c = Result.bind (field j "count") (as_num "count") in
-  let* d_sum = Result.bind (field j "sum") (as_num "sum") in
-  let* d_min = Result.bind (field j "min") (as_num "min") in
-  let* d_max = Result.bind (field j "max") (as_num "max") in
-  let* samples_json = Result.bind (field j "samples") (as_arr "samples") in
+  let* name = J.str_field j "name" in
+  let* c = J.num_field j "count" in
+  let* d_sum = J.num_field j "sum" in
+  let* d_min = J.num_field j "min" in
+  let* d_max = J.num_field j "max" in
   let* samples =
-    J.map_result
+    J.arr_field
       (function
         | J.Num v -> Ok v
         | _ -> E.error E.Cli E.Parse_error "dist samples must be numbers")
-      samples_json
+      j "samples"
   in
   let d_count = int_of_float c in
   Ok
@@ -337,33 +382,15 @@ let dist_of_json j =
       } )
 
 let of_json j =
-  let* spans_json = Result.bind (field j "spans") (as_arr "spans") in
-  let* p_spans = J.map_result span_of_json spans_json in
+  let* p_spans = J.arr_field span_of_json j "spans" in
   let* p_counters =
-    match field j "counters" with
-    | Ok (J.Obj fields) ->
-        J.map_result
-          (fun (k, v) ->
-            let* f = as_num k v in
-            Ok (k, int_of_float f))
-          fields
-    | Ok _ -> E.error E.Cli E.Parse_error "field \"counters\" must be an object"
-    | Error e -> Error e
+    J.obj_field (fun k v -> Result.map int_of_float (J.as_num k v)) j "counters"
   in
-  let* dists_json = Result.bind (field j "dists") (as_arr "dists") in
-  let* p_dists = J.map_result dist_of_json dists_json in
+  let* p_dists = J.arr_field dist_of_json j "dists" in
   Ok { p_spans; p_counters; p_dists }
 
 let save ~path p = J.write_atomic ~path (J.json_to_string (to_json p))
-
-let load ~path =
-  let* text = J.read_file path in
-  match
-    let* j = J.json_of_string text in
-    of_json j
-  with
-  | Ok _ as ok -> ok
-  | Error e -> Error (E.with_context e [ ("path", path) ])
+let load ~path = J.load_json of_json ~path
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -372,6 +399,10 @@ let pp_duration ppf s =
   if s >= 1.0 then Format.fprintf ppf "%.2fs" s
   else if s >= 1e-3 then Format.fprintf ppf "%.2fms" (s *. 1e3)
   else Format.fprintf ppf "%.0fus" (s *. 1e6)
+
+let pp_summary ppf s =
+  Format.fprintf ppf "n=%d mean=%.4g p50=%.4g p95=%.4g min=%.4g max=%.4g"
+    s.count s.mean s.p50 s.p95 s.min s.max
 
 let pp ppf p =
   Format.fprintf ppf "span tree (calls, total wall):@.";
@@ -397,10 +428,6 @@ let pp ppf p =
     Format.fprintf ppf "distributions:@.";
     List.iter
       (fun (name, d) ->
-        Format.fprintf ppf
-          "  %-36s n=%d mean=%.4g p50=%.4g p95=%.4g min=%.4g max=%.4g@." name
-          d.d_count (mean d) (percentile d 0.5) (percentile d 0.95)
-          (if d.d_count = 0 then 0.0 else d.d_min)
-          (if d.d_count = 0 then 0.0 else d.d_max))
+        Format.fprintf ppf "  %-36s %a@." name pp_summary (summarize d))
       p.p_dists
   end

@@ -20,6 +20,14 @@
     [--profile] pays nothing; verified by the [telemetry-span-disabled]
     microbenchmark).
 
+    Readers of the live registry ({!counter}, {!counters}, {!dists})
+    skip the span tree, which a long-lived daemon grows by one subtree
+    per request; {!Metrics} snapshots and the daemon's lifecycle totals
+    read through them. {!summarize} and {!flatten} are the one
+    distribution summary and the one span-path listing that
+    [profile.json], [cntpower stats] (and [--json]), {!Metrics} and
+    {!Compare} report.
+
     The registry is plain data, so a forked worker
     ({!Runtime.Supervisor.spawn} with a telemetry prefix) can {!reset}
     on entry, {!snapshot} on exit, marshal the profile back over the
@@ -96,6 +104,15 @@ val snapshot : unit -> profile
 (** Immutable copy of the registry (open spans are not included). The
     result is free of closures and safe to [Marshal]. *)
 
+val counter : string -> int
+(** The live value of one counter; 0 when it was never counted. *)
+
+val counters : unit -> (string * int) list
+val dists : unit -> (string * dist) list
+(** The registry's counters and distributions, sorted by name, as in a
+    {!snapshot} but without copying the span tree, which in a long-lived
+    daemon holds a subtree per request served. *)
+
 val merge : ?prefix:string list -> profile -> unit
 (** Fold a profile (typically a forked worker's snapshot) into the live
     registry: span trees are grafted under the path [prefix] (created as
@@ -112,6 +129,31 @@ val percentile : dist -> float -> float
 
 val find_counter : profile -> string -> int option
 val find_dist : profile -> string -> dist option
+
+(** The one summary of a distribution that [profile.json], [stats],
+    [stats --json], {!Metrics} and {!Compare} report. *)
+type summary = {
+  count : int;
+  sum : float;
+  mean : float;  (** 0 when empty *)
+  min : float;  (** 0 when empty *)
+  max : float;  (** 0 when empty *)
+  p50 : float;
+  p95 : float;
+}
+
+val summarize : dist -> summary
+
+val summary_fields : summary -> (string * Checkpoint.json) list
+(** [count], [sum], [min], [max], [mean], [p50] and [p95] as JSON
+    members. *)
+
+val pp_summary : Format.formatter -> summary -> unit
+(** ["n=… mean=… p50=… p95=… min=… max=…"]. *)
+
+val flatten : span list -> (string * span) list
+(** Every node of the span trees with its ['/']-joined path from the
+    root, in pre-order: the rows of [stats --json] and of {!Compare}. *)
 
 val to_json : profile -> Checkpoint.json
 val of_json : Checkpoint.json -> (profile, Cnt_error.t) result

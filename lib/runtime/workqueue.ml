@@ -33,7 +33,6 @@ type status = {
 }
 
 type t = {
-  wq_path : string;
   wq_oc : out_channel;
   wq_tbl : (string, status) Hashtbl.t;
   mutable wq_order : string list;  (* first-enqueue order, reversed *)
@@ -51,34 +50,24 @@ let record_to_json rc =
       ("state", J.Str (state_name rc.rc_state));
       ("attempt", J.Num (float_of_int rc.rc_attempt));
       ("expires", J.Num rc.rc_expires);
-      ("fields", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) rc.rc_fields));
+      ("fields", J.obj (fun v -> J.Str v) rc.rc_fields);
     ]
 
 let ( let* ) = Result.bind
 
 let record_of_json j =
-  let* rc_time = Result.bind (J.field j "t") (J.as_num "t") in
-  let* pid = Result.bind (J.field j "pid") (J.as_num "pid") in
-  let* rc_shard = Result.bind (J.field j "shard") (J.as_str "shard") in
-  let* state_str = Result.bind (J.field j "state") (J.as_str "state") in
+  let* rc_time = J.num_field j "t" in
+  let* pid = J.num_field j "pid" in
+  let* rc_shard = J.str_field j "shard" in
+  let* state_str = J.str_field j "state" in
   let* rc_state =
     match state_of_name state_str with
     | Some s -> Ok s
     | None -> E.error E.Cli E.Parse_error "unknown shard state %S" state_str
   in
-  let* attempt = Result.bind (J.field j "attempt") (J.as_num "attempt") in
-  let* rc_expires = Result.bind (J.field j "expires") (J.as_num "expires") in
-  let* rc_fields =
-    match J.field j "fields" with
-    | Ok (J.Obj fields) ->
-        J.map_result
-          (fun (k, v) ->
-            let* s = J.as_str k v in
-            Ok (k, s))
-          fields
-    | Ok _ -> E.error E.Cli E.Parse_error "field \"fields\" must be an object"
-    | Error e -> Error e
-  in
+  let* attempt = J.num_field j "attempt" in
+  let* rc_expires = J.num_field j "expires" in
+  let* rc_fields = J.obj_field J.as_str j "fields" in
   Ok
     {
       rc_time;
@@ -131,10 +120,9 @@ let open_ ~path =
   let tbl = Hashtbl.create 64 in
   let order = ref [] in
   List.iter (apply tbl order) records;
-  Ok ({ wq_path = path; wq_oc = oc; wq_tbl = tbl; wq_order = !order }, skipped)
+  Ok ({ wq_oc = oc; wq_tbl = tbl; wq_order = !order }, skipped)
 
 let close t = try close_out t.wq_oc with Sys_error _ -> ()
-let path t = t.wq_path
 
 (* ------------------------------------------------------------------ *)
 (* Appending                                                           *)
@@ -234,6 +222,7 @@ let ready t =
       | _ -> false)
     (shards t)
 
+(* Signal-0 probe; [true] when in doubt (e.g. EPERM). *)
 let pid_alive pid =
   if pid <= 0 then false
   else

@@ -25,8 +25,6 @@
 
 type state = Enqueued | Leased | Done | Failed | Quarantined
 
-val state_name : state -> string
-val state_of_name : string -> state option
 
 type record = {
   rc_time : float;  (** unix epoch seconds of the append *)
@@ -47,7 +45,6 @@ val open_ : path:string -> ((t * int), Cnt_error.t) result
     unreadable or unwritable file is an error. *)
 
 val close : t -> unit
-val path : t -> string
 
 (** {2 Appending transitions}
 
@@ -108,9 +105,6 @@ val stale_leases : t -> now:float -> string list
 (** Shards stuck in [Leased] whose lease expired before [now] or whose
     owner process is gone — the residue of a SIGKILLed coordinator,
     which the caller marks [failed]. *)
-
-val pid_alive : int -> bool
-(** Signal-0 probe; [true] when in doubt (e.g. EPERM). *)
 
 (** {2 Reading without a handle} *)
 

@@ -121,9 +121,6 @@ let check ?domains t reference ~patterns ~seed =
   in
   (* Align reference inputs by name. *)
   let ref_inputs = N.inputs reference in
-  let by_name =
-    Array.to_list (Array.map (fun id -> (N.input_name reference id, id)) ref_inputs)
-  in
   let ref_stimulus =
     Array.map
       (fun id ->
@@ -142,7 +139,6 @@ let check ?domains t reference ~patterns ~seed =
               "Mapped.check: unknown PI %s" name)
       ref_inputs
   in
-  ignore by_name;
   let ref_result = Sim.run ?domains reference ref_stimulus in
   let ref_outs = Sim.output_values reference ref_result in
   let values = simulate ?domains t stimulus in

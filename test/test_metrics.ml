@@ -1,5 +1,7 @@
-(* Metrics snapshots: telemetry merge semantics, JSON round-trip,
-   atomic save/load, hit ratios, and the Prometheus text rendering. *)
+(* Metrics snapshots: counters and distributions from the telemetry
+   registry next to caller gauges, the cost of a snapshot in a long-lived
+   daemon, JSON round-trip, atomic save/load, hit ratios, and the
+   Prometheus text rendering. *)
 
 module M = Runtime.Metrics
 module T = Runtime.Telemetry
@@ -24,7 +26,7 @@ let with_telemetry f () =
   T.reset ();
   Fun.protect ~finally:(fun () -> T.set_enabled false) f
 
-(* --- make: merge semantics ----------------------------------------- *)
+(* --- make: the registry's counters and dists, the caller's gauges ---- *)
 
 let telemetry_counters_fold_in =
   with_telemetry (fun () ->
@@ -41,79 +43,87 @@ let telemetry_counters_fold_in =
       match List.assoc_opt "request_wall_s" m.M.m_dists with
       | None -> Alcotest.fail "telemetry dist missing"
       | Some d ->
-          Alcotest.(check int) "dist count" 2 d.M.m_count;
-          Alcotest.(check (float 1e-9)) "dist sum" 1.0 d.M.m_sum;
-          Alcotest.(check (float 1e-9)) "dist max" 0.75 d.M.m_max)
-
-let caller_counters_override =
-  with_telemetry (fun () ->
-      (* The server bumps both its own mutable state and a telemetry
-         counter under the same name; the snapshot must not double
-         count — the caller's lifecycle total is authoritative. *)
-      T.count "serve.served" 3;
-      T.count "serve.only_telemetry" 2;
-      let m =
-        M.make ~source:"serve" ~started:0.0
-          ~counters:[ ("serve.served", 10) ]
-          ()
-      in
-      Alcotest.(check (option int)) "caller total wins" (Some 10)
-        (List.assoc_opt "serve.served" m.M.m_counters);
-      Alcotest.(check (option int)) "telemetry-only counter kept" (Some 2)
-        (List.assoc_opt "serve.only_telemetry" m.M.m_counters);
-      Alcotest.(check int) "no duplicate rows" 1
-        (List.length
-           (List.filter (fun (k, _) -> k = "serve.served") m.M.m_counters)))
+          Alcotest.(check int) "dist count" 2 d.T.count;
+          Alcotest.(check (float 1e-9)) "dist sum" 1.0 d.T.sum;
+          Alcotest.(check (float 1e-9)) "dist max" 0.75 d.T.max)
 
 let disabled_telemetry_contributes_nothing () =
+  T.set_enabled true;
+  T.reset ();
+  T.count "served" 1;
+  T.observe "lat" 1.0;
   T.set_enabled false;
-  let m =
-    M.make ~source:"test" ~started:0.0
-      ~gauges:[ ("depth", 4.0) ]
-      ~counters:[ ("served", 1) ]
-      ()
-  in
-  Alcotest.(check int) "only caller counters" 1 (List.length m.M.m_counters);
+  let m = M.make ~source:"test" ~started:0.0 ~gauges:[ ("depth", 4.0) ] () in
+  Alcotest.(check int) "no counters" 0 (List.length m.M.m_counters);
   Alcotest.(check int) "no dists" 0 (List.length m.M.m_dists);
   Alcotest.(check (option (float 0.0))) "gauges kept" (Some 4.0)
     (List.assoc_opt "depth" m.M.m_gauges)
 
+(* A daemon's registry keeps one [serve.request/req-<n>] subtree per
+   request served, and the daemon snapshots once a second and on every
+   [metrics] verb: the snapshot must not copy that tree. *)
+let snapshot_skips_the_span_tree =
+  with_telemetry (fun () ->
+      T.with_span "estimate" (fun () ->
+          T.count "sim.words" 64;
+          T.observe "sim.patterns_per_s" 1e6);
+      let request = T.snapshot () in
+      T.reset ();
+      for n = 1 to 10_000 do
+        T.merge ~prefix:[ "serve.request"; Printf.sprintf "req-%d" n ] request
+      done;
+      T.count "serve.served" 10_000;
+      let before = Gc.minor_words () in
+      let m = M.make ~source:"serve" ~started:0.0 ~gauges:[ ("queue_depth", 0.0) ] () in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (option int)) "grafted counters summed" (Some 640_000)
+        (List.assoc_opt "sim.words" m.M.m_counters);
+      if words >= 20_000.0 then
+        Alcotest.failf "Metrics.make allocated %.0f minor words (bound 20 000)" words)
+
 (* --- hit ratios ---------------------------------------------------- *)
 
-let hit_ratios_from_pairs () =
-  T.set_enabled false;
-  let m =
-    M.make ~source:"test" ~started:0.0
-      ~counters:
+let hit_ratios_from_pairs =
+  with_telemetry (fun () ->
+      List.iter
+        (fun (k, n) -> T.count k n)
         [
           ("cache.matchlib.hits", 9);
           ("cache.matchlib.misses", 1);
           ("cache.cold.hits", 0);
           ("cache.cold.misses", 0);
           ("orphan.hits", 5);
-        ]
-      ()
-  in
-  let ratios = M.hit_ratios m in
-  (match List.find_opt (fun (b, _, _, _) -> b = "cache.matchlib") ratios with
-  | None -> Alcotest.fail "matchlib pair missing"
-  | Some (_, r, h, mi) ->
-      Alcotest.(check (float 1e-9)) "ratio" 0.9 r;
-      Alcotest.(check int) "hits" 9 h;
-      Alcotest.(check int) "misses" 1 mi);
-  Alcotest.(check bool) "0/0 pair omitted" true
-    (not (List.exists (fun (b, _, _, _) -> b = "cache.cold") ratios));
-  Alcotest.(check bool) "hits without misses is not a pair" true
-    (not (List.exists (fun (b, _, _, _) -> b = "orphan") ratios))
+        ];
+      let ratios = M.hit_ratios (M.make ~source:"test" ~started:0.0 ()) in
+      (match
+         List.find_opt (fun (b, _, _, _) -> b = "cache.matchlib") ratios
+       with
+      | None -> Alcotest.fail "matchlib pair missing"
+      | Some (_, r, h, mi) ->
+          Alcotest.(check (float 1e-9)) "ratio" 0.9 r;
+          Alcotest.(check int) "hits" 9 h;
+          Alcotest.(check int) "misses" 1 mi);
+      Alcotest.(check bool) "0/0 pair omitted" true
+        (not (List.exists (fun (b, _, _, _) -> b = "cache.cold") ratios));
+      Alcotest.(check bool) "hits without misses is not a pair" true
+        (not (List.exists (fun (b, _, _, _) -> b = "orphan") ratios)))
 
 (* --- serialization ------------------------------------------------- *)
 
 let sample () =
+  T.set_enabled true;
+  T.reset ();
+  T.count "serve.served" 41;
+  T.count "serve.failed" 2;
+  T.observe "serve.request_wall_s" 0.5;
+  let m =
+    M.make ~source:"campaign" ~started:0.0
+      ~gauges:
+        [ ("workers_busy", 3.0); ("queue_depth", 12.0); ("campaign.done", 41.0) ]
+      ()
+  in
   T.set_enabled false;
-  M.make ~source:"campaign" ~started:0.0
-    ~gauges:[ ("workers_busy", 3.0); ("queue_depth", 12.0) ]
-    ~counters:[ ("campaign.done", 41); ("campaign.failed", 2) ]
-    ()
+  m
 
 let json_roundtrip () =
   let m = sample () in
@@ -124,7 +134,10 @@ let json_roundtrip () =
       Alcotest.(check (option (float 1e-9))) "gauge survives" (Some 3.0)
         (List.assoc_opt "workers_busy" back.M.m_gauges);
       Alcotest.(check (option int)) "counter survives" (Some 41)
-        (List.assoc_opt "campaign.done" back.M.m_counters)
+        (List.assoc_opt "serve.served" back.M.m_counters);
+      match List.assoc_opt "serve.request_wall_s" back.M.m_dists with
+      | None -> Alcotest.fail "dist lost"
+      | Some d -> Alcotest.(check (float 1e-9)) "mean derived" 0.5 d.T.mean
 
 let save_load_roundtrip () =
   let dir = temp_dir "metrics" in
@@ -141,7 +154,7 @@ let save_load_roundtrip () =
       match M.load ~path with
       | Ok m ->
           Alcotest.(check (option int)) "loaded counter" (Some 2)
-            (List.assoc_opt "campaign.failed" m.M.m_counters)
+            (List.assoc_opt "serve.failed" m.M.m_counters)
       | Result.Error e -> Alcotest.failf "load: %s" (E.to_string e))
 
 let load_missing_is_typed () =
@@ -155,11 +168,9 @@ let load_missing_is_typed () =
 let prometheus_shape =
   with_telemetry (fun () ->
       T.observe "serve.request_wall_s" 0.5;
+      T.count "serve.served" 41;
       let m =
-        M.make ~source:"serve" ~started:0.0
-          ~gauges:[ ("queue_depth", 2.0) ]
-          ~counters:[ ("serve.served", 41) ]
-          ()
+        M.make ~source:"serve" ~started:0.0 ~gauges:[ ("queue_depth", 2.0) ] ()
       in
       let text = M.to_prometheus m in
       let lines = String.split_on_char '\n' text in
@@ -217,9 +228,9 @@ let () =
       ( "make",
         [
           tc "telemetry counters and dists fold in" telemetry_counters_fold_in;
-          tc "caller counters override telemetry" caller_counters_override;
           tc "disabled telemetry contributes nothing"
             disabled_telemetry_contributes_nothing;
+          tc "snapshot skips the span tree" snapshot_skips_the_span_tree;
         ] );
       ( "ratios", [ tc "hit ratios from counter pairs" hit_ratios_from_pairs ] );
       ( "serialization",

@@ -6,6 +6,7 @@ module W = Runtime.Workqueue
 module E = Runtime.Cnt_error
 module C = Runtime.Checkpoint
 module Cg = Experiments.Campaign
+module M = Runtime.Metrics
 
 let ok = function
   | Ok v -> v
@@ -237,6 +238,67 @@ let supervised_crash_isolated () =
   | _ -> Alcotest.fail "subsequent shard must still run");
   Alcotest.(check int) "exit 10" 10 (Cg.exit_status cfg s)
 
+(* --only picks shards by id or by the id's first '/' component, keeps
+   shard order, and refuses a name that picks nothing. *)
+let only_selects_by_one_rule () =
+  let shards =
+    List.map
+      (fun id -> ok_shard id [])
+      [ "t481/cmos/42"; "alu4/cmos/42"; "t481/ptl/42"; "patterns" ]
+  in
+  let ids r = List.map (fun (sh : Cg.shard) -> sh.Cg.id) (ok r) in
+  Alcotest.(check (list string))
+    "shard order, not name order"
+    [ "t481/cmos/42"; "t481/ptl/42"; "patterns" ]
+    (ids (Cg.select ~only:[ "patterns"; "t481" ] shards));
+  Alcotest.(check (list string))
+    "a full id picks one shard" [ "alu4/cmos/42" ]
+    (ids (Cg.select ~only:[ "alu4/cmos/42" ] shards));
+  Alcotest.(check int) "no names, every shard" 4
+    (List.length (ids (Cg.select ~only:[] shards)));
+  match Cg.select ~only:[ "patterns"; "nosuch" ] shards with
+  | Ok _ -> Alcotest.fail "a name that selects nothing must be refused"
+  | Error e ->
+      Alcotest.(check int) "usage error, exit 13" 13 (E.exit_code e);
+      Alcotest.(check (option string)) "names the culprit" (Some "nosuch")
+        (List.assoc_opt "only" e.E.context)
+
+(* A flaky shard fails once and passes on its retry; the coordinator's
+   numbers land in metrics.json as gauges, with no failed shard left. *)
+let flaky_shard_metrics_are_gauges () =
+  let cfg =
+    {
+      (all_cfg (temp_dir "all-runs")) with
+      Cg.inject = { Cg.no_inject with Cg.inj_flaky = [ "flaky" ] };
+    }
+  in
+  let s = ok (Cg.run cfg [ ok_shard "steady" []; ok_shard "flaky" [] ]) in
+  (match outcome s "flaky" with
+  | Cg.Done { attempts = 2; degraded = true; _ } -> ()
+  | _ -> Alcotest.fail "flaky must pass degraded on its second attempt");
+  let m =
+    ok
+      (M.load
+         ~path:(Cg.run_file ~runs_dir:cfg.Cg.runs_dir "all" "metrics.json"))
+  in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option (float 0.0))) ("gauge " ^ k) (Some v)
+        (List.assoc_opt k m.M.m_gauges))
+    [
+      ("campaign.done", 2.0);
+      ("campaign.failed", 0.0);
+      ("campaign.quarantined", 0.0);
+      ("campaign.completed", 2.0);
+      ("campaign.leases", 3.0);
+      ("campaign.reclaimed", 0.0);
+      ("campaign.resumed", 0.0);
+    ];
+  Alcotest.(check bool) "no campaign counter" false
+    (List.exists
+       (fun (k, _) -> String.starts_with ~prefix:"campaign." k)
+       m.M.m_counters)
+
 let () =
   Alcotest.run "runner"
     [
@@ -251,6 +313,8 @@ let () =
             summary_renders_all_statuses;
           Alcotest.test_case "done echo leaves out the scalars" `Quick
             done_echo_is_short;
+          Alcotest.test_case "only selects by one rule" `Quick
+            only_selects_by_one_rule;
         ] );
       ( "checkpoint",
         [
@@ -264,5 +328,7 @@ let () =
         [
           Alcotest.test_case "crash isolated end to end" `Quick
             supervised_crash_isolated;
+          Alcotest.test_case "flaky shard, metrics as gauges" `Quick
+            flaky_shard_metrics_are_gauges;
         ] );
     ]

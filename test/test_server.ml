@@ -8,6 +8,8 @@ module Sv = Runtime.Server
 module R = Runtime.Cnt_error
 module C = Runtime.Checkpoint
 module Jn = Runtime.Journal
+module T = Runtime.Telemetry
+module Mx = Runtime.Metrics
 
 let tc = Alcotest.test_case
 
@@ -450,6 +452,60 @@ let journal_records_lifecycle () =
     ];
   Sys.remove jpath
 
+(* Health, the metrics verb and the final server_stopped event report
+   one set of lifecycle totals. *)
+let lifecycle_totals_agree () =
+  let jpath =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cntsrv-totals-%d.jsonl" (Unix.getpid ()))
+  in
+  if Sys.file_exists jpath then Sys.remove jpath;
+  (* The daemon forks from here and inherits telemetry on. *)
+  T.set_enabled true;
+  T.reset ();
+  let health, metrics =
+    Fun.protect ~finally:(fun () -> T.set_enabled false) @@ fun () ->
+    with_server ~journal:jpath @@ fun sock pid ->
+    check_ok_payload "one ok" "t" (call sock (work ~payload:"t" ()));
+    check_error "one crash" R.Worker_killed (call sock (work ~mode:"crash" ()));
+    check_error "one refusal" R.Validation_error
+      (call sock (work ~mode:"reject" ()));
+    let get resp name = R.get_exn (C.field resp name) in
+    let health = get (call sock (C.Obj [ ("verb", C.Str "health") ])) "health" in
+    let metrics =
+      R.get_exn
+        (Mx.of_json (get (call sock (C.Obj [ ("verb", C.Str "metrics") ])) "metrics"))
+    in
+    Alcotest.(check int) "drained" exit_drained (stop pid);
+    (health, metrics)
+  in
+  let events, _ = R.get_exn (Jn.load ~path:jpath) in
+  let stopped =
+    match List.find_opt (fun e -> e.Jn.ev_kind = Jn.Server_stopped) events with
+    | Some e -> e
+    | None -> Alcotest.fail "no server_stopped event"
+  in
+  List.iter
+    (fun (name, want) ->
+      Alcotest.(check (option int)) ("health " ^ name) (Some want)
+        (Result.to_option
+           (Result.map int_of_float
+              (Result.bind (C.field health name) (C.as_num name))));
+      Alcotest.(check (option int)) ("metrics serve." ^ name) (Some want)
+        (List.assoc_opt ("serve." ^ name) metrics.Mx.m_counters);
+      Alcotest.(check (option string)) ("server_stopped " ^ name)
+        (Some (string_of_int want)) (Jn.find stopped name))
+    [
+      ("served", 1);
+      ("failed", 1);
+      ("shed", 0);
+      ("rejected", 1);
+      ("worker_crashes", 1);
+      ("deadline_kills", 0);
+    ];
+  Sys.remove jpath
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -494,5 +550,11 @@ let () =
             drain_timeout_aborts_stragglers;
           tc "breaker trips on crash churn" `Quick breaker_trips_on_crash_churn;
         ] );
-      ("journal", [ tc "lifecycle recorded as typed events" `Quick journal_records_lifecycle ]);
+      ( "journal",
+        [
+          tc "lifecycle recorded as typed events" `Quick
+            journal_records_lifecycle;
+          tc "health, metrics and server_stopped agree" `Quick
+            lifecycle_totals_agree;
+        ] );
     ]
