@@ -251,13 +251,9 @@ let run_profile () =
               ignore (Techmap.Matchlib.build lib)))
         (Cell.Genlib.libraries ()));
   T.with_span "bench.pipeline" (fun () ->
-      let nl = Circuits.Multiplier.generate ~width:8 in
-      let aig =
-        T.with_span "synth.resyn2rs" (fun () -> Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl))
-      in
       let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
-      let mapped = Techmap.Mapper.map ml aig in
-      ignore (Techmap.Estimate.run ~patterns:65536 mapped));
+      let mult8 () = Circuits.Multiplier.generate ~width:8 in
+      ignore (Runtime.Cnt_error.get_exn (Techmap.Flow.run ~patterns:65536 ~name:"mult8" [ ml ] mult8)));
   let prof = T.snapshot () in
   T.set_enabled false;
   let path = "BENCH_profile.json" in
@@ -311,14 +307,15 @@ let run_serve_roundtrip () =
       let handlers =
         {
           Sv.admit =
-            (fun req -> Result.bind (Ck.field req "blif") (Ck.as_str "blif"));
+            (fun req -> Result.bind (Ck.str_field req "blif") Nets.Blif.parse_string);
           execute =
-            (fun blif ->
+            (fun nl ->
+              let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
               Result.map
-                (fun r ->
+                (fun flow ->
+                  let _, r = List.hd flow.Techmap.Flow.results in
                   Ck.Obj [ ("total_W", Ck.Num r.Techmap.Estimate.total) ])
-                (Techmap.Estimate.run_blif ~domains:1 ~patterns:4096
-                   ~lib:Cell.Genlib.generalized_cntfet blif));
+                (Techmap.Flow.run ~domains:1 ~patterns:4096 ~name:"request" [ ml ] (fun () -> nl)));
           describe = (fun _ -> [ ("bench", "roundtrip") ]);
         }
       in

@@ -24,6 +24,7 @@ module T = Runtime.Telemetry
 module Jn = Runtime.Journal
 module Tr = Runtime.Trace_export
 module Cp = Runtime.Compare
+module F = Techmap.Flow
 
 open Cmdliner
 
@@ -239,43 +240,35 @@ let ablations_cmd =
     (Cmd.info "ablations" ~doc:"Run the A2-A5 ablations on the multiplier.")
     (ok0 (fun () -> Experiments.Ablations.print std ()))
 
+let flow_all_families ~patterns ~seed ~name source =
+  let tables = List.map Techmap.Matchlib.build (Cell.Genlib.libraries ()) in
+  R.get_exn (F.run ~patterns ~seed ~name tables source)
+
 (* `synth` goes through the checked error path end to end: every failure
-   (unknown circuit, malformed generator output, mapping dead-end) is
-   reported as a typed error and exits with its per-class code, exactly
-   like the other subcommands. *)
+   (unknown circuit, malformed generator output, mapping dead-end,
+   co-simulation mismatch) is reported as a typed error and exits with
+   its per-class code, exactly like the other subcommands. *)
 let run_synth circuit libfiles patterns seed domains =
   validate_patterns patterns;
   validate_seed seed;
   apply_runtime_opts ~domains;
   load_library_files libfiles;
   let body () =
-    let entry = find_circuit circuit in
-    let nl = entry.Circuits.Suite.generate () in
-    let wf = Nets.Check.check_exn nl in
-    let aig = Aigs.Aig.of_netlist nl in
-    Format.fprintf std "%s (%s): %a [%a]@." entry.Circuits.Suite.name
-      entry.Circuits.Suite.description Aigs.Aig.pp_stats aig Nets.Check.pp_report wf;
-    let opt = Aigs.Opt.resyn2rs aig in
-    Format.fprintf std "after resyn2rs: %a@." Aigs.Aig.pp_stats opt;
+    let { Circuits.Suite.name; description; generate } = find_circuit circuit in
+    let flow = flow_all_families ~patterns ~seed ~name generate in
+    Format.fprintf std "%s (%s): %a [%a]@." name description Aigs.Aig.pp_stats flow.F.aig
+      Nets.Check.pp_report flow.F.wellformed;
+    Format.fprintf std "after resyn2rs: %a@." Aigs.Aig.pp_stats flow.F.optimized;
     List.iter
-      (fun lib ->
-        let ml = Techmap.Matchlib.build lib in
-        match Techmap.Mapper.map_checked ml opt with
-        | Result.Error e ->
-            R.raise_error
-              (R.with_context e
-                 [ ("circuit", circuit); ("library", lib.Cell.Genlib.name) ])
-        | Ok mapped ->
-            let ok = Techmap.Mapped.check mapped nl ~patterns:512 ~seed:4L in
-            Format.fprintf std "@.%a (verified: %b)@." Techmap.Mapped.pp_stats mapped ok;
-            List.iter
-              (fun (name, count) -> Format.fprintf std "  %-10s x%d@." name count)
-              (Techmap.Mapped.gate_histogram mapped);
-            let report = Techmap.Estimate.run ~patterns ~seed mapped in
-            Format.fprintf std "  %a@." Techmap.Estimate.pp_report report;
-            let sta = Techmap.Sta.analyze mapped in
-            Format.fprintf std "  %a@." Techmap.Sta.pp_report sta)
-      (Cell.Genlib.libraries ())
+      (fun (mapped, report) ->
+        Format.fprintf std "@.%a@." Techmap.Mapped.pp_stats mapped;
+        List.iter
+          (fun (name, count) -> Format.fprintf std "  %-10s x%d@." name count)
+          (Techmap.Mapped.gate_histogram mapped);
+        Format.fprintf std "  %a@." Techmap.Estimate.pp_report report;
+        let sta = Techmap.Sta.analyze mapped in
+        Format.fprintf std "  %a@." Techmap.Sta.pp_report sta)
+      flow.F.results
   in
   match R.protect ~stage:R.Experiment body with
   | Ok () -> 0
@@ -305,28 +298,20 @@ let genlib_cmd =
     (Cmd.info "genlib" ~doc:"Dump the mapping libraries in genlib syntax.")
     Term.(const run $ library_file_arg)
 
-(* BLIF pipeline used by `check` and by `all --with-blif`: parse, validate
-   well-formedness, synthesize, map and estimate. Every failure is a typed
-   error. *)
+(* The flow on a BLIF file, for `check` and `all --with-blif`. *)
 let run_blif_pipeline ppf ~patterns ~seed path =
-  let nl = R.get_exn (Nets.Blif.parse_file path) in
-  let wf = Nets.Check.check_exn nl in
-  Format.fprintf ppf "%s: %a [%a]@." path Nets.Netlist.pp_stats nl
-    Nets.Check.pp_report wf;
-  let aig = Aigs.Aig.of_netlist nl in
-  let opt = Aigs.Opt.resyn2rs aig in
+  let flow = flow_all_families ~patterns ~seed ~name:path (fun () -> Nets.Blif.read_file path) in
+  Format.fprintf ppf "%s: %a [%a]@." path Nets.Netlist.pp_stats flow.F.netlist
+    Nets.Check.pp_report flow.F.wellformed;
   List.concat_map
-    (fun lib ->
-      let ml = Techmap.Matchlib.build lib in
-      let mapped = R.get_exn (Techmap.Mapper.map_checked ml opt) in
-      let report = Techmap.Estimate.run ~patterns ~seed mapped in
-      Format.fprintf ppf "  %-20s %a@." lib.Cell.Genlib.name
-        Techmap.Estimate.pp_report report;
+    (fun ((mapped : Techmap.Mapped.t), report) ->
+      let lib = mapped.Techmap.Mapped.lib.Cell.Genlib.name in
+      Format.fprintf ppf "  %-20s %a@." lib Techmap.Estimate.pp_report report;
       [
-        (lib.Cell.Genlib.name ^ ".gates", float_of_int report.Techmap.Estimate.gates);
-        (lib.Cell.Genlib.name ^ ".total_uW", report.Techmap.Estimate.total *. 1e6);
+        (lib ^ ".gates", float_of_int report.Techmap.Estimate.gates);
+        (lib ^ ".total_uW", report.Techmap.Estimate.total *. 1e6);
       ])
-    (Cell.Genlib.libraries ())
+    flow.F.results
 
 let check_cmd =
   let file =
@@ -1237,7 +1222,7 @@ let report_json (r : Techmap.Estimate.report) =
 
 type serve_job = {
   sj_lib : Cell.Genlib.t;
-  sj_blif : string;
+  sj_netlist : Nets.Netlist.t;
   sj_patterns : int;
   sj_seed : int64;
   sj_domains : int option;
@@ -1256,7 +1241,7 @@ let as_int name v =
 
 (* Admission runs in the server process: cheap typed validation of every
    parameter plus a full BLIF parse + well-formedness check, so garbage
-   is refused before a worker is ever spawned. *)
+   is refused before a worker is ever spawned; the worker gets the netlist. *)
 let serve_admit ~allow_inject json =
   let ( let* ) = Result.bind in
   let* verb = C.str_field json "verb" in
@@ -1269,14 +1254,7 @@ let serve_admit ~allow_inject json =
   in
   let* blif = C.str_field json "blif" in
   let* lib_name = C.opt_field C.as_str json "library" ~default:"cntfet-generalized" in
-  let* lib =
-    match Cell.Genlib.find_library lib_name with
-    | Some l -> Ok l
-    | None ->
-        R.error
-          ~context:[ ("known", String.concat "," (Cell.Genlib.library_names ())) ]
-          R.Cli R.Validation_error "unknown library %S" lib_name
-  in
+  let* lib = R.protect ~stage:R.Cli (fun () -> find_library lib_name) in
   let* patterns =
     C.opt_field as_int json "patterns" ~default:Techmap.Estimate.default_patterns
   in
@@ -1310,7 +1288,7 @@ let serve_admit ~allow_inject json =
   Ok
     {
       sj_lib = lib;
-      sj_blif = blif;
+      sj_netlist = nl;
       sj_patterns = patterns;
       sj_seed = seed;
       sj_domains = domains;
@@ -1328,15 +1306,16 @@ let serve_execute job =
         Unix.sleepf 3600.0
       done
   | _ -> ());
-  Result.map report_json
-    (Techmap.Estimate.run_blif ?domains:job.sj_domains
-       ~patterns:job.sj_patterns ~seed:job.sj_seed ~lib:job.sj_lib job.sj_blif)
+  Result.map
+    (fun flow -> report_json (snd (List.hd flow.F.results)))
+    (F.run ?domains:job.sj_domains ~patterns:job.sj_patterns ~seed:job.sj_seed
+       ~name:"request" [ Techmap.Matchlib.build job.sj_lib ] (fun () -> job.sj_netlist))
 
 let serve_describe job =
   [
     ("library", job.sj_lib.Cell.Genlib.name);
     ("patterns", string_of_int job.sj_patterns);
-    ("blif_bytes", string_of_int (String.length job.sj_blif));
+    ("gates", string_of_int (Nets.Netlist.num_gates job.sj_netlist));
   ]
 
 let socket_arg =

@@ -6,6 +6,7 @@ module T = Runtime.Telemetry
 module Jn = Runtime.Journal
 module M = Runtime.Metrics
 module Est = Techmap.Estimate
+module F = Techmap.Flow
 module G = Cell.Genlib
 
 type shard = {
@@ -73,17 +74,11 @@ let shard_scalars (r : Est.report) =
     ("edp_1e-24Js", r.Est.edp *. 1e24);
   ]
 
-(* One Table 1 cell, inside the forked worker; exceptions become typed
-   errors on the supervisor's result pipe. *)
-let execute (entry : Circuits.Suite.entry) lib ~patterns ~seed =
-  let nl = entry.Circuits.Suite.generate () in
-  let (_ : Nets.Check.report) = Nets.Check.check_exn nl in
-  let aig = Aigs.Aig.of_netlist nl in
-  let opt = Aigs.Opt.resyn2rs aig in
-  let ml = Techmap.Matchlib.build lib in
-  match Techmap.Mapper.map_checked ml opt with
-  | Error e -> E.raise_error e
-  | Ok mapped -> shard_scalars (Est.run ~patterns ~seed mapped)
+(* One Table 1 cell, inside the forked worker; the flow's typed error
+   rides the supervisor's result pipe. *)
+let execute { Circuits.Suite.name; generate; _ } lib ~patterns ~seed =
+  let flow = E.get_exn (F.run ~patterns ~seed ~name [ Techmap.Matchlib.build lib ] generate) in
+  shard_scalars (snd (List.hd flow.F.results))
 
 let grid ~circuits ~libraries ~seeds ~patterns =
   List.concat_map

@@ -1,6 +1,7 @@
-module A = Aigs.Aig
 module E = Techmap.Estimate
 module G = Cell.Genlib
+module Err = Runtime.Cnt_error
+module F = Techmap.Flow
 
 type row = { name : string; description : string; results : (string * E.report) list }
 
@@ -13,41 +14,20 @@ type summary = {
 module T = Runtime.Telemetry
 
 let run ?(patterns = E.default_patterns) ?(seed = 42L) ?(circuits = Circuits.Suite.all) ?(verify = true) () =
-  let matchlibs = List.map (fun lib -> (lib, Techmap.Matchlib.build lib)) (G.libraries ()) in
+  if not verify then
+    Err.failf Err.Experiment Err.Validation_error
+      "Table 1 verifies every mapping; ~verify:false is refused";
+  let matchlibs = List.map Techmap.Matchlib.build (G.libraries ()) in
   let rows =
     List.map
-      (fun (entry : Circuits.Suite.entry) ->
-        T.with_span ("circuit." ^ entry.Circuits.Suite.name) (fun () ->
-        let nl = entry.Circuits.Suite.generate () in
-        (* Well-formedness gate before mapping: a malformed generator output
-           fails here with a typed netlist/* error instead of surfacing as a
-           cryptic mapper crash. *)
-        let (_ : Nets.Check.report) = Nets.Check.check_exn nl in
-        let aig = A.of_netlist nl in
-        let opt = T.with_span "synth.resyn2rs" (fun () -> Aigs.Opt.resyn2rs aig) in
-        let results =
-          List.map
-            (fun (lib, ml) ->
-              let mapped = Techmap.Mapper.map ml opt in
-              if verify && not (Techmap.Mapped.check mapped nl ~patterns:512 ~seed:99L)
-              then
-                Runtime.Cnt_error.failf
-                  ~context:
-                    [ ("circuit", entry.Circuits.Suite.name); ("library", lib.G.name) ]
-                  Runtime.Cnt_error.Techmap Runtime.Cnt_error.Mismatch
-                  "Table1: %s mapped with %s is not equivalent"
-                  entry.Circuits.Suite.name lib.G.name;
-              (lib.G.name, E.run ~patterns ~seed mapped))
-            matchlibs
-        in
-        {
-          name = entry.Circuits.Suite.name;
-          description = entry.Circuits.Suite.description;
-          results;
-        }))
+      (fun { Circuits.Suite.name; description; generate } ->
+        T.with_span ("circuit." ^ name) (fun () ->
+        let flow = Err.get_exn (F.run ~patterns ~seed ~name matchlibs generate) in
+        let keyed ((m : Techmap.Mapped.t), r) = (m.Techmap.Mapped.lib.G.name, r) in
+        { name; description; results = List.map keyed flow.F.results }))
       circuits
   in
-  let lib_names = List.map (fun (lib, _) -> lib.G.name) matchlibs in
+  let lib_names = List.map (fun ml -> (Techmap.Matchlib.library ml).G.name) matchlibs in
   let mean sel name =
     let values = List.map (fun r -> sel (List.assoc name r.results)) rows in
     List.fold_left ( +. ) 0.0 values /. float_of_int (List.length values)

@@ -2,10 +2,10 @@
     12-circuit suite with the three libraries, followed by random-pattern
     power estimation.
 
-    Flow per circuit (Section 4 of the paper): generate -> AIG ->
-    resyn2rs-like optimization -> map with each genlib -> estimate power
-    with random patterns at f = 1 GHz, V_DD = 0.9 V. Every mapped netlist
-    is co-simulated against the generated reference before being reported. *)
+    Each circuit runs {!Techmap.Flow} (Section 4 of the paper) under a
+    [circuit.<name>] span: generate -> check -> AIG -> resyn2rs -> map
+    with each genlib -> verify -> estimate power with random patterns at
+    f = 1 GHz, V_DD = 0.9 V. *)
 
 type row = {
   name : string;
@@ -30,8 +30,10 @@ val run :
   unit ->
   summary
 (** Defaults: 640 K patterns, estimation seed 42, the full 12-circuit
-    suite, with verification. Raises [Failure] if a mapped netlist fails
-    co-simulation. *)
+    suite. Raises {!Runtime.Cnt_error.Error} with the flow's typed error,
+    [techmap/mismatch] when a mapping fails its co-simulation. [?verify]
+    stays only because [perfbench/perfbench.ml] passes [~verify:true];
+    [~verify:false] is refused. *)
 
 val print : Format.formatter -> summary -> unit
 (** Render the Table-1-shaped report (gate count, delay, P_D, P_S, P_T, EDP

@@ -23,7 +23,7 @@ type stage =
   | Cli  (** command-line driver *)
 
 type code =
-  | Parse_error  (** malformed input text (BLIF, AIGER, genlib) *)
+  | Parse_error  (** malformed input text (BLIF, genlib, JSON) *)
   | Validation_error  (** invalid parameter or circuit description *)
   | Non_finite  (** NaN or infinity where a finite number is required *)
   | Convergence_failure  (** iterative solver exhausted its budget *)

@@ -93,7 +93,10 @@ type 'job handlers = {
       (** Runs in the server process on every non-health request, after
           the overload check: cheap validation (parameter ranges, BLIF
           parse + well-formedness) that turns garbage into a typed
-          refusal before a worker is spawned. *)
+          refusal before a worker is spawned. The job it returns carries
+          what it parsed: [cntpower serve]'s job holds the checked
+          netlist, on which the worker runs the synthesis-to-power flow
+          without parsing the BLIF again. *)
   execute : 'job -> (Checkpoint.json, Cnt_error.t) result;
       (** Runs in the forked worker; its [Ok] JSON becomes the
           response's [result] field. The job crosses the fork by

@@ -141,11 +141,8 @@ let fresh_dstate () =
     s_since = 0;
   }
 
-let dstate_add d v =
-  d.s_count <- d.s_count + 1;
-  d.s_sum <- d.s_sum +. v;
-  if v < d.s_min then d.s_min <- v;
-  if v > d.s_max then d.s_max <- v;
+(* The sample half of an observation, shared by [observe] and [merge]. *)
+let retain d v =
   d.s_since <- d.s_since + 1;
   if d.s_since >= d.s_stride then begin
     d.s_since <- 0;
@@ -163,6 +160,13 @@ let dstate_add d v =
     d.s_samples.(d.s_stored) <- v;
     d.s_stored <- d.s_stored + 1
   end
+
+let dstate_add d v =
+  d.s_count <- d.s_count + 1;
+  d.s_sum <- d.s_sum +. v;
+  if v < d.s_min then d.s_min <- v;
+  if v > d.s_max then d.s_max <- v;
+  retain d v
 
 let find_dstate name =
   let dists = (registry ()).g_dists in
@@ -225,14 +229,7 @@ let merge_dist name (d : dist) =
   s.s_sum <- s.s_sum +. d.d_sum;
   if d.d_min < s.s_min then s.s_min <- d.d_min;
   if d.d_max > s.s_max then s.s_max <- d.d_max;
-  (* Interleave the incoming samples with the retained ones, bounded. *)
-  Array.iter
-    (fun v ->
-      if s.s_stored < max_samples then begin
-        s.s_samples.(s.s_stored) <- v;
-        s.s_stored <- s.s_stored + 1
-      end)
-    d.d_samples
+  Array.iter (retain s) d.d_samples
 
 let merge ?(prefix = []) p =
   let reg = registry () in

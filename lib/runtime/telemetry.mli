@@ -117,8 +117,8 @@ val merge : ?prefix:string list -> profile -> unit
 (** Fold a profile (typically a forked worker's snapshot) into the live
     registry: span trees are grafted under the path [prefix] (created as
     needed, default root) adding calls and totals node-wise; counters add;
-    distributions combine counts/sums/extrema and interleave samples up to
-    the bound. Works even while collection is disabled — merging is an
+    distributions combine counts/sums/extrema and feed the incoming
+    samples through the same bounded systematic sample as {!observe}. Works even while collection is disabled — merging is an
     explicit act. *)
 
 val mean : dist -> float

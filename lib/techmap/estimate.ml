@@ -78,8 +78,9 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
   let vdd = tech.Spice.Tech.vdd in
   let f = Spice.Tech.frequency in
   let stimulus =
-    Nets.Sim.random_stimulus ?domains ~seed
-      ~inputs:(Array.length m.Mapped.pi_nets) ~patterns ()
+    T.with_span "estimate.stimulus" (fun () ->
+        Nets.Sim.random_stimulus ?domains ~seed
+          ~inputs:(Array.length m.Mapped.pi_nets) ~patterns ())
   in
   let t0 = if T.enabled () then T.now () else 0.0 in
   let values =
@@ -98,19 +99,19 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     else float_of_int (B.transitions values.(net)) /. float_of_int (patterns - 1)
   in
   let prob net = float_of_int (B.popcount values.(net)) /. float_of_int patterns in
-  let loads = Mapped.net_loads ~wire_cap_per_fanout m in
   (* Dynamic power: every net that toggles charges its load. *)
   let dynamic = ref 0.0 in
-  for net = 0 to m.Mapped.num_nets - 1 do
-    dynamic := !dynamic +. (toggle net *. loads.(net) *. f *. vdd *. vdd)
-  done;
+  T.with_span "estimate.toggles" (fun () ->
+      let loads = Mapped.net_loads ~wire_cap_per_fanout m in
+      for net = 0 to m.Mapped.num_nets - 1 do
+        dynamic := !dynamic +. (toggle net *. loads.(net) *. f *. vdd *. vdd)
+      done);
   (* Static and gate leakage from the per-gate characterization. *)
   let static, gate_leak =
     T.with_span "estimate.characterize" (fun () -> static_components m ~probs:prob)
   in
-  let static = ref static and gate_leak = ref gate_leak in
   let short_circuit = Spice.Tech.short_circuit_fraction *. !dynamic in
-  let total = !dynamic +. short_circuit +. !static +. !gate_leak in
+  let total = !dynamic +. short_circuit +. static +. gate_leak in
   let delay = Mapped.delay m in
   {
     gates = Mapped.num_gates m;
@@ -118,8 +119,8 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     delay;
     dynamic = !dynamic;
     short_circuit;
-    static = !static;
-    gate_leak = !gate_leak;
+    static;
+    gate_leak;
     total;
     edp = Power.Powermodel.edp ~total_power:total ~delay ();
   })
@@ -129,29 +130,3 @@ let pp_report ppf r =
     "gates=%d area=%g delay=%.1fps PD=%.3guW PSC=%.3guW PS=%.3guW PG=%.3guW PT=%.3guW EDP=%.3g(1e-24 J.s)"
     r.gates r.area (r.delay *. 1e12) (r.dynamic *. 1e6) (r.short_circuit *. 1e6)
     (r.static *. 1e6) (r.gate_leak *. 1e6) (r.total *. 1e6) (r.edp *. 1e24)
-
-let pp_row ppf (name, r) =
-  Format.fprintf ppf "%-8s %5d %6.0f %8.2f %6.2f %8.2f %8.2f" name r.gates
-    (r.delay *. 1e12) (r.dynamic *. 1e6) (r.static *. 1e6) (r.total *. 1e6)
-    (r.edp *. 1e24)
-
-(* Checked one-call pipeline from BLIF text to a report, shared by the
-   [cntpower serve] daemon and anything else that holds a netlist as
-   text rather than a file. Every stage failure comes back typed. *)
-let run_blif ?domains ?patterns ?seed ~lib text =
-  let module E = Runtime.Cnt_error in
-  let ( let* ) = Result.bind in
-  let* nl = Nets.Blif.parse_string text in
-  let* _wf = Nets.Check.check nl in
-  let* mapped =
-    match
-      E.protect ~stage:E.Techmap (fun () ->
-          let aig = Aigs.Aig.of_netlist nl in
-          let opt = Aigs.Opt.resyn2rs aig in
-          let ml = Matchlib.build lib in
-          Mapper.map_checked ml opt)
-    with
-    | Ok r -> r
-    | Error _ as e -> e
-  in
-  E.protect ~stage:E.Power (fun () -> run ?domains ?patterns ?seed mapped)

@@ -32,7 +32,9 @@ val run :
 (** [wire_cap_per_fanout] adds lumped interconnect capacitance per driven
     pin (default 0, the paper's assumption). The Monte-Carlo sweep shards
     across [?domains] (default {!Runtime.Dpool.default_domains});
-    reported figures are bit-identical for any domain count. *)
+    reported figures are bit-identical for any domain count. Its span
+    [techmap.estimate] has one child per step: [estimate.stimulus],
+    [estimate.simulate], [estimate.toggles], [estimate.characterize]. *)
 
 val static_components : Mapped.t -> probs:(int -> float) -> float * float
 (** [(static, gate_leak)] powers in W of every cell, weighting each cell's
@@ -42,21 +44,3 @@ val static_components : Mapped.t -> probs:(int -> float) -> float * float
     sequential estimators. *)
 
 val pp_report : Format.formatter -> report -> unit
-
-val pp_row : Format.formatter -> string * report -> unit
-(** One Table-1-style row: name, gates, delay (ps), P_D, P_S, P_T (uW),
-    EDP (1e-24 J·s). *)
-
-val run_blif :
-  ?domains:int ->
-  ?patterns:int ->
-  ?seed:int64 ->
-  lib:Cell.Genlib.t ->
-  string ->
-  (report, Runtime.Cnt_error.t) result
-(** Checked end-to-end pipeline over BLIF {e text}: parse, well-formedness
-    check ({!Nets.Check.check}), AIG construction, [resyn2rs], matchlib
-    build, mapping, then {!run}. Used by [cntpower serve],
-    whose requests carry the netlist inline. Every failure — parse error,
-    combinational loop, unmapped node, non-finite power — is a typed
-    error, never an exception. *)

@@ -285,38 +285,6 @@ let resyn_monotone_benefit () =
       (A.num_ands opt <= A.num_ands aig)
   done
 
-(* ------------------------------------------------------------------ *)
-(* Aiger *)
-
-let aiger_roundtrip_fa () =
-  let aig = full_adder_aig () in
-  let text = Aigs.Aiger.write_string aig in
-  let aig2 = Aigs.Aiger.read_string text in
-  check_equiv "aiger roundtrip" aig aig2;
-  Alcotest.(check int) "same ands" (A.num_ands aig) (A.num_ands aig2);
-  Alcotest.(check string) "input names preserved" "a" (A.input_name aig2 1)
-
-let aiger_roundtrip_random =
-  QCheck.Test.make ~count:50 ~name:"aiger roundtrip preserves function"
-    QCheck.(make Gen.(int_bound 10_000))
-    (fun seed ->
-      let rng = Logic.Prng.create (Int64.of_int (seed + 5)) in
-      let aig = A.cleanup (random_aig rng ~inputs:5 ~ands:30 ~outs:3) in
-      let aig2 = Aigs.Aiger.read_string (Aigs.Aiger.write_string aig) in
-      let fa = output_functions aig and fb = output_functions aig2 in
-      Array.for_all2 (fun (_, f) (_, g) -> T.equal f g) fa fb)
-
-let aiger_parse_errors () =
-  let bad text =
-    try
-      ignore (Aigs.Aiger.read_string text);
-      false
-    with Aigs.Aiger.Parse_error _ -> true
-  in
-  Alcotest.(check bool) "garbage" true (bad "hello");
-  Alcotest.(check bool) "latches" true (bad "aag 1 0 1 0 0\n2 3\n");
-  Alcotest.(check bool) "truncated" true (bad "aag 3 1 0 1 1\n2\n")
-
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "aig"
@@ -336,13 +304,6 @@ let () =
           Alcotest.test_case "full-adder sum cut tt" `Quick cut_tt_full_adder;
         ]
         @ qt [ cut_order_matches_reference ] );
-      ( "aiger",
-        Alcotest.
-          [
-            test_case "full adder roundtrip" `Quick aiger_roundtrip_fa;
-            test_case "parse errors" `Quick aiger_parse_errors;
-          ]
-        @ qt [ aiger_roundtrip_random ] );
       ( "opt",
         Alcotest.
           [

@@ -8,6 +8,8 @@ module E = Runtime.Cnt_error
 module C = Runtime.Checkpoint
 module Cg = Experiments.Campaign
 module G = Cell.Genlib
+module T = Runtime.Telemetry
+module T1 = Experiments.Exp_table1
 
 let ok = function
   | Ok v -> v
@@ -352,6 +354,84 @@ let test_campaign_manifest_is_queue_view () =
     "manifest equals the queue's done records, bit for bit" queue_view
     (List.map (fun (e : C.entry) -> (e.C.experiment, e.C.scalars)) m.C.entries)
 
+(* ------------------------------------------------------------------ *)
+(* One flow: Table 1 and a campaign shard run the same stages          *)
+
+let mult8_grid ~patterns =
+  Cg.grid ~circuits:[ small_entry "mult8" ] ~libraries:[ G.cmos ]
+    ~seeds:[ 42L ] ~patterns
+
+(* The profile [f] leaves, with telemetry on from an empty registry. *)
+let profiled f =
+  T.set_enabled true;
+  T.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled false;
+      T.reset ())
+    (fun () ->
+      f ();
+      T.snapshot ())
+
+let span_calls (p : T.profile) name =
+  List.fold_left
+    (fun acc (_, (s : T.span)) ->
+      if s.T.span_name = name then acc + s.T.calls else acc)
+    0 (T.flatten p.T.p_spans)
+
+let test_flow_verifies_every_table () =
+  let p =
+    profiled (fun () ->
+        ignore (T1.run ~circuits:[ small_entry "mult8" ] ~patterns:256 ()))
+  in
+  Alcotest.(check int)
+    "Table 1 verifies once per match table"
+    (List.length (G.libraries ()))
+    (span_calls p "flow.verify");
+  let runs_dir = temp_dir "campaign-runs" in
+  let cfg = test_cfg ~campaign:"verify" ~runs_dir in
+  let p = profiled (fun () -> ignore (ok (Cg.run cfg (mult8_grid ~patterns:256)))) in
+  Alcotest.(check int) "the shard verifies its one match table" 1
+    (span_calls p "flow.verify")
+
+let test_table1_refuses_unverified () =
+  match T1.run ~circuits:[ small_entry "mult8" ] ~patterns:64 ~verify:false () with
+  | _ -> Alcotest.fail "~verify:false must be refused"
+  | exception E.Error e ->
+      Alcotest.(check string) "a typed validation error" "validation-error"
+        (E.code_name e.E.code)
+
+let test_shard_equals_table1 () =
+  let runs_dir = temp_dir "campaign-runs" in
+  let cfg = test_cfg ~campaign:"same" ~runs_dir in
+  ignore (ok (Cg.run cfg (mult8_grid ~patterns:4096)));
+  let manifest = ok (C.load ~path:(Cg.manifest_path cfg)) in
+  let shard =
+    match C.find manifest "mult8/cmos/42" with
+    | Some e -> e.C.scalars
+    | None -> Alcotest.fail "no manifest entry for mult8/cmos/42"
+  in
+  let row =
+    List.hd
+      (T1.run ~circuits:[ small_entry "mult8" ] ~patterns:4096 ~seed:42L ())
+        .T1.rows
+  in
+  let r = List.assoc "cmos" row.T1.results in
+  let module Est = Techmap.Estimate in
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option string))
+        k
+        (Some (Printf.sprintf "%.17g" v))
+        (Option.map (Printf.sprintf "%.17g") (List.assoc_opt k shard)))
+    [
+      ("gates", float_of_int r.Est.gates);
+      ("delay_ps", r.Est.delay *. 1e12);
+      ("dynamic_uW", r.Est.dynamic *. 1e6);
+      ("static_uW", r.Est.static *. 1e6);
+      ("total_uW", r.Est.total *. 1e6);
+    ]
+
 let () =
   Alcotest.run "campaign"
     [
@@ -375,5 +455,14 @@ let () =
             `Quick test_campaign_sigkill_resume;
           Alcotest.test_case "resume renders the manifest from the queue"
             `Quick test_campaign_manifest_is_queue_view;
+        ] );
+      ( "flow",
+        [
+          Alcotest.test_case "Table 1 and a shard verify every table" `Quick
+            test_flow_verifies_every_table;
+          Alcotest.test_case "shard mult8/cmos/42 equals its Table 1 cell"
+            `Quick test_shard_equals_table1;
+          Alcotest.test_case "Table 1 refuses ~verify:false" `Quick
+            test_table1_refuses_unverified;
         ] );
     ]

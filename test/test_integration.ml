@@ -41,12 +41,6 @@ let aig_netlist_roundtrip =
       let nl2 = A.to_netlist aig in
       V.equiv_netlists nl nl2)
 
-let aiger_roundtrip_suite () =
-  let nl = (Circuits.Suite.find "C1908").Circuits.Suite.generate () in
-  let aig = A.cleanup (A.of_netlist nl) in
-  let aig2 = Aigs.Aiger.read_string (Aigs.Aiger.write_string aig) in
-  Alcotest.(check bool) "aiger roundtrip equivalent" true (V.equiv_netlist_aig nl aig2)
-
 (* ------------------------------------------------------------------ *)
 (* Three-engine CEC agreement *)
 
@@ -147,7 +141,6 @@ let () =
         Alcotest.
           [
             test_case "blif on ECC rows" `Slow blif_roundtrip_suite;
-            test_case "aiger on C1908" `Slow aiger_roundtrip_suite;
           ]
         @ qt [ blif_roundtrip_random; aig_netlist_roundtrip ] );
       ( "cec-engines",

@@ -232,6 +232,37 @@ let merge_with_prefix =
       Alcotest.(check int) "local span untouched" 1
         (get_span p [ "local" ]).T.calls)
 
+(* Many one-sample profiles (shards, requests, domains) merged into one
+   distribution must sample the whole stream, as observing it would. *)
+let merge_keeps_sampling =
+  fresh (fun () ->
+      for i = 1 to 2000 do
+        T.merge
+          {
+            T.p_spans = [];
+            p_counters = [];
+            p_dists =
+              [
+                ( "merged",
+                  { T.d_count = 1; d_sum = float_of_int i;
+                    d_min = float_of_int i; d_max = float_of_int i;
+                    d_samples = [| float_of_int i |] } );
+              ];
+          };
+        T.observe "direct" (float_of_int i)
+      done;
+      let p = T.snapshot () in
+      let merged = Option.get (T.find_dist p "merged")
+      and direct = Option.get (T.find_dist p "direct") in
+      Alcotest.(check int) "every merged observation counted" 2000
+        merged.T.d_count;
+      List.iter
+        (fun q ->
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "merged p%.0f equals direct" (q *. 100.0))
+            (T.percentile direct q) (T.percentile merged q))
+        [ 0.5; 0.95 ])
+
 let merge_from_forked_worker =
   fresh (fun () ->
       T.count "parent.units" 1;
@@ -390,6 +421,7 @@ let () =
         [
           tc "merge with prefix" merge_with_prefix;
           tc "merge from a forked worker" merge_from_forked_worker;
+          tc "merged quantiles sample every merge" merge_keeps_sampling;
         ] );
       ( "serialization",
         [
