@@ -1244,14 +1244,6 @@ let as_int name v =
    is refused before a worker is ever spawned; the worker gets the netlist. *)
 let serve_admit ~allow_inject json =
   let ( let* ) = Result.bind in
-  let* verb = C.str_field json "verb" in
-  let* () =
-    if verb = "estimate" then Ok ()
-    else
-      R.error R.Cli R.Validation_error
-        "unknown verb %S (this daemon speaks \"estimate\", \"health\" and \
-         \"metrics\")" verb
-  in
   let* blif = C.str_field json "blif" in
   let* lib_name = C.opt_field C.as_str json "library" ~default:"cntfet-generalized" in
   let* lib = R.protect ~stage:R.Cli (fun () -> find_library lib_name) in

@@ -425,7 +425,7 @@ let dispatch st req now =
   let job = req.q_job in
   let name = worker_name req.q_id in
   let worker =
-    Supervisor.spawn ~telemetry_prefix:[ "serve.request"; name ]
+    Supervisor.spawn ~telemetry_prefix:[ "serve.request" ]
       ~close_in_child:(own_fds st) ~timeout_s:req.q_deadline_s ~name
       (fun () -> match execute job with Ok j -> j | Error e -> E.raise_error e)
   in
@@ -525,16 +525,18 @@ let parse_deadline st json =
 let process_request st conn json now =
   bump "requests";
   let id = next_id st in
-  let verb =
-    match J.str_field json "verb" with
-    | Ok v -> Ok v
-    | Error _ ->
-        E.error ~context:[ req_ctx id ] E.Cli E.Validation_error
-          "request needs a string \"verb\" field"
-  in
-  bump ("verb." ^ match verb with Ok v -> v | Error _ -> "invalid");
+  let verb = J.str_field json "verb" in
+  (* A client's string never names a counter. *)
+  bump
+    (match verb with
+    | Ok (("health" | "metrics" | "estimate") as v) -> "verb." ^ v
+    | Ok _ -> "verb.unknown"
+    | Error _ -> "verb.invalid");
   match verb with
-  | Error e -> reject st conn id e
+  | Error _ ->
+      reject st conn id
+        (E.make ~context:[ req_ctx id ] E.Cli E.Validation_error
+           "request needs a string \"verb\" field")
   | Ok "health" -> respond st conn (health st now)
   (* Like health, metrics answers inline ahead of shedding: an operator's
      poll must work exactly when the server is loaded or draining. *)
@@ -546,6 +548,11 @@ let process_request st conn json now =
       (* Shed before validating: admission work is exactly what an
          overloaded server must not spend on traffic it will refuse. *)
       shed st conn ~why:"queue-full"
+  | Ok verb when verb <> "estimate" ->
+      reject st conn id
+        (E.makef ~context:[ req_ctx id ] E.Cli E.Validation_error
+           "unknown verb %S (this daemon speaks \"estimate\", \"health\" and \"metrics\")"
+           verb)
   | Ok _ -> (
       match
         let* deadline_s = parse_deadline st json in

@@ -12,10 +12,10 @@
     Robustness is the design center, in layers:
 
     - {b admission control}: frames larger than [max_request_bytes] are
-      refused before their payload is read; malformed JSON, bad
-      parameters and ill-formed netlists are refused by the caller's
-      [admit] callback with a typed error — all before any work is
-      scheduled.
+      refused before their payload is read; malformed JSON, unknown
+      verbs, bad parameters and ill-formed netlists are refused with a
+      typed error (the last two by the caller's [admit] callback) — all
+      before any work is scheduled.
     - {b overload shedding}: at most [max_workers] requests run at once
       and at most [queue_limit] wait; anything beyond that gets an
       immediate [overloaded] response instead of unbounded buffering.
@@ -48,18 +48,20 @@
     The lifecycle totals ([served], [failed], [shed], [rejected],
     [worker_crashes], [deadline_kills]) are counted once, as the
     telemetry counters [serve.<name>], and the per-verb request counts
-    as [serve.verb.<verb>]: [health], the [metrics] verb and the final
-    [server_stopped] event all read the same registry. The loop's own
-    state holds no count, only the queues and workers the gauges are
-    read from.
+    as [serve.verb.<verb>] for [health], [metrics] and [estimate], any
+    other string as [serve.verb.unknown] (refused where admission runs)
+    and a missing verb as [serve.verb.invalid]: [health], the [metrics]
+    verb and the final [server_stopped] event all read the same
+    registry. The loop's own state holds no count, only the queues and
+    workers the gauges are read from.
 
     Every request frame takes the next request number [n] and, once
     admitted, runs in the worker [req-<n>]. The daemon's own events for
     the request carry both [request] and [worker], the worker's events
-    come back from the pool named for it, and its telemetry subtree sits
-    under [serve.request/req-<n>], so [cntpower trace --request <n>]
-    slices one request end-to-end and two runs of the same batch have
-    the same span paths. *)
+    come back from the pool named for it, and its profile is merged into
+    the one node [serve.request], which holds a node per stage however
+    many requests are served. [cntpower trace --request <n>] rebuilds
+    [req-<n>] from the stage times on its [worker_exited] event. *)
 
 type config = {
   socket_path : string;
@@ -90,7 +92,7 @@ val default_config : socket_path:string -> config
     generic (and testable with toy handlers). *)
 type 'job handlers = {
   admit : Checkpoint.json -> ('job, Cnt_error.t) result;
-      (** Runs in the server process on every non-health request, after
+      (** Runs in the server process on every [estimate] request, after
           the overload check: cheap validation (parameter ranges, BLIF
           parse + well-formedness) that turns garbage into a typed
           refusal before a worker is spawned. The job it returns carries

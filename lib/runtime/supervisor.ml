@@ -133,6 +133,13 @@ let graft prefix wall (p : Telemetry.profile) =
   in
   Telemetry.merge { p with Telemetry.p_spans = spans }
 
+(* The worker's own stage times, which the journal keeps where a prefix
+   that several workers share folds them together. *)
+let stage_times (p : Telemetry.profile) =
+  List.map
+    (fun (s : Telemetry.span) -> ("span:" ^ s.span_name, Printf.sprintf "%.6f" s.total_s))
+    p.p_spans
+
 (* Reap a worker whose pipe reached EOF and classify how it ended. *)
 let reap job pid =
   let killed detail msg =
@@ -152,7 +159,8 @@ let reap job pid =
           Option.iter
             (graft job.prefix (Unix.gettimeofday () -. job.started))
             profile;
-          emit job Journal.Worker_exited pid [];
+          emit job Journal.Worker_exited pid
+            (Option.fold ~none:[] ~some:stage_times profile);
           result
       | exception _ ->
           emit ~level:Journal.Warn job Journal.Worker_killed pid

@@ -48,7 +48,8 @@ val spawn :
     With a non-empty [telemetry_prefix] and {!Telemetry.enabled}, the
     worker resets its registry on entry and ships a snapshot on exit;
     the parent merges it under the prefix, charging each prefix node
-    one call and the worker's wall time. *)
+    one call and the worker's wall time, and journals each top-level
+    span's seconds on [worker_exited] as [span:<name>=<seconds>]. *)
 
 val wait :
   ?fds:Unix.file_descr list ->

@@ -16,7 +16,7 @@ type dist = {
   d_sum : float;
   d_min : float;
   d_max : float;
-  d_samples : float array;
+  d_buckets : (float * int) array;
 }
 
 type profile = {
@@ -24,8 +24,6 @@ type profile = {
   p_counters : (string * int) list;
   p_dists : (string * dist) list;
 }
-
-let max_samples = 512
 
 (* ------------------------------------------------------------------ *)
 (* Live registry                                                       *)
@@ -37,20 +35,9 @@ type node = {
   n_children : (string, node) Hashtbl.t;
 }
 
-(* Distribution accumulator with a deterministic systematic sample: keep
-   every [stride]-th observation; when the buffer fills, drop every other
-   retained sample and double the stride. Uniform-ish coverage of the
-   stream without randomness. *)
-type dstate = {
-  mutable s_count : int;
-  mutable s_sum : float;
-  mutable s_min : float;
-  mutable s_max : float;
-  s_samples : float array;
-  mutable s_stored : int;
-  mutable s_stride : int;
-  mutable s_since : int;  (* observations since the last retained one *)
-}
+(* A live distribution: its exact count, sum and extrema (with no
+   buckets) and a count per histogram bucket (see [key]). *)
+type dstate = { mutable exact : dist; buckets : (int, int ref) Hashtbl.t }
 
 let fresh_node name =
   { n_name = name; n_calls = 0; n_total = 0.0; n_children = Hashtbl.create 8 }
@@ -97,13 +84,15 @@ let reset () =
 
 let now () = Unix.gettimeofday ()
 
-let child_of parent name =
-  match Hashtbl.find_opt parent.n_children name with
-  | Some n -> n
+let find_or_add tbl k fresh =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> v
   | None ->
-      let n = fresh_node name in
-      Hashtbl.replace parent.n_children name n;
-      n
+      let v = fresh () in
+      Hashtbl.replace tbl k v;
+      v
+
+let child_of parent name = find_or_add parent.n_children name (fun () -> fresh_node name)
 
 let with_span name f =
   if not !on then f ()
@@ -121,63 +110,68 @@ let with_span name f =
       f
   end
 
-let add_counter name n =
-  let counters = (registry ()).g_counters in
-  match Hashtbl.find_opt counters name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace counters name (ref n)
+let add tbl k n =
+  let r = find_or_add tbl k (fun () -> ref 0) in
+  r := !r + n
 
-let count name n = if !on then add_counter name n
+let count name n = if !on then add (registry ()).g_counters name n
 
-let fresh_dstate () =
-  {
-    s_count = 0;
-    s_sum = 0.0;
-    s_min = infinity;
-    s_max = neg_infinity;
-    s_samples = Array.make max_samples 0.0;
-    s_stored = 0;
-    s_stride = 1;
-    s_since = 0;
-  }
+(* A value's bucket: the sign, exponent and top [mantissa_bits] mantissa
+   bits of the float, so 64 buckets per octave. The key is the magnitude's
+   bit prefix, negated for a negative value: keys order like the values,
+   and both zeros share key 0. *)
+let mantissa_bits = 6
+let shift = 52 - mantissa_bits
+let relative_error = Float.ldexp 1.0 (-(mantissa_bits + 1))
 
-(* The sample half of an observation, shared by [observe] and [merge]. *)
-let retain d v =
-  d.s_since <- d.s_since + 1;
-  if d.s_since >= d.s_stride then begin
-    d.s_since <- 0;
-    if d.s_stored = max_samples then begin
-      let kept = ref 0 in
-      for i = 0 to max_samples - 1 do
-        if i land 1 = 0 then begin
-          d.s_samples.(!kept) <- d.s_samples.(i);
-          incr kept
-        end
-      done;
-      d.s_stored <- !kept;
-      d.s_stride <- d.s_stride * 2
-    end;
-    d.s_samples.(d.s_stored) <- v;
-    d.s_stored <- d.s_stored + 1
-  end
+let key v =
+  let m = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float (Float.abs v)) shift) in
+  if v < 0.0 then -m else m
 
-let dstate_add d v =
-  d.s_count <- d.s_count + 1;
-  d.s_sum <- d.s_sum +. v;
-  if v < d.s_min then d.s_min <- v;
-  if v > d.s_max then d.s_max <- v;
-  retain d v
+(* The middle of bucket [k], within [relative_error] of every normal float
+   it holds. Zero and the infinities read as themselves. *)
+let middle k =
+  let low = Int64.shift_left (Int64.of_int (abs k)) shift in
+  let edge = Int64.float_of_bits low in
+  let mid =
+    if edge = 0.0 || not (Float.is_finite edge) then edge
+    else Int64.float_of_bits (Int64.add low (Int64.shift_left 1L (shift - 1)))
+  in
+  if k < 0 then -.mid else mid
+
+(* The occupied buckets of [tbl] as (middle, count), in ascending order. *)
+let bucket_array tbl =
+  Hashtbl.fold (fun k n acc -> (k, !n) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map (fun (k, n) -> (middle k, n))
+  |> Array.of_list
+
+let no_values =
+  { d_count = 0; d_sum = 0.0; d_min = infinity; d_max = neg_infinity; d_buckets = [||] }
 
 let find_dstate name =
-  let dists = (registry ()).g_dists in
-  match Hashtbl.find_opt dists name with
-  | Some d -> d
-  | None ->
-      let d = fresh_dstate () in
-      Hashtbl.replace dists name d;
-      d
+  find_or_add (registry ()).g_dists name (fun () ->
+      { exact = no_values; buckets = Hashtbl.create 16 })
 
-let observe name v = if !on then dstate_add (find_dstate name) v
+(* Observing and merging both add counts, so a merge is exact and its
+   order does not matter. *)
+let merge_dist name (x : dist) =
+  let d = find_dstate name in
+  let e = d.exact in
+  d.exact <-
+    {
+      e with
+      d_count = e.d_count + x.d_count;
+      d_sum = e.d_sum +. x.d_sum;
+      d_min = (if x.d_min < e.d_min then x.d_min else e.d_min);
+      d_max = (if x.d_max > e.d_max then x.d_max else e.d_max);
+    };
+  Array.iter (fun (v, n) -> add d.buckets (key v) n) x.d_buckets
+
+let observe name v =
+  if !on then
+    merge_dist name
+      { d_count = 1; d_sum = v; d_min = v; d_max = v; d_buckets = [| (v, 1) |] }
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot & merge                                                    *)
@@ -189,14 +183,7 @@ let rec span_of_node n =
   in
   { span_name = n.n_name; calls = n.n_calls; total_s = n.n_total; children }
 
-let dist_of_dstate d =
-  {
-    d_count = d.s_count;
-    d_sum = d.s_sum;
-    d_min = d.s_min;
-    d_max = d.s_max;
-    d_samples = Array.sub d.s_samples 0 d.s_stored;
-  }
+let dist_of_dstate d = { d.exact with d_buckets = bucket_array d.buckets }
 
 let sorted_assoc tbl f =
   Hashtbl.fold (fun k v acc -> (k, f v) :: acc) tbl []
@@ -223,21 +210,13 @@ let rec merge_span parent s =
   node.n_total <- node.n_total +. s.total_s;
   List.iter (merge_span node) s.children
 
-let merge_dist name (d : dist) =
-  let s = find_dstate name in
-  s.s_count <- s.s_count + d.d_count;
-  s.s_sum <- s.s_sum +. d.d_sum;
-  if d.d_min < s.s_min then s.s_min <- d.d_min;
-  if d.d_max > s.s_max then s.s_max <- d.d_max;
-  Array.iter (retain s) d.d_samples
-
 let merge ?(prefix = []) p =
   let reg = registry () in
   let anchor =
     List.fold_left (fun parent name -> child_of parent name) reg.g_root prefix
   in
   List.iter (merge_span anchor) p.p_spans;
-  List.iter (fun (name, n) -> add_counter name n) p.p_counters;
+  List.iter (fun (name, n) -> add reg.g_counters name n) p.p_counters;
   List.iter (fun (name, d) -> merge_dist name d) p.p_dists
 
 (* ------------------------------------------------------------------ *)
@@ -245,36 +224,18 @@ let merge ?(prefix = []) p =
 
 let mean d = if d.d_count = 0 then 0.0 else d.d_sum /. float_of_int d.d_count
 
-(* The [k]-th smallest of [a] by quickselect on a copy. Float compares
-   on a [float array] box nothing, where [Array.sort] boxes every element
-   it reads: a live snapshot summarizes every distribution each time. *)
-let kth_smallest (a : float array) k =
-  let a = Array.copy a in
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  while !lo < !hi do
-    let pivot = a.((!lo + !hi) / 2) in
-    let i = ref !lo and j = ref !hi in
-    while !i <= !j do
-      while a.(!i) < pivot do incr i done;
-      while a.(!j) > pivot do decr j done;
-      if !i <= !j then begin
-        let t = a.(!i) in
-        a.(!i) <- a.(!j);
-        a.(!j) <- t;
-        incr i;
-        decr j
-      end
-    done;
-    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
-  done;
-  a.(k)
-
+(* The nearest rank over the bucket counts, read as its bucket's middle
+   and clamped to the exact extrema. *)
 let percentile d q =
-  let n = Array.length d.d_samples in
+  let n = Array.fold_left (fun acc (_, c) -> acc + c) 0 d.d_buckets in
   if n = 0 then 0.0
   else
-    let rank = int_of_float (Float.of_int (n - 1) *. q +. 0.5) in
-    kth_smallest d.d_samples (max 0 (min (n - 1) rank))
+    let rank = max 0 (min (n - 1) (int_of_float (Float.of_int (n - 1) *. q +. 0.5))) in
+    let rec walk i below =
+      let v, c = d.d_buckets.(i) in
+      if below + c > rank then v else walk (i + 1) (below + c)
+    in
+    Float.min d.d_max (Float.max d.d_min (walk 0 0))
 
 let find_counter p name = List.assoc_opt name p.p_counters
 let find_dist p name = List.assoc_opt name p.p_dists
@@ -332,9 +293,10 @@ let rec span_to_json s =
     ]
 
 let dist_to_json (name, d) =
+  let bucket (v, c) = J.Arr [ J.Num v; J.Num (float_of_int c) ] in
   J.Obj
     ((("name", J.Str name) :: summary_fields (summarize d))
-    @ [ ("samples", J.Arr (List.map (fun v -> J.Num v) (Array.to_list d.d_samples))) ])
+    @ [ ("buckets", J.Arr (List.map bucket (Array.to_list d.d_buckets))) ])
 
 let to_json p =
   J.Obj
@@ -360,13 +322,17 @@ let dist_of_json j =
   let* d_sum = J.num_field j "sum" in
   let* d_min = J.num_field j "min" in
   let* d_max = J.num_field j "max" in
-  let* samples =
-    J.arr_field
-      (function
-        | J.Num v -> Ok v
-        | _ -> E.error E.Cli E.Parse_error "dist samples must be numbers")
-      j "samples"
+  (* A profile written before the histogram keeps [samples]: each one
+     folds into its bucket. *)
+  let bucket = function
+    | J.Arr [ J.Num v; J.Num c ] -> Ok (v, int_of_float c)
+    | J.Num v -> Ok (v, 1)
+    | _ -> E.error E.Cli E.Parse_error "dist buckets must be [value, count] pairs"
   in
+  let field = if Result.is_ok (J.field j "buckets") then "buckets" else "samples" in
+  let* pairs = J.arr_field bucket j field in
+  let buckets = Hashtbl.create 16 in
+  List.iter (fun (v, c) -> add buckets (key v) c) pairs;
   let d_count = int_of_float c in
   Ok
     ( name,
@@ -375,7 +341,7 @@ let dist_of_json j =
         d_sum;
         d_min = (if d_count = 0 then infinity else d_min);
         d_max = (if d_count = 0 then neg_infinity else d_max);
-        d_samples = Array.of_list samples;
+        d_buckets = bucket_array buckets;
       } )
 
 let of_json j =

@@ -10,9 +10,9 @@
       under the same parent yields one tree node with [calls = 18];
     - {b counters} ({!count}) are monotonic integer totals (DC solves,
       cache hits, words simulated);
-    - {b distributions} ({!observe}) keep min/mean/max plus a bounded
-      deterministic sample for p50/p95 (simulator patterns/s, settle
-      residuals).
+    - {b distributions} ({!observe}) keep their exact count, sum, min
+      and max plus a log-bucketed histogram for p50/p95 (simulator
+      patterns/s, settle residuals, request wall times).
 
     Collection is off by default. When disabled every entry point is a
     cheap branch on one flag — no allocation, no clock read — so the
@@ -21,12 +21,11 @@
     microbenchmark).
 
     Readers of the live registry ({!counter}, {!counters}, {!dists})
-    skip the span tree, which a long-lived daemon grows by one subtree
-    per request; {!Metrics} snapshots and the daemon's lifecycle totals
-    read through them. {!summarize} and {!flatten} are the one
-    distribution summary and the one span-path listing that
-    [profile.json], [cntpower stats] (and [--json]), {!Metrics} and
-    {!Compare} report.
+    skip the span tree, which a campaign grows by one subtree per shard;
+    {!Metrics} snapshots and the daemon's lifecycle totals read through
+    them. {!summarize} and {!flatten} are the one distribution summary
+    and the one span-path listing that [profile.json], [cntpower stats]
+    (and [--json]), {!Metrics} and {!Compare} report.
 
     The registry is plain data, so a forked worker
     ({!Runtime.Supervisor.spawn} with a telemetry prefix) can {!reset}
@@ -60,10 +59,13 @@ type dist = {
   d_sum : float;
   d_min : float;
   d_max : float;
-  d_samples : float array;
-      (** bounded systematic sample of the observations, used for
-          quantile estimates; at most {!max_samples} values *)
+  d_buckets : (float * int) array;
+      (** the histogram: each occupied bucket as its middle value and
+          its count, in ascending order of value *)
 }
+(** A bucket holds the floats that share a sign, an exponent and the top
+    6 mantissa bits: 64 buckets per octave. Observing and merging both
+    add counts, so merges are exact in any order. *)
 
 type profile = {
   p_spans : span list;
@@ -71,8 +73,9 @@ type profile = {
   p_dists : (string * dist) list;  (** sorted by name *)
 }
 
-val max_samples : int
-(** Upper bound on [d_samples] per distribution (512). *)
+val relative_error : float
+(** A quantile's stated error, 2{^-7} (0.78 %): a bucket's middle lies
+    within it of every normal float in the bucket; 0 reads as 0. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
@@ -117,15 +120,16 @@ val merge : ?prefix:string list -> profile -> unit
 (** Fold a profile (typically a forked worker's snapshot) into the live
     registry: span trees are grafted under the path [prefix] (created as
     needed, default root) adding calls and totals node-wise; counters add;
-    distributions combine counts/sums/extrema and feed the incoming
-    samples through the same bounded systematic sample as {!observe}. Works even while collection is disabled — merging is an
-    explicit act. *)
+    distributions add counts, sums and bucket counts and combine extrema,
+    so merges are exact and their order does not matter. Works even while
+    collection is disabled — merging is an explicit act. *)
 
 val mean : dist -> float
 
 val percentile : dist -> float -> float
-(** [percentile d q] with [q] in [0, 1], estimated from the retained
-    sample (nearest-rank). 0 on an empty distribution. *)
+(** [percentile d q] with [q] in [0, 1]: the nearest rank over the bucket
+    counts, read as its bucket's middle clamped to [d_min, d_max], within
+    {!relative_error} of the exact value. 0 on an empty distribution. *)
 
 val find_counter : profile -> string -> int option
 val find_dist : profile -> string -> dist option
@@ -157,10 +161,11 @@ val flatten : span list -> (string * span) list
 
 val to_json : profile -> Checkpoint.json
 val of_json : Checkpoint.json -> (profile, Cnt_error.t) result
-(** Round-trips spans, counters and distribution state. The emitted JSON
-    additionally carries derived [mean]/[p50]/[p95] fields per
-    distribution for downstream consumers; they are recomputed, not
-    parsed, on load. *)
+(** Round-trips spans, counters and distribution state ([buckets] as
+    [[middle, count]] pairs). The emitted JSON additionally carries
+    derived [mean]/[p50]/[p95] fields per distribution for downstream
+    consumers; they are recomputed, not parsed, on load. An older
+    profile's [samples] load folded into their buckets. *)
 
 val save : path:string -> profile -> (unit, Cnt_error.t) result
 (** Atomic write (same convention as {!Checkpoint.save}). *)

@@ -6,11 +6,8 @@ let us s = s *. 1e6
 (* One X event per span node; children are laid out sequentially from the
    parent's start so the tree shape and the measured durations survive
    even though Telemetry aggregates by path rather than timestamping
-   individual calls. A child whose name has its own anchor in [starts] —
-   a shard's or a daemon request's subtree, named for the worker whose
-   spawn the journal timestamped — is promoted onto that track instead
-   of being laid inline, giving one lane per request/shard. *)
-let rec span_events ~starts ~pid ~start (s : T.span) acc =
+   individual calls. *)
+let rec span_events ~pid ~start (s : T.span) acc =
   let ev =
     J.Obj
       [
@@ -27,12 +24,7 @@ let rec span_events ~starts ~pid ~start (s : T.span) acc =
   let acc, _ =
     List.fold_left
       (fun (acc, cursor) (child : T.span) ->
-        match starts child.T.span_name with
-        | Some (cpid, cstart) when cpid <> pid ->
-            (span_events ~starts ~pid:cpid ~start:cstart child acc, cursor)
-        | _ ->
-            ( span_events ~starts ~pid ~start:cursor child acc,
-              cursor +. child.T.total_s ))
+        (span_events ~pid ~start:cursor child acc, cursor +. child.T.total_s))
       (acc, start) s.T.children
   in
   ev :: acc
@@ -82,7 +74,7 @@ let to_trace ?(events = []) (p : T.profile) =
   in
   (* Anchors for span subtrees, keyed by worker name, from each
      [worker_spawned] event: a shard's subtree is named for its worker
-     (the shard id), a daemon request's for its worker ([req-<n>]). The
+     (the shard id), a sliced daemon request's for its worker ([req-<n>]). The
      last spawn wins: a retry re-spawns the same shard, and the merged
      tree holds only the attempts that returned a profile. *)
   let spawns =
@@ -99,7 +91,6 @@ let to_trace ?(events = []) (p : T.profile) =
       events
   in
   let latest = List.rev spawns in
-  let starts name = List.assoc_opt name latest in
   let metadata =
     process_name ~pid:main_pid "cntpower (driver)"
     :: List.filter_map
@@ -111,10 +102,10 @@ let to_trace ?(events = []) (p : T.profile) =
   let spans, _ =
     List.fold_left
       (fun (acc, cursor) (s : T.span) ->
-        match starts s.T.span_name with
-        | Some (pid, start) -> (span_events ~starts ~pid ~start s acc, cursor)
+        match List.assoc_opt s.T.span_name latest with
+        | Some (pid, start) -> (span_events ~pid ~start s acc, cursor)
         | None ->
-            ( span_events ~starts ~pid:main_pid ~start:cursor s acc,
+            ( span_events ~pid:main_pid ~start:cursor s acc,
               cursor +. s.T.total_s ))
       ([], 0.0) p.T.p_spans
   in
@@ -145,11 +136,37 @@ let resolve ~events arg =
         else None)
       events
 
+(* A worker whose profile was folded into an aggregate (a daemon
+   request's, under [serve.request]) keeps its stage times on its last
+   [worker_exited] event as [span:<name>=<seconds>] fields; its subtree
+   spans the journal's spawn to that exit. *)
+let rebuild ~worker events =
+  let last kind = List.find_opt (fun ev -> ev.Journal.ev_kind = kind) (List.rev events) in
+  let stage (k, v) =
+    match (String.starts_with ~prefix:"span:" k, float_of_string_opt v) with
+    | true, Some total_s ->
+        let span_name = String.sub k 5 (String.length k - 5) in
+        Some { T.span_name; calls = 1; total_s; children = [] }
+    | _ -> None
+  in
+  match (last Journal.Worker_spawned, last Journal.Worker_exited) with
+  | Some spawned, Some exited -> (
+      match List.filter_map stage exited.Journal.ev_fields with
+      | [] -> []
+      | children ->
+          let total_s = exited.Journal.ev_time -. spawned.Journal.ev_time in
+          [ { T.span_name = worker; calls = 1; total_s; children } ])
+  | _ -> []
+
 let slice ~worker ?(events = []) (p : T.profile) =
   let rec collect acc (s : T.span) =
     if s.T.span_name = worker then s :: acc
     else List.fold_left collect acc s.T.children
   in
-  let spans = List.rev (List.fold_left collect [] p.T.p_spans) in
-  ( { T.p_spans = spans; p_counters = []; p_dists = [] },
-    List.filter (names worker) events )
+  let events = List.filter (names worker) events in
+  let spans =
+    match List.rev (List.fold_left collect [] p.T.p_spans) with
+    | [] -> rebuild ~worker events
+    | spans -> spans
+  in
+  ({ T.p_spans = spans; p_counters = []; p_dists = [] }, events)

@@ -7,8 +7,8 @@
     - every telemetry span becomes a complete ([ph = "X"]) event. Spans
       are aggregated by path (calls + total wall), not individually
       timestamped, so the exporter synthesizes a timeline: a span named
-      for a worker — a shard's (its shard id) or a daemon request's
-      ([req-<n>]) — starts at the latest [worker_spawned] journal event
+      for a worker — a shard's (its shard id) or a sliced daemon
+      request's ([req-<n>]) — starts at the latest [worker_spawned] event
       whose [worker] field names it, on the PID track of that event's
       [worker_pid] (one track per worker), and its children are laid out
       sequentially inside it, preserving the measured durations and the
@@ -37,12 +37,13 @@ val save :
 
     Every shard of [cntpower all] or [cntpower campaign] and every daemon
     request runs in a worker with a unique name: the experiment name,
-    the shard id [<circuit>/<library>/<seed>], or [req-<n>]. Its
-    telemetry subtree is a span of that name, and its journal events
-    name it: the pool's own and the worker's shipped-back events in a
-    [worker] field, the queue log's transitions in a [shard] field, the
-    daemon's request events in both [request] and [worker]. These
-    helpers cut one unit's story out of a shared run directory
+    the shard id [<circuit>/<library>/<seed>], or [req-<n>]. A shard's
+    telemetry subtree is a span of that name (a request's stage times
+    ride its [worker_exited] event), and its journal events name it: the
+    pool's own and the worker's shipped-back events in a [worker] field,
+    the queue log's transitions in a [shard] field, the daemon's request
+    events in both [request] and [worker]. These helpers cut one unit's
+    story out of a shared run directory
     ([cntpower trace --request <name>]). A run directory written by an
     older build has no names on the workers' own events, so its slices
     hold only the pool's and the queue log's events. *)
@@ -61,4 +62,5 @@ val slice :
     counters and dists are run-global, so dropped) and only the events
     that name the worker — every attempt's, for a retried shard — ready
     to pass to {!to_trace}/{!save}, where the subtree anchors on its
-    worker's PID track. *)
+    worker's PID track. With no subtree of that name, one is rebuilt
+    from the worker's [worker_exited] event, spawn to exit. *)

@@ -108,7 +108,6 @@ let simulate ?domains t stimulus =
   (* Clamp tails beyond npat (inputs are clean, but all-neg cubes and the
      constant -1 product can set tail bits). *)
   Array.iter (fun c -> B.clamp values.(c.output)) t.cells;
-  Runtime.Telemetry.count "mapped.sim.cells" (Array.length t.cells);
   Runtime.Telemetry.observe "sim.domains"
     (float_of_int stats.Runtime.Dpool.domains_used);
   values

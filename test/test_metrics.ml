@@ -59,22 +59,22 @@ let disabled_telemetry_contributes_nothing () =
   Alcotest.(check (option (float 0.0))) "gauges kept" (Some 4.0)
     (List.assoc_opt "depth" m.M.m_gauges)
 
-(* A daemon's registry keeps one [serve.request/req-<n>] subtree per
-   request served, and the daemon snapshots once a second and on every
-   [metrics] verb: the snapshot must not copy that tree. *)
+(* A campaign coordinator's registry keeps one subtree per shard, and the
+   coordinator snapshots after every shard completion: the snapshot must
+   not copy that tree. *)
 let snapshot_skips_the_span_tree =
   with_telemetry (fun () ->
       T.with_span "estimate" (fun () ->
           T.count "sim.words" 64;
           T.observe "sim.patterns_per_s" 1e6);
-      let request = T.snapshot () in
+      let shard = T.snapshot () in
       T.reset ();
       for n = 1 to 10_000 do
-        T.merge ~prefix:[ "serve.request"; Printf.sprintf "req-%d" n ] request
+        T.merge ~prefix:[ Printf.sprintf "c%d/cmos/42" n ] shard
       done;
-      T.count "serve.served" 10_000;
+      T.count "campaign.shards" 10_000;
       let before = Gc.minor_words () in
-      let m = M.make ~source:"serve" ~started:0.0 ~gauges:[ ("queue_depth", 0.0) ] () in
+      let m = M.make ~source:"campaign" ~started:0.0 ~gauges:[ ("queue_depth", 0.0) ] () in
       let words = Gc.minor_words () -. before in
       Alcotest.(check (option int)) "grafted counters summed" (Some 640_000)
         (List.assoc_opt "sim.words" m.M.m_counters);

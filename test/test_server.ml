@@ -28,24 +28,21 @@ let opt_num json name ~default =
   | Ok n -> n
   | Error _ -> default
 
+(* The server admits only [estimate] requests; the toy serves them. *)
 let handlers =
   {
     Sv.admit =
       (fun json ->
-        match Result.bind (C.field json "verb") (C.as_str "verb") with
-        | Ok "work" ->
-            let mode = opt_str json "mode" ~default:"echo" in
-            if mode = "reject" then
-              R.error R.Cli R.Validation_error "rejected at admission"
-            else
-              Ok
-                {
-                  mode;
-                  payload = opt_str json "payload" ~default:"";
-                  sleep_s = opt_num json "sleep_s" ~default:0.0;
-                }
-        | Ok v -> R.error R.Cli R.Validation_error "unknown verb %S" v
-        | Error _ as e -> (match e with Error e -> Error e | _ -> assert false));
+        let mode = opt_str json "mode" ~default:"echo" in
+        if mode = "reject" then
+          R.error R.Cli R.Validation_error "rejected at admission"
+        else
+          Ok
+            {
+              mode;
+              payload = opt_str json "payload" ~default:"";
+              sleep_s = opt_num json "sleep_s" ~default:0.0;
+            });
     execute =
       (fun j ->
         match j.mode with
@@ -58,6 +55,12 @@ let handlers =
             done;
             assert false
         | "fail" -> R.error R.Experiment R.Non_finite "synthetic failure"
+        | "flow" ->
+            Result.map
+              (fun _ -> C.Obj [ ("payload", C.Str j.payload) ])
+              (Techmap.Flow.run ~domains:1 ~patterns:256 ~name:"toy"
+                 [ Techmap.Matchlib.build Cell.Genlib.cmos ]
+                 (fun () -> Circuits.Multiplier.generate ~width:2))
         | _ ->
             if j.sleep_s > 0.0 then Unix.sleepf j.sleep_s;
             Ok (C.Obj [ ("payload", C.Str j.payload) ]));
@@ -82,7 +85,7 @@ let exit_drained = 0
 let exit_tripped = 3
 let exit_error = 4
 
-let start_server ?journal ?(tweak = fun c -> c) () =
+let start_server ?journal ?profile ?(tweak = fun c -> c) () =
   let sock = fresh_sock () in
   let cfg = tweak (Sv.default_config ~socket_path:sock) in
   flush stdout;
@@ -101,6 +104,7 @@ let start_server ?journal ?(tweak = fun c -> c) () =
       | Ok Sv.Tripped -> exit_tripped
       | Error _ -> exit_error
     in
+    Option.iter (fun path -> ignore (T.save ~path (T.snapshot ()))) profile;
     Jn.close_sink ();
     Unix._exit code
   end
@@ -143,8 +147,8 @@ let stop pid =
   (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
   reap pid
 
-let with_server ?journal ?tweak f =
-  let sock, pid = start_server ?journal ?tweak () in
+let with_server ?journal ?profile ?tweak f =
+  let sock, pid = start_server ?journal ?profile ?tweak () in
   match f sock pid with
   | v ->
       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -160,7 +164,7 @@ let with_server ?journal ?tweak f =
 
 let work ?(mode = "echo") ?(payload = "") ?sleep_s ?deadline_s () =
   C.Obj
-    ([ ("verb", C.Str "work"); ("mode", C.Str mode); ("payload", C.Str payload) ]
+    ([ ("verb", C.Str "estimate"); ("mode", C.Str mode); ("payload", C.Str payload) ]
     @ (match sleep_s with None -> [] | Some s -> [ ("sleep_s", C.Num s) ])
     @ match deadline_s with None -> [] | Some d -> [ ("deadline_s", C.Num d) ])
 
@@ -293,6 +297,25 @@ let unknown_verb_and_admission_reject () =
     (call sock (work ~mode:"reject" ()));
   check_error "missing verb" R.Validation_error
     (call sock (C.Obj [ ("x", C.Num 1.0) ]))
+
+let counters sock =
+  let resp = call sock (C.Obj [ ("verb", C.Str "metrics") ]) in
+  (R.get_exn (Result.bind (C.field resp "metrics") Mx.of_json)).Mx.m_counters
+
+(* A client's verb never names a counter: 300 distinct unknown verbs are
+   300 counts of one. *)
+let unknown_verbs_share_one_counter () =
+  with_server @@ fun sock _pid ->
+  let before = counters sock in
+  for i = 1 to 300 do
+    let verb = Printf.sprintf "verb-%d-%s" i (String.make (i mod 200) 'x') in
+    check_error "unknown verb" R.Validation_error (call sock (C.Obj [ ("verb", C.Str verb) ]))
+  done;
+  let after = counters sock in
+  Alcotest.(check (option int)) "serve.verb.unknown" (Some 300)
+    (List.assoc_opt "serve.verb.unknown" after);
+  Alcotest.(check (list string)) "no other new counter" [ "serve.verb.unknown" ]
+    (List.filter (fun k -> not (List.mem_assoc k before)) (List.map fst after))
 
 let bad_deadline_rejected () =
   with_server @@ fun sock _pid ->
@@ -452,6 +475,38 @@ let journal_records_lifecycle () =
     ];
   Sys.remove jpath
 
+(* Every request's profile folds into the one [serve.request] node: a
+   node per stage, each called once per request, and no per-request
+   subtree. *)
+let requests_fold_into_one_aggregate () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cntsrv-profile-%d.json" (Unix.getpid ()))
+  in
+  (with_server ~profile:path @@ fun sock pid ->
+   List.iter
+     (fun n -> check_ok_payload "flow" n (call sock (work ~mode:"flow" ~payload:n ())))
+     [ "1"; "2"; "3" ];
+   Alcotest.(check int) "drained" exit_drained (stop pid));
+  let p = R.get_exn (T.load ~path) in
+  Sys.remove path;
+  let served =
+    match List.find_opt (fun s -> s.T.span_name = "serve.request") p.T.p_spans with
+    | Some s -> s
+    | None -> Alcotest.fail "no serve.request node"
+  in
+  Alcotest.(check int) "one call per request" 3 served.T.calls;
+  let stages = List.map (fun s -> (s.T.span_name, s.T.calls)) served.T.children in
+  List.iter
+    (fun stage ->
+      Alcotest.(check (option int)) (stage ^ " once per request") (Some 3)
+        (List.assoc_opt stage stages))
+    [ "techmap.matchlib.build"; "flow.check"; "flow.aig"; "synth.resyn2rs"; "techmap.map";
+      "flow.verify"; "techmap.estimate" ];
+  Alcotest.(check (list string)) "no per-request subtree" []
+    (List.filter (String.starts_with ~prefix:"req-") (List.map fst stages))
+
 (* Health, the metrics verb and the final server_stopped event report
    one set of lifecycle totals. *)
 let lifecycle_totals_agree () =
@@ -530,6 +585,8 @@ let () =
           tc "unknown verb / admission reject / missing verb" `Quick
             unknown_verb_and_admission_reject;
           tc "invalid deadline rejected" `Quick bad_deadline_rejected;
+          tc "unknown verbs share one counter" `Quick
+            unknown_verbs_share_one_counter;
         ] );
       ( "isolation",
         [
@@ -556,5 +613,7 @@ let () =
             journal_records_lifecycle;
           tc "health, metrics and server_stopped agree" `Quick
             lifecycle_totals_agree;
+          tc "requests fold into one serve.request node" `Quick
+            requests_fold_into_one_aggregate;
         ] );
     ]

@@ -95,16 +95,11 @@ let ev seq pid kind fields =
 (* Three serve requests as the daemon journals them: admission and
    completion on the server PID, naming both the request number and the
    worker; the spawn from the pool; work on the worker PID, named when
-   the pool shipped it back. Request 3 is refused at admission. *)
+   the pool shipped it back; the worker's exit with its stage times.
+   Request 3 is refused at admission. The profile holds the one
+   aggregate the daemon keeps: every request's stages under
+   [serve.request]. *)
 let serve_fixture () =
-  let request name work =
-    {
-      T.span_name = name;
-      calls = 1;
-      total_s = 0.2;
-      children = [ leaf work 0.15 ];
-    }
-  in
   let profile =
     {
       T.p_spans =
@@ -113,13 +108,17 @@ let serve_fixture () =
             T.span_name = "serve.request";
             calls = 2;
             total_s = 0.4;
-            children =
-              [ request "req-1" "estimate-a"; request "req-2" "estimate-b" ];
+            children = [ { (leaf "flow.verify" 0.25) with T.calls = 2 };
+                         { (leaf "techmap.map" 0.1) with T.calls = 2 } ];
           };
         ];
       p_counters = [];
       p_dists = [];
     }
+  in
+  let exited pid verify map =
+    [ ("worker", Printf.sprintf "req-%d" (pid - 200)); ("worker_pid", string_of_int pid);
+      ("span:flow.verify", verify); ("span:techmap.map", map) ]
   in
   let req n =
     [ ("request", string_of_int n); ("worker", Printf.sprintf "req-%d" n) ]
@@ -133,9 +132,9 @@ let serve_fixture () =
       ev 5 100 Jn.Worker_spawned [ ("worker", "req-2"); ("worker_pid", "202") ];
       ev 6 100 Jn.Request_rejected (req 3 @ [ ("code", "parse-error") ]);
       ev 1 201 Jn.Solver_damped_retry [ ("retry", "1"); ("worker", "req-1") ];
-      ev 7 100 Jn.Worker_exited [ ("worker", "req-1"); ("worker_pid", "201") ];
+      ev 7 100 Jn.Worker_exited (exited 201 "0.150000" "0.040000");
       ev 8 100 Jn.Request_done (req 1 @ [ ("status", "ok") ]);
-      ev 9 100 Jn.Worker_exited [ ("worker", "req-2"); ("worker_pid", "202") ];
+      ev 9 100 Jn.Worker_exited (exited 202 "0.100000" "0.060000");
       ev 10 100 Jn.Request_done (req 2 @ [ ("status", "ok") ]);
     ]
   in
@@ -156,12 +155,15 @@ let slice_selects_one_request () =
     (kinds evs);
   Alcotest.(check bool) "every sliced event names the worker" true
     (List.for_all (names "req-1") evs);
-  Alcotest.(check (list string)) "one subtree, promoted" [ "req-1" ]
+  Alcotest.(check (list string)) "one subtree, rebuilt from the journal"
+    [ "req-1" ]
     (List.map (fun (s : T.span) -> s.T.span_name) sliced.T.p_spans);
-  Alcotest.(check bool) "request's work is inside" true
-    (List.exists
-       (fun (s : T.span) -> s.T.span_name = "estimate-a")
-       (List.hd sliced.T.p_spans).T.children)
+  let req = List.hd sliced.T.p_spans in
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "its own stage times, not the aggregate's"
+    [ ("flow.verify", 0.15); ("techmap.map", 0.04) ]
+    (List.map (fun (s : T.span) -> (s.T.span_name, s.T.total_s)) req.T.children);
+  Alcotest.(check (float 1e-9)) "spanning spawn to exit" 4.0 req.T.total_s
 
 let request_numbers_resolve () =
   let profile, events = serve_fixture () in
@@ -291,6 +293,12 @@ let trace_export_anchors_worker_track () =
   | Some ev ->
       Alcotest.(check bool) "anchored on the worker PID track" true
         (field "pid" ev = Some (C.Num 201.0)));
+  Alcotest.(check bool) "its stages ride the same track" true
+    (List.exists
+       (fun ev ->
+         field "name" ev = Some (C.Str "flow.verify")
+         && field "pid" ev = Some (C.Num 201.0))
+       trace_events);
   let instants =
     List.filter (fun ev -> field "ph" ev = Some (C.Str "i")) trace_events
   in

@@ -1,6 +1,7 @@
 (* Telemetry registry: span nesting and aggregation, counters,
-   distribution statistics, disabled-mode no-op guarantees, profile
-   merge across a real fork, and JSON/file round-trips. *)
+   distribution statistics and their stated error, disabled-mode no-op
+   guarantees, exact and order-free merges (across a real fork too), the
+   daemon's bounded aggregate, and JSON/file round-trips. *)
 
 module T = Runtime.Telemetry
 module C = Runtime.Checkpoint
@@ -27,6 +28,16 @@ let find_span profile path =
         | None -> None)
   in
   go profile.T.p_spans path
+
+(* A property's body owns the registry the way [fresh] gives it to a
+   test case. *)
+let enabled f x =
+  T.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      T.set_enabled false;
+      T.reset ())
+    (fun () -> f x)
 
 let get_span profile path =
   match find_span profile path with
@@ -151,7 +162,7 @@ let dist_statistics =
       Alcotest.(check (float 1e-9)) "min" 1.0 d.T.d_min;
       Alcotest.(check (float 1e-9)) "max" 5.0 d.T.d_max;
       Alcotest.(check (float 1e-9)) "mean" 3.0 (T.mean d);
-      Alcotest.(check (float 1e-9)) "p50 (nearest rank)" 3.0
+      Alcotest.(check (float (3.0 *. T.relative_error))) "p50 (nearest rank)" 3.0
         (T.percentile d 0.5);
       Alcotest.(check (float 1e-9)) "p100 is the max" 5.0
         (T.percentile d 1.0))
@@ -162,7 +173,7 @@ let dist_empty_edge_cases =
          raise on the empty sample. *)
       let d =
         { T.d_count = 0; d_sum = 0.0; d_min = infinity; d_max = neg_infinity;
-          d_samples = [||] }
+          d_buckets = [||] }
       in
       Alcotest.(check (float 1e-9)) "empty mean is 0" 0.0 (T.mean d);
       Alcotest.(check (float 1e-9)) "empty p50 is 0" 0.0 (T.percentile d 0.5);
@@ -181,29 +192,102 @@ let dist_single_sample =
       Alcotest.(check (float 1e-9)) "mean" 7.25 (T.mean d);
       Alcotest.(check (float 1e-9)) "min = max" d.T.d_min d.T.d_max)
 
-let dist_sample_bound =
+let octaves lo hi = int_of_float (Float.log2 hi) - int_of_float (Float.log2 lo) + 1
+
+let dist_bucket_bound =
   fresh (fun () ->
-      let n = (T.max_samples * 4) + 17 in
+      let n = 2065 in
       for i = 1 to n do
         T.observe "big" (float_of_int i)
+      done;
+      for _ = 1 to 10_000 do
+        T.observe "flat" 0.25
       done;
       let p = T.snapshot () in
       let d = Option.get (T.find_dist p "big") in
       Alcotest.(check int) "every observation counted" n d.T.d_count;
+      let bound = 64 * octaves 1.0 (float_of_int n) in
       Alcotest.(check bool)
-        (Printf.sprintf "sample stays bounded (%d <= %d)"
-           (Array.length d.T.d_samples) T.max_samples)
+        (Printf.sprintf "%d buckets, at most 64 per octave (%d)"
+           (Array.length d.T.d_buckets) bound)
         true
-        (Array.length d.T.d_samples <= T.max_samples);
-      Alcotest.(check (float 1e-9)) "extrema exact despite sampling"
+        (Array.length d.T.d_buckets <= bound);
+      Alcotest.(check (float 1e-9)) "extrema exact despite bucketing"
         (float_of_int n) d.T.d_max;
-      (* Systematic sampling keeps the quantile estimate honest. *)
-      let p50 = T.percentile d 0.5 in
-      Alcotest.(check bool)
-        (Printf.sprintf "p50 %.0f within 10%% of the true median" p50)
-        true
-        (Float.abs (p50 -. (float_of_int n /. 2.0))
-        < 0.1 *. float_of_int n))
+      let flat = Option.get (T.find_dist p "flat") in
+      Alcotest.(check int) "equal values share one bucket" 1
+        (Array.length flat.T.d_buckets);
+      Alcotest.(check (float 1e-9)) "and read back exactly" 0.25
+        (T.percentile flat 0.5))
+
+(* Values over 20 decades, with zeros and negatives. *)
+let values =
+  QCheck.Gen.(
+    list_size (int_range 1 2000)
+      (frequency
+         [
+           (1, return 0.0);
+           ( 9,
+             map2
+               (fun neg e -> if neg then -.(10.0 ** e) else 10.0 ** e)
+               bool (float_range (-10.0) 10.0) );
+         ]))
+
+let quantiles = [ 0.0; 0.1; 0.5; 0.9; 0.95; 0.99; 1.0 ]
+
+let quantiles_within_stated_error =
+  QCheck.Test.make ~count:100 ~name:"quantiles within the stated error"
+    (QCheck.make values)
+    (enabled @@ fun vs ->
+      T.reset ();
+      List.iter (T.observe "d") vs;
+      let d = Option.get (T.find_dist (T.snapshot ()) "d") in
+      let sorted = Array.of_list (List.sort Float.compare vs) in
+      let n = Array.length sorted in
+      let sum = List.fold_left ( +. ) 0.0 vs in
+      d.T.d_count = n
+      && d.T.d_sum = sum
+      && T.mean d = sum /. float_of_int n
+      && d.T.d_min = sorted.(0)
+      && d.T.d_max = sorted.(n - 1)
+      && List.for_all
+           (fun q ->
+             let exact = sorted.(int_of_float ((float_of_int (n - 1) *. q) +. 0.5)) in
+             Float.abs (T.percentile d q -. exact) <= T.relative_error *. Float.abs exact)
+           quantiles)
+
+(* Any partition of the values, one profile per part, merged in any order
+   is the histogram of observing them all. *)
+let partitioned_merge_is_exact =
+  QCheck.Test.make ~count:100 ~name:"partitioned merge equals direct observation"
+    QCheck.(make Gen.(pair values (int_bound 1_000_000)))
+    (enabled @@ fun (vs, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let parts = Array.make (1 + Random.State.int rng 16) [] in
+      List.iter
+        (fun v ->
+          let i = Random.State.int rng (Array.length parts) in
+          parts.(i) <- v :: parts.(i))
+        vs;
+      let profiles =
+        Array.map
+          (fun part ->
+            T.reset ();
+            List.iter (T.observe "d") part;
+            (Random.State.bits rng, T.snapshot ()))
+          parts
+      in
+      Array.sort (fun (a, _) (b, _) -> Int.compare a b) profiles;
+      T.reset ();
+      Array.iter (fun (_, p) -> T.merge p) profiles;
+      let merged = Option.get (T.find_dist (T.snapshot ()) "d") in
+      T.reset ();
+      List.iter (T.observe "d") vs;
+      let direct = Option.get (T.find_dist (T.snapshot ()) "d") in
+      merged.T.d_buckets = direct.T.d_buckets
+      && merged.T.d_count = direct.T.d_count
+      && merged.T.d_min = direct.T.d_min
+      && merged.T.d_max = direct.T.d_max)
 
 (* --- merge --------------------------------------------------------- *)
 
@@ -233,35 +317,71 @@ let merge_with_prefix =
         (get_span p [ "local" ]).T.calls)
 
 (* Many one-sample profiles (shards, requests, domains) merged into one
-   distribution must sample the whole stream, as observing it would. *)
+   distribution, in any order, are the distribution observing them gives. *)
 let merge_keeps_sampling =
   fresh (fun () ->
-      for i = 1 to 2000 do
-        T.merge
-          {
-            T.p_spans = [];
-            p_counters = [];
-            p_dists =
-              [
-                ( "merged",
-                  { T.d_count = 1; d_sum = float_of_int i;
-                    d_min = float_of_int i; d_max = float_of_int i;
-                    d_samples = [| float_of_int i |] } );
-              ];
-          };
-        T.observe "direct" (float_of_int i)
-      done;
-      let p = T.snapshot () in
-      let merged = Option.get (T.find_dist p "merged")
-      and direct = Option.get (T.find_dist p "direct") in
-      Alcotest.(check int) "every merged observation counted" 2000
-        merged.T.d_count;
+      let one i =
+        let v = float_of_int i in
+        { T.d_count = 1; d_sum = v; d_min = v; d_max = v; d_buckets = [| (v, 1) |] }
+      in
+      let forward = List.init 2000 (fun i -> i + 1) in
+      let shuffled =
+        let rng = Random.State.make [| 7 |] in
+        List.map snd
+          (List.sort compare (List.map (fun i -> (Random.State.bits rng, i)) forward))
+      in
       List.iter
-        (fun q ->
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "merged p%.0f equals direct" (q *. 100.0))
-            (T.percentile direct q) (T.percentile merged q))
-        [ 0.5; 0.95 ])
+        (fun (name, order) ->
+          List.iter
+            (fun i -> T.merge { T.p_spans = []; p_counters = []; p_dists = [ (name, one i) ] })
+            order)
+        [ ("forward", forward); ("reversed", List.rev forward); ("shuffled", shuffled) ];
+      List.iter (fun i -> T.observe "direct" (float_of_int i)) forward;
+      let p = T.snapshot () in
+      let direct = Option.get (T.find_dist p "direct") in
+      Alcotest.(check (float 1e-9)) "p50 reads its bucket" 1004.0 (T.percentile direct 0.5);
+      Alcotest.(check (float 1e-9)) "p95 reads its bucket" 1896.0 (T.percentile direct 0.95);
+      List.iter
+        (fun name ->
+          let merged = Option.get (T.find_dist p name) in
+          Alcotest.(check int) (name ^ ": every merged observation counted") 2000
+            merged.T.d_count;
+          Alcotest.(check bool) (name ^ ": buckets equal direct observation") true
+            (merged.T.d_buckets = direct.T.d_buckets);
+          List.iter
+            (fun q ->
+              Alcotest.(check (float 1e-9))
+                (Printf.sprintf "%s p%.0f equals direct" name (q *. 100.0))
+                (T.percentile direct q) (T.percentile merged q))
+            [ 0.5; 0.95 ])
+        [ "forward"; "reversed"; "shuffled" ])
+
+(* The daemon merges every request's profile under [serve.request]: the
+   registry holds one node per stage however many requests it serves. *)
+let request_aggregate_stays_bounded =
+  fresh (fun () ->
+      let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
+      T.reset ();
+      E.get_exn
+        (Techmap.Flow.run ~domains:1 ~patterns:1024 ~name:"request" [ ml ] (fun () ->
+             Circuits.Multiplier.generate ~width:3))
+      |> ignore;
+      let request = T.snapshot () in
+      T.reset ();
+      let after n =
+        for _ = 1 to n do
+          T.merge ~prefix:[ "serve.request" ] request
+        done;
+        let p = T.snapshot () in
+        let paths = List.sort compare (List.map fst (T.flatten p.T.p_spans)) in
+        (p, paths, Obj.reachable_words (Obj.repr p))
+      in
+      let _, paths_100, words_100 = after 100 in
+      let p, paths, words = after 9_900 in
+      Alcotest.(check (list string)) "the same span paths" paths_100 paths;
+      Alcotest.(check int) "the same reachable words" words_100 words;
+      Alcotest.(check int) "each stage counts every request" 10_000
+        (get_span p [ "serve.request"; "flow.verify" ]).T.calls)
 
 let merge_from_forked_worker =
   fresh (fun () ->
@@ -350,9 +470,29 @@ let json_roundtrip =
           let d = Option.get (T.find_dist p' "d") in
           Alcotest.(check int) "dist count survives" 4 d.T.d_count;
           Alcotest.(check (float 1e-9)) "dist mean survives" 2.5 (T.mean d);
-          Alcotest.(check (float 1e-9)) "dist samples survive (p50)"
-            (T.percentile (Option.get (T.find_dist p "d")) 0.5)
-            (T.percentile d 0.5))
+          Alcotest.(check bool) "dist buckets survive" true
+            ((Option.get (T.find_dist p "d")).T.d_buckets = d.T.d_buckets))
+
+(* A profile written before the histogram: its dists keep a sample. *)
+let samples_format_loads =
+  fresh (fun () ->
+      let text =
+        {|{"version": 1, "spans": [], "counters": {}, "dists": [{"name": "lat",
+          "count": 6, "sum": 1010.5, "min": 0, "max": 1000, "mean": 168.4,
+          "p50": 2.5, "p95": 1000, "samples": [4, 1, 3, 1000, 2.5, 0]}]}|}
+      in
+      let p = E.get_exn (Result.bind (C.json_of_string text) T.of_json) in
+      let old = Option.get (T.find_dist p "lat") in
+      List.iter (T.observe "direct") [ 4.0; 1.0; 3.0; 1000.0; 2.5; 0.0 ];
+      let direct = Option.get (T.find_dist (T.snapshot ()) "direct") in
+      Alcotest.(check bool) "samples folded into their buckets" true
+        (old.T.d_buckets = direct.T.d_buckets);
+      List.iter
+        (fun q ->
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "p%.0f as observing the samples" (q *. 100.0))
+            (T.percentile direct q) (T.percentile old q))
+        quantiles)
 
 let of_json_rejects_garbage () =
   (match T.of_json (C.Str "nope") with
@@ -415,17 +555,22 @@ let () =
           tc "distribution statistics" dist_statistics;
           tc "empty distribution statistics are total" dist_empty_edge_cases;
           tc "single-sample quantiles" dist_single_sample;
-          tc "sample reservoir stays bounded" dist_sample_bound;
+          tc "bucket count stays bounded" dist_bucket_bound;
+          QCheck_alcotest.to_alcotest quantiles_within_stated_error;
         ] );
       ( "merge",
         [
           tc "merge with prefix" merge_with_prefix;
           tc "merge from a forked worker" merge_from_forked_worker;
           tc "merged quantiles sample every merge" merge_keeps_sampling;
+          QCheck_alcotest.to_alcotest partitioned_merge_is_exact;
+          tc "10 000 request profiles stay one aggregate"
+            request_aggregate_stays_bounded;
         ] );
       ( "serialization",
         [
           tc "JSON round-trip" json_roundtrip;
+          tc "a samples-format profile loads" samples_format_loads;
           tc "of_json rejects garbage" of_json_rejects_garbage;
           tc "save/load round-trip" save_load_roundtrip;
           tc "load of missing file is typed" load_missing_is_typed;
