@@ -44,10 +44,10 @@ let set t i b =
   Bytes.set_int64_ne t.data o
     (if b then Int64.logor x m else Int64.logand x (Int64.lognot m))
 
+let fill_words rng ws ~at ~len = Prng.fill rng ws ~at ~len
+
 let fill_random rng t =
-  for w = 0 to nwords t.len - 1 do
-    store t.data (w lsl 3) (Prng.next64 rng)
-  done;
+  fill_words rng t.data ~at:0 ~len:(nwords t.len);
   clamp t
 
 (* One loop per operation: passing [Int64.logand] as an argument would box
@@ -101,35 +101,36 @@ let[@inline] popcount_word x =
   let x = Int64.logand (Int64.add x (Int64.shift_right_logical x 4)) 0x0F0F0F0F0F0F0F0FL in
   Int64.to_int (Int64.shift_right_logical (Int64.mul x 0x0101010101010101L) 56)
 
-let popcount t =
+(* Ones in words [0, n) of [ws], word [n - 1] masked by [last]. *)
+let popcount_words ws n ~last =
   let count = ref 0 in
-  for w = 0 to nwords t.len - 1 do
-    count := !count + popcount_word (load t.data (w lsl 3))
+  for w = 0 to n - 2 do
+    count := !count + popcount_word (load ws (w lsl 3))
   done;
-  !count
+  !count + popcount_word (Int64.logand (load ws ((n - 1) lsl 3)) last)
 
-(* Bit i of [x lxor (x lsr 1)] compares bits i and i+1 of a word. For every
-   word but the last, bit 0 of the next word is shifted in on top, so bit 63
-   compares across the seam and the whole word counts; the last word counts
-   only its first (len - 1) mod 64 comparisons. *)
+let popcount t = popcount_words t.data (nwords t.len) ~last:(tail_mask t.len)
+
+(* Bit i of [x lxor ((x lsl 1) lor prev)] compares bit i of a word with
+   the bit before it, which for bit 0 is bit 63 of the word before, or
+   [carry] before word 0. Masking the last word keeps the comparisons
+   that end inside the vector. *)
+let transitions_words ws n ~last ~carry =
+  let count = ref 0 and prev = ref (Int64.of_int carry) in
+  for w = 0 to n - 2 do
+    let x = load ws (w lsl 3) in
+    count := !count + popcount_word (Int64.logxor x (Int64.logor (Int64.shift_left x 1) !prev));
+    prev := Int64.shift_right_logical x 63
+  done;
+  let x = load ws ((n - 1) lsl 3) in
+  !count
+  + popcount_word
+      (Int64.logand last (Int64.logxor x (Int64.logor (Int64.shift_left x 1) !prev)))
+
+(* Bit 0 as its own carry: the first bit has no bit before it. *)
 let transitions t =
-  if t.len <= 1 then 0
-  else begin
-    let last = nwords t.len - 1 in
-    let count = ref 0 in
-    for w = 0 to last - 1 do
-      let o = w lsl 3 in
-      let x = load t.data o in
-      let next =
-        Int64.logor (Int64.shift_right_logical x 1)
-          (Int64.shift_left (load t.data (o + 8)) 63)
-      in
-      count := !count + popcount_word (Int64.logxor x next)
-    done;
-    let x = load t.data (last lsl 3) in
-    let inner = Int64.logxor x (Int64.shift_right_logical x 1) in
-    !count + popcount_word (Int64.logand inner (low_bits ((t.len - 1) land 63)))
-  end
+  transitions_words t.data (nwords t.len) ~last:(tail_mask t.len)
+    ~carry:(Int64.to_int (Int64.logand (load t.data 0) 1L))
 
 let copy t = { len = t.len; data = Bytes.copy t.data }
 

@@ -42,6 +42,10 @@ external store : words -> int -> int64 -> unit = "%caml_bytes_set64u"
 val get : t -> int -> bool
 val set : t -> int -> bool -> unit
 
+val fill_words : Prng.t -> words -> at:int -> len:int -> unit
+(** [fill_words rng ws ~at ~len] writes the next [len] draws of [rng] to
+    words [at, at + len) of [ws], allocating nothing ({!Prng.fill}). *)
+
 val fill_random : Prng.t -> t -> unit
 (** Overwrite every bit with an independent fair coin flip. Draws exactly
     one {!Prng.next64} per storage word (i.e. [max 1 (words)]), in word
@@ -66,6 +70,28 @@ val transitions : t -> int
 (** [transitions v] counts indices [i] with [get v i <> get v (i+1)] — the
     number of toggles along the bit sequence, used for switching-activity
     estimation when bits encode consecutive simulation cycles. *)
+
+(** {1 Counting word ranges}
+
+    {!popcount} and {!transitions} are these counts over a vector's
+    words, its last word masked by {!tail_mask}. A caller that holds a
+    long bit sequence one block of words at a time gets the same two
+    integers by summing the blocks' counts, passing each block the last
+    bit of the block before as [carry]. *)
+
+val tail_mask : int -> int64
+(** [tail_mask n] keeps the bits of an [n]-bit sequence's last word: all
+    of them when [n] is a positive multiple of 64, none when [n = 0]. *)
+
+val popcount_words : words -> int -> last:int64 -> int
+(** [popcount_words ws n ~last] counts the ones in words [0, n) of [ws]
+    ([n >= 1]), word [n - 1] masked by [last]. *)
+
+val transitions_words : words -> int -> last:int64 -> carry:int -> int
+(** [transitions_words ws n ~last ~carry] counts the adjacent bit pairs
+    that differ in words [0, n) of [ws] ([n >= 1]), word [n - 1] masked
+    by [last], plus the pair of [carry] (0 or 1, the bit before word 0)
+    and bit 0. Pass bit 0 itself as [carry] when no bit comes before. *)
 
 val copy : t -> t
 

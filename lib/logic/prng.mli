@@ -13,6 +13,13 @@ val create : int64 -> t
 val next64 : t -> int64
 (** Next raw 64-bit value. *)
 
+val fill : t -> Bytes.t -> at:int -> len:int -> unit
+(** [fill t b ~at ~len] writes the next [len] draws of [t], in order, as
+    native-endian 64-bit words [at, at + len) of [b] (word [w] at byte
+    offset [8 * w]): the words [len] calls of {!next64} return, without
+    allocating. Raises [Invalid_argument] if the words fall outside
+    [b]. *)
+
 val int : t -> int -> int
 (** [int t bound] draws a uniform integer in [\[0, bound)]. [bound] must be
     positive. *)

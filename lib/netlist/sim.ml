@@ -205,24 +205,28 @@ let run ?domains t input_vectors =
   end;
   { num_patterns; node_values }
 
+(* Draw [k] of one generator from [seed] is word [k mod words] of vector
+   [k / words]: counter mode lets any word range start at its own draw. *)
+let fill_stimulus ~seed ~words ~input ~lo ~len dst ~at =
+  let rng = Logic.Prng.create seed in
+  Logic.Prng.jump rng ((input * words) + lo);
+  B.fill_words rng dst ~at ~len
+
 let random_stimulus ?domains ?(seed = 42L) ~inputs ~patterns () =
   let vecs = Array.init inputs (fun _ -> B.create patterns) in
-  if inputs > 0 then begin
-    let wpv = words_per_vec patterns in
-    (* One unit = one storage word, numbered in the exact order the
-       sequential per-vector fill consumes PRNG draws; jumping the
-       generator to a chunk's first draw keeps the parallel fill
-       bit-identical to the sequential one. *)
-    ignore
-      (Runtime.Dpool.run ?domains ~units:(inputs * wpv)
-         (fun ~worker:_ ~lo ~len ->
-           let rng = Logic.Prng.create seed in
-           Logic.Prng.jump rng lo;
-           for u = lo to lo + len - 1 do
-             B.store (B.words vecs.(u / wpv)) ((u mod wpv) lsl 3) (Logic.Prng.next64 rng)
-           done));
-    Array.iter B.clamp vecs
-  end;
+  let wpv = words_per_vec patterns in
+  (* One unit = one storage word, numbered input-major as the draws are;
+     a chunk fills its words one input at a time. *)
+  ignore
+    (Runtime.Dpool.run ?domains ~units:(inputs * wpv) (fun ~worker:_ ~lo ~len ->
+         let u = ref lo in
+         while !u < lo + len do
+           let input = !u / wpv and w = !u mod wpv in
+           let n = min (wpv - w) (lo + len - !u) in
+           fill_stimulus ~seed ~words:wpv ~input ~lo:w ~len:n (B.words vecs.(input)) ~at:w;
+           u := !u + n
+         done));
+  Array.iter B.clamp vecs;
   vecs
 
 let run_random ?domains ?(seed = 42L) t n =

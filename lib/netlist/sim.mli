@@ -1,8 +1,12 @@
 (** 64-way parallel bit simulation of netlists.
 
-    This is the engine behind the 640 K random-pattern power estimation of
-    the paper (Section 4): input vectors are packed 64 per machine word, and
-    the whole netlist is evaluated with word-level logic operations.
+    Input vectors are packed 64 per machine word, and the whole netlist is
+    evaluated with word-level logic operations, one whole vector per node.
+    It serves verification (the flow's 512-pattern co-simulation), the
+    sequential estimators and the experiments that need node values; the
+    640 K-pattern power estimate ({!Techmap.Estimate.run}) instead sweeps
+    blocks of words through this module's cover kernel and stimulus fill
+    ({!fill_stimulus}), holding no vector whole.
 
     The netlist is first lowered to a flat instruction stream over the
     unboxed word buffers (every gate but XOR/XNOR becomes a {!cover}; no
@@ -34,6 +38,22 @@ val random_stimulus :
     exactly the vectors a single [Prng.create seed] generator produces
     filling vector 0 word-by-word, then vector 1, ... (bit-identical for
     any [?domains]). *)
+
+val fill_stimulus :
+  seed:int64 ->
+  words:int ->
+  input:int ->
+  lo:int ->
+  len:int ->
+  Logic.Bitvec.words ->
+  at:int ->
+  unit
+(** [fill_stimulus ~seed ~words ~input ~lo ~len dst ~at] writes words
+    [lo, lo + len) of input [input]'s vector in {!random_stimulus}'s
+    stimulus of [words]-word vectors (draws [input * words + lo] onward)
+    to words [at, at + len) of [dst]. Tail bits past the patterns come
+    out random. {!random_stimulus} fills its vectors through it, and a
+    streaming caller fills one block of words at a time. *)
 
 val run_random : ?domains:int -> ?seed:int64 -> Netlist.t -> int -> result
 (** [run_random t n] simulates [n] uniform random patterns (deterministic

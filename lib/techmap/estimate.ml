@@ -1,4 +1,5 @@
 module B = Logic.Bitvec
+module D = Runtime.Dpool
 module G = Cell.Genlib
 
 type report = {
@@ -63,30 +64,138 @@ let static_components (m : Mapped.t) ~probs =
     m.Mapped.cells;
   (!static, !gate_leak)
 
+(* The sweep's block: 64 words (4 096 patterns), 512 bytes per net, so a
+   whole circuit's block stays in cache while it is simulated and
+   counted (Table 1's largest mapping, des on CMOS, has 3 724 nets:
+   1.9 MB). *)
+let block_words = 64
+
+(* One domain's buffers, allocated at its first chunk and reused for the
+   rest: a block buffer per primary input and per cell output, one
+   all-ones buffer for the nets tied high and one all-zero buffer for
+   every other net (as [Mapped.simulate] assigns its vectors), the
+   cells' covers lowered onto them, and the kernel's scratch. *)
+type buffers = { nets : B.words array; cells : Mapped.lowered; cubes : int; scratch : B.words }
+
+let buffers (m : Mapped.t) ~words =
+  let fresh () = B.words (B.create (64 * words)) in
+  let zero = fresh () and one = B.words (B.lognot (B.create (64 * words))) in
+  let nets = Array.make m.Mapped.num_nets zero in
+  Array.iter (fun (_, net) -> nets.(net) <- fresh ()) m.Mapped.pi_nets;
+  Array.iter (fun (net, b) -> if b then nets.(net) <- one) m.Mapped.const_nets;
+  Array.iter (fun (c : Mapped.cell) -> nets.(c.Mapped.output) <- fresh ()) m.Mapped.cells;
+  let cells = Mapped.lower m nets in
+  { nets; cells; cubes = Mapped.cube_count cells; scratch = fresh () }
+
+(* What one chunk of blocks counted, per net: its ones, the differing
+   pairs of adjacent bits inside the chunk, and its first and last bits,
+   which pair up across the seams between chunks. *)
+type counts = {
+  first_block : int;
+  ones : int array;
+  transitions : int array;
+  first : int array;
+  last : int array;
+}
+
+let bit0 ws = Int64.to_int (Int64.logand (B.load ws 0) 1L)
+let bit63 ws w = Int64.to_int (Int64.shift_right_logical (B.load ws (w lsl 3)) 63)
+
+(* Every net's ones and transitions over [patterns] random patterns: the
+   integers [Bitvec.popcount] and [Bitvec.transitions] give on the
+   vectors [Mapped.simulate] computes from [Nets.Sim.random_stimulus],
+   counted one block at a time with no vector held whole. *)
+let sweep ?domains ~patterns ~seed (m : Mapped.t) =
+  let nwords = max 1 ((patterns + 63) / 64) in
+  let bw = min block_words nwords in
+  let nblocks = (nwords + bw - 1) / bw in
+  let tail = B.tail_mask patterns in
+  let nets = m.Mapped.num_nets in
+  let own = Array.make D.max_domains None and counted = Array.make D.max_domains [] in
+  let block b blk c =
+    let w0 = blk * bw in
+    let len = min bw (nwords - w0) in
+    T.with_span "estimate.stimulus" (fun () ->
+        Array.iteri
+          (fun input (_, net) ->
+            Nets.Sim.fill_stimulus ~seed ~words:nwords ~input ~lo:w0 ~len b.nets.(net) ~at:0)
+          m.Mapped.pi_nets);
+    T.with_span "estimate.simulate" (fun () ->
+        Mapped.eval_range b.cells ~scratch:b.scratch ~lo:0 ~len);
+    T.with_span "estimate.toggles" (fun () ->
+        let last = if w0 + len = nwords then tail else -1L in
+        for net = 0 to nets - 1 do
+          let ws = b.nets.(net) in
+          (* A chunk's first bit is its own carry: no pair before it. *)
+          if blk = c.first_block then begin
+            c.first.(net) <- bit0 ws;
+            c.last.(net) <- bit0 ws
+          end;
+          c.ones.(net) <- c.ones.(net) + B.popcount_words ws len ~last;
+          c.transitions.(net) <-
+            c.transitions.(net) + B.transitions_words ws len ~last ~carry:c.last.(net);
+          c.last.(net) <- bit63 ws (len - 1)
+        done)
+  in
+  let stats =
+    D.run ?domains ~min_units_per_domain:4 ~units:nblocks (fun ~worker ~lo ~len ->
+        let b =
+          match own.(worker) with
+          | Some b -> b
+          | None ->
+              let b = T.with_span "estimate.simulate" (fun () -> buffers m ~words:bw) in
+              own.(worker) <- Some b;
+              b
+        in
+        let c =
+          {
+            first_block = lo;
+            ones = Array.make nets 0;
+            transitions = Array.make nets 0;
+            first = Array.make nets 0;
+            last = Array.make nets 0;
+          }
+        in
+        for blk = lo to lo + len - 1 do
+          block b blk c
+        done;
+        counted.(worker) <- c :: counted.(worker);
+        if T.enabled () then begin
+          let w0 = lo * bw and w1 = min ((lo + len) * bw) nwords in
+          T.count "estimate.cube_words" (b.cubes * (w1 - w0));
+          T.count
+            (Printf.sprintf "estimate.d%d.patterns_simulated" worker)
+            (max 0 (min (w1 * 64) patterns - (w0 * 64)))
+        end)
+  in
+  T.observe "estimate.domains" (float_of_int stats.D.domains_used);
+  (* The chunks in block order; each seam adds the pair of the earlier
+     chunk's last bit and the later one's first. *)
+  T.with_span "estimate.toggles" (fun () ->
+      let chunks =
+        Array.fold_left List.rev_append [] counted
+        |> List.sort (fun a b -> Int.compare a.first_block b.first_block)
+        |> Array.of_list
+      in
+      let ones = Array.make nets 0 and transitions = Array.make nets 0 in
+      Array.iteri
+        (fun k c ->
+          for net = 0 to nets - 1 do
+            let seam = if k = 0 then 0 else chunks.(k - 1).last.(net) lxor c.first.(net) in
+            ones.(net) <- ones.(net) + c.ones.(net);
+            transitions.(net) <- transitions.(net) + c.transitions.(net) + seam
+          done)
+        chunks;
+      (ones, transitions))
+
 let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     ?(wire_cap_per_fanout = 0.0) (m : Mapped.t) =
-  (* Free the previous estimate's per-net vectors (patterns / 8 bytes
-     each) before this one allocates its own. Synthesis and mapping
-     allocate too little between two estimates for the major GC to reach
-     them, so a run of estimates (Table 1) would hold two sets at once:
-     130 MB peak instead of 108 MB at 131 072 patterns, for about 6 ms
-     per call. The streaming estimator on ROADMAP.md, which keeps no
-     per-net vectors, deletes this line. *)
-  Gc.full_major ();
   T.with_span "techmap.estimate" (fun () ->
   let tech = m.Mapped.lib.G.tech in
   let vdd = tech.Spice.Tech.vdd in
   let f = Spice.Tech.frequency in
-  let stimulus =
-    T.with_span "estimate.stimulus" (fun () ->
-        Nets.Sim.random_stimulus ?domains ~seed
-          ~inputs:(Array.length m.Mapped.pi_nets) ~patterns ())
-  in
   let t0 = if T.enabled () then T.now () else 0.0 in
-  let values =
-    T.with_span "estimate.simulate" (fun () ->
-        Mapped.simulate ?domains m stimulus)
-  in
+  let ones, transitions = sweep ?domains ~patterns ~seed m in
   if T.enabled () then begin
     let dt = T.now () -. t0 in
     T.count "estimate.patterns_simulated" patterns;
@@ -96,9 +205,9 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
   end;
   let toggle net =
     if patterns <= 1 then 0.0
-    else float_of_int (B.transitions values.(net)) /. float_of_int (patterns - 1)
+    else float_of_int transitions.(net) /. float_of_int (patterns - 1)
   in
-  let prob net = float_of_int (B.popcount values.(net)) /. float_of_int patterns in
+  let prob net = float_of_int ones.(net) /. float_of_int patterns in
   (* Dynamic power: every net that toggles charges its load. *)
   let dynamic = ref 0.0 in
   T.with_span "estimate.toggles" (fun () ->

@@ -5,7 +5,25 @@
     signal probabilities drive the expected static and gate-tunneling
     leakage of every cell through the characterized per-input-vector
     currents (input independence is assumed when weighting vectors, a
-    standard first-order approximation). *)
+    standard first-order approximation).
+
+    {b The block sweep.} {!run} never holds a net's patterns whole. It
+    sweeps the pattern axis in blocks of 64 words (4 096 patterns), and
+    for each block it fills the primary inputs' words from the
+    counter-mode stimulus ({!Nets.Sim.fill_stimulus}), evaluates every
+    cell's lowered cover on one block buffer per driven net
+    ({!Mapped.lower}), and folds each net's ones and transitions into
+    integers while the block is in cache ({!Logic.Bitvec.popcount_words},
+    {!Logic.Bitvec.transitions_words}), carrying one seam bit per net to
+    the next block. Its memory is one block per net and domain, whatever
+    [patterns] is.
+
+    {b Bit identity.} Those integers are exactly what
+    {!Logic.Bitvec.popcount} and {!Logic.Bitvec.transitions} give on the
+    vectors {!Mapped.simulate} computes from {!Nets.Sim.random_stimulus},
+    and they enter the same float expressions in the same net order, so
+    a report is bit-identical to the whole-vector computation and across
+    domain counts. *)
 
 type report = {
   gates : int;
@@ -30,11 +48,22 @@ val run :
   Mapped.t ->
   report
 (** [wire_cap_per_fanout] adds lumped interconnect capacitance per driven
-    pin (default 0, the paper's assumption). The Monte-Carlo sweep shards
-    across [?domains] (default {!Runtime.Dpool.default_domains});
-    reported figures are bit-identical for any domain count. Its span
-    [techmap.estimate] has one child per step: [estimate.stimulus],
-    [estimate.simulate], [estimate.toggles], [estimate.characterize]. *)
+    pin (default 0, the paper's assumption). The blocks are the
+    {!Runtime.Dpool} units, at least 4 blocks (256 words) per domain, over
+    [?domains] (default {!Runtime.Dpool.default_domains}); each domain
+    allocates its buffers once, and the chunks' counts and seam bits merge
+    in block order after the join, so reported figures are bit-identical
+    for any domain count.
+
+    Its span [techmap.estimate] has one child per phase, charged once per
+    block: [estimate.stimulus], [estimate.simulate] (also the buffers'
+    set-up) and [estimate.toggles] (the counts, then the merge and the
+    dynamic power), then [estimate.characterize] once. With several
+    domains the phase spans add up every domain's time, so they can
+    exceed [techmap.estimate]'s wall. Telemetry: [estimate.domains],
+    [estimate.d<k>.patterns_simulated], [estimate.cube_words],
+    [estimate.patterns_simulated], [estimate.cells_simulated] and
+    [estimate.patterns_per_s] (over the whole sweep). *)
 
 val static_components : Mapped.t -> probs:(int -> float) -> float * float
 (** [(static, gate_leak)] powers in W of every cell, weighting each cell's

@@ -56,20 +56,9 @@ let gate_histogram t =
   Hashtbl.fold (fun name count acc -> (name, count) :: acc) counts []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let simulate ?domains t stimulus =
-  assert (Array.length stimulus = Array.length t.pi_nets);
-  let npat = if Array.length stimulus = 0 then 0 else B.length stimulus.(0) in
-  let values = Array.make t.num_nets (B.create npat) in
-  Array.iteri (fun i (_, net) -> values.(net) <- stimulus.(i)) t.pi_nets;
-  Array.iter
-    (fun (net, b) -> if b then values.(net) <- B.lognot (B.create npat))
-    t.const_nets;
-  (* Preallocate every cell output, then lower each topo-ordered cell's
-     ISOP cover (cached per gate name) to literal vectors once, so the
-     sweep below is the allocation-free cover kernel of [Nets.Sim]. The
-     word axis shards across domains: word-level ops are word-local, so
-     any domain count produces bit-identical values. *)
-  Array.iter (fun c -> values.(c.output) <- B.create npat) t.cells;
+type lowered = (Sim.cover * B.words) array
+
+let lower t nets =
   let cover_cache = Hashtbl.create 32 in
   let cubes_of gate =
     let name = gate.G.cell.Cell.Cells.name in
@@ -80,24 +69,38 @@ let simulate ?domains t stimulus =
         Hashtbl.replace cover_cache name cubes;
         cubes
   in
-  let kernels =
-    Array.map
-      (fun c ->
-        ( Sim.cover_of_cubes (cubes_of c.gate)
-            (Array.map (fun net -> B.words values.(net)) c.inputs),
-          B.words values.(c.output) ))
-      t.cells
-  in
+  Array.map
+    (fun c ->
+      ( Sim.cover_of_cubes (cubes_of c.gate) (Array.map (fun net -> nets.(net)) c.inputs),
+        nets.(c.output) ))
+    t.cells
+
+let eval_range cells ~scratch ~lo ~len =
+  Array.iter (fun (cover, dst) -> Sim.eval_cover cover ~dst ~scratch ~lo ~len) cells
+
+let cube_count cells =
+  Array.fold_left (fun acc (cover, _) -> acc + Sim.cover_cubes cover) 0 cells
+
+let simulate ?domains t stimulus =
+  assert (Array.length stimulus = Array.length t.pi_nets);
+  let npat = if Array.length stimulus = 0 then 0 else B.length stimulus.(0) in
+  let values = Array.make t.num_nets (B.create npat) in
+  Array.iteri (fun i (_, net) -> values.(net) <- stimulus.(i)) t.pi_nets;
+  Array.iter
+    (fun (net, b) -> if b then values.(net) <- B.lognot (B.create npat))
+    t.const_nets;
+  (* Preallocate every cell output and lower the cells' covers onto the
+     vectors once, so the sweep below is the allocation-free cover kernel
+     of [Nets.Sim]. The word axis shards across domains: word-level ops
+     are word-local, so any domain count produces bit-identical values. *)
+  Array.iter (fun c -> values.(c.output) <- B.create npat) t.cells;
+  let cells = lower t (Array.map B.words values) in
   let scratch = B.words (B.create npat) in
   let nwords = max 1 ((npat + 63) / 64) in
-  let cubes_per_word =
-    Array.fold_left (fun acc (cover, _) -> acc + Sim.cover_cubes cover) 0 kernels
-  in
+  let cubes_per_word = cube_count cells in
   let stats =
     Runtime.Dpool.run ?domains ~units:nwords (fun ~worker ~lo ~len ->
-        Array.iter
-          (fun (cover, dst) -> Sim.eval_cover cover ~dst ~scratch ~lo ~len)
-          kernels;
+        eval_range cells ~scratch ~lo ~len;
         if Runtime.Telemetry.enabled () then begin
           Runtime.Telemetry.count "mapped.sim.cube_words" (cubes_per_word * len);
           Runtime.Telemetry.count

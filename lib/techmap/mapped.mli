@@ -41,10 +41,33 @@ val gate_histogram : t -> (string * int) list
 (** Cell usage count by gate name, descending. *)
 
 val simulate : ?domains:int -> t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
-(** Per-net values given one stimulus vector per primary input. The
-    pattern axis shards across domains ({!Runtime.Dpool}, word-aligned
-    chunks); results are bit-identical for any [?domains] (default
-    {!Runtime.Dpool.default_domains}). *)
+(** Per-net values given one stimulus vector per primary input: one
+    whole vector per net, so its memory grows with the pattern count.
+    {!check} (the flow's verify stage), the sequential estimator and the
+    tests use it; {!Estimate.run} sweeps the same kernel over blocks of
+    words instead ({!lower}). The pattern axis shards across domains
+    ({!Runtime.Dpool}, word-aligned chunks); results are bit-identical
+    for any [?domains] (default {!Runtime.Dpool.default_domains}). *)
+
+(** {1 Cover kernel} *)
+
+type lowered
+(** Every cell's cover lowered onto one set of per-net word buffers. *)
+
+val lower : t -> Logic.Bitvec.words array -> lowered
+(** [lower t nets] lowers each cell's ISOP cover (computed once per gate
+    name) to {!Nets.Sim.eval_cover} over [nets], indexed by net: a cell
+    reads the buffers of its input nets and writes its output net's. The
+    buffers must all hold the same number of words. *)
+
+val eval_range : lowered -> scratch:Logic.Bitvec.words -> lo:int -> len:int -> unit
+(** Evaluates the cells in topological order over words [lo, lo + len)
+    of their buffers, with [scratch] a buffer of the same size; allocates
+    nothing per word. Disjoint word ranges may run concurrently. Tail
+    bits past the patterns may come out set. *)
+
+val cube_count : lowered -> int
+(** Cubes evaluated per word: the sum of the cells' cover sizes. *)
 
 val check :
   ?domains:int -> t -> Nets.Netlist.t -> patterns:int -> seed:int64 -> bool

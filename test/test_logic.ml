@@ -94,6 +94,37 @@ let bitvec_transitions_matches_naive () =
         !naive (B.transitions v))
     (List.init 8 (fun i -> (i + 1) * 37) @ [ 1; 63; 64; 65; 128; 129 ])
 
+(* A sequence held one block of words at a time counts as the whole
+   vector does: each block's counts, its last word masked at the end of
+   the sequence and the bit before it as its carry, sum to [popcount]
+   and [transitions]. *)
+let bitvec_block_counts_sum () =
+  List.iter
+    (fun (len, block) ->
+      let whole = B.create len in
+      B.fill_random (Logic.Prng.create 5L) whole;
+      let nwords = max 1 ((len + 63) / 64) in
+      let buf = B.words (B.create (64 * block)) in
+      let ones = ref 0 and trans = ref 0 and carry = ref (-1) in
+      let w0 = ref 0 in
+      while !w0 < nwords do
+        let n = min block (nwords - !w0) in
+        let rng = Logic.Prng.create 5L in
+        Logic.Prng.jump rng !w0;
+        B.fill_words rng buf ~at:0 ~len:n;
+        let last = if !w0 + n = nwords then B.tail_mask len else -1L in
+        let first = Int64.to_int (Int64.logand (B.load buf 0) 1L) in
+        ones := !ones + B.popcount_words buf n ~last;
+        trans :=
+          !trans + B.transitions_words buf n ~last ~carry:(if !carry < 0 then first else !carry);
+        carry := Int64.to_int (Int64.shift_right_logical (B.load buf ((n - 1) * 8)) 63);
+        w0 := !w0 + n
+      done;
+      let where = Printf.sprintf "%d bits in blocks of %d words" len block in
+      Alcotest.(check int) ("ones, " ^ where) (B.popcount whole) !ones;
+      Alcotest.(check int) ("transitions, " ^ where) (B.transitions whole) !trans)
+    [ (0, 1); (1, 1); (64, 1); (65, 1); (200, 1); (200, 2); (4_095, 64); (4_097, 64); (10_000, 3) ]
+
 (* ------------------------------------------------------------------ *)
 (* Truthtable *)
 
@@ -369,6 +400,7 @@ let () =
           Alcotest.test_case "lognot respects length" `Quick bitvec_lognot_respects_length;
           Alcotest.test_case "lognot of an empty vector" `Quick bitvec_empty_lognot;
           Alcotest.test_case "fill_random of an empty vector" `Quick bitvec_empty_fill_random;
+          Alcotest.test_case "block counts sum to the whole" `Quick bitvec_block_counts_sum;
           Alcotest.test_case "xor bitwise" `Quick bitvec_ops;
           Alcotest.test_case "transitions small" `Quick bitvec_transitions_small;
           Alcotest.test_case "transitions word boundary" `Quick bitvec_transitions_word_boundary;

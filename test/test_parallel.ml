@@ -260,21 +260,89 @@ let parallel_metadata_in_profile () =
   ignore (Techmap.Estimate.run ~domains:2 ~patterns:30_000 mapped);
   let prof = T.snapshot () in
   T.set_enabled was;
-  (match T.find_dist prof "sim.domains" with
+  (match T.find_dist prof "estimate.domains" with
   | Some d -> Alcotest.(check bool) "domains observed" true (T.mean d >= 1.0)
-  | None -> Alcotest.fail "sim.domains not observed");
+  | None -> Alcotest.fail "estimate.domains not observed");
   let per_domain =
     List.filter
       (fun (name, _) ->
-        String.length name > 4
-        && String.sub name 0 4 = "sim."
+        String.length name > 10
+        && String.sub name 0 10 = "estimate.d"
         && Filename.check_suffix name ".patterns_simulated")
       prof.T.p_counters
   in
   let total = List.fold_left (fun acc (_, v) -> acc + v) 0 per_domain in
   Alcotest.(check int) "per-domain patterns sum to the sweep" 30_000 total
 
+(* The whole-vector estimate from the public pieces it is defined by:
+   the stimulus, [Mapped.simulate], the two counts per net and
+   [static_components], in the estimator's formulas and net order. The
+   streaming [Estimate.run] must equal it field for field (perfbench's
+   fidelity check fails the benchmark otherwise). *)
+let reference_estimate ~patterns ~seed (m : Techmap.Mapped.t) =
+  let module M = Techmap.Mapped in
+  let module E = Techmap.Estimate in
+  let vdd = m.M.lib.Cell.Genlib.tech.Spice.Tech.vdd and f = Spice.Tech.frequency in
+  let stimulus =
+    Sim.random_stimulus ~domains:1 ~seed ~inputs:(Array.length m.M.pi_nets) ~patterns ()
+  in
+  let values = M.simulate ~domains:1 m stimulus in
+  let toggle net =
+    if patterns <= 1 then 0.0
+    else float_of_int (B.transitions values.(net)) /. float_of_int (patterns - 1)
+  in
+  let prob net = float_of_int (B.popcount values.(net)) /. float_of_int patterns in
+  let loads = M.net_loads m in
+  let dynamic = ref 0.0 in
+  for net = 0 to m.M.num_nets - 1 do
+    dynamic := !dynamic +. (toggle net *. loads.(net) *. f *. vdd *. vdd)
+  done;
+  let static, gate_leak = E.static_components m ~probs:prob in
+  let short_circuit = Spice.Tech.short_circuit_fraction *. !dynamic in
+  let total = !dynamic +. short_circuit +. static +. gate_leak in
+  let delay = M.delay m in
+  {
+    E.gates = M.num_gates m;
+    area = M.area m;
+    delay;
+    dynamic = !dynamic;
+    short_circuit;
+    static;
+    gate_leak;
+    total;
+    edp = Power.Powermodel.edp ~total_power:total ~delay ();
+  }
+
+let map_multiplier width lib =
+  let nl = Circuits.Multiplier.generate ~width in
+  Techmap.Mapper.map (Techmap.Matchlib.build lib) (Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl))
+
+(* Pattern counts on either side of a word (64) and of a block (4 096
+   patterns), and 70 000, which splits over 4 domains. *)
+let estimate_equals_whole_vector_reference () =
+  List.iter
+    (fun width ->
+      List.iter
+        (fun lib ->
+          let m = map_multiplier width lib in
+          List.iter
+            (fun patterns ->
+              let expected = reference_estimate ~patterns ~seed:5L m in
+              List.iter
+                (fun domains ->
+                  let got = Techmap.Estimate.run ~domains ~patterns ~seed:5L m in
+                  if got <> expected then
+                    Alcotest.failf "mult%d/%s, %d patterns, %d domains: %a <> %a" width
+                      lib.Cell.Genlib.name patterns domains Techmap.Estimate.pp_report got
+                      Techmap.Estimate.pp_report expected)
+                [ 1; 2; 4 ])
+            [ 1; 2; 63; 64; 65; 4_095; 4_096; 4_097; 70_000 ])
+        [ Cell.Genlib.generalized_cntfet; Cell.Genlib.cmos ])
+    [ 4; 8 ]
+
 (* --- allocation ---------------------------------------------------- *)
+
+let mapped_mult8 = lazy (map_multiplier 8 Cell.Genlib.generalized_cntfet)
 
 (* The kernels keep every word unboxed, so a sweep allocates the vectors
    it returns and little else: the rest is the per-call lowering of the
@@ -283,11 +351,7 @@ let parallel_metadata_in_profile () =
    times as much. The circuit and pattern count are those of the
    simulate-mult8-64k micro-benchmarks. *)
 let mapped_simulate_allocates_only_its_vectors () =
-  let mapped =
-    let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist (Lazy.force mult8)) in
-    let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
-    Techmap.Mapper.map ml aig
-  in
+  let mapped = Lazy.force mapped_mult8 in
   let stimulus =
     Sim.random_stimulus ~domains:1 ~seed:3L
       ~inputs:(Array.length mapped.Techmap.Mapped.pi_nets) ~patterns:65_536 ()
@@ -313,6 +377,26 @@ let mapped_simulate_allocates_only_its_vectors () =
   if ratio > 1.25 then
     Alcotest.failf "allocated %.0f words for %d words of vectors (%.2fx > 1.25x)"
       allocated returned ratio
+
+(* The estimator keeps one block of words per net, whatever the pattern
+   count, so ten times the patterns allocate no more of the major heap.
+   One whole vector per net allocates 9.75 times as much, so a return to
+   whole vectors fails here. *)
+let estimate_heap_is_independent_of_patterns () =
+  let mapped = Lazy.force mapped_mult8 in
+  let major_words patterns =
+    Gc.minor ();
+    let _, _, before = Gc.counters () in
+    ignore (Techmap.Estimate.run ~domains:1 ~patterns ~seed:3L mapped);
+    Gc.minor ();
+    let _, _, after = Gc.counters () in
+    after -. before
+  in
+  let small = major_words 65_536 in
+  let large = major_words 655_360 in
+  if large > 1.1 *. small then
+    Alcotest.failf "major heap: %.0f words at 655 360 patterns, %.0f at 65 536 (%.2fx > 1.1x)"
+      large small (large /. small)
 
 let () =
   Alcotest.run "parallel"
@@ -350,10 +434,14 @@ let () =
             estimate_report_identical_across_domains;
           tc "parallel metadata lands in the profile" `Slow
             parallel_metadata_in_profile;
+          tc "Estimate.run = whole-vector reference" `Slow
+            estimate_equals_whole_vector_reference;
         ] );
       ( "allocation",
         [
           tc "Mapped.simulate allocates only its vectors" `Quick
             mapped_simulate_allocates_only_its_vectors;
+          tc "Estimate.run heap independent of patterns" `Quick
+            estimate_heap_is_independent_of_patterns;
         ] );
     ]
