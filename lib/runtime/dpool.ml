@@ -92,7 +92,6 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
       in
       loop ()
     in
-    let path = Telemetry.open_path () in
     let spawned =
       Array.init (d - 1) (fun i ->
           Domain.spawn (fun () ->
@@ -103,7 +102,7 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
     in
     worker_body 0;
     let profiles = Array.map Domain.join spawned in
-    Array.iter (fun p -> Telemetry.merge ~prefix:path p) profiles;
+    Array.iter (fun p -> Telemetry.merge p) profiles;
     (match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ());

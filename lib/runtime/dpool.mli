@@ -13,10 +13,7 @@
     Telemetry recorded inside worker domains lands in their per-domain
     {!Telemetry} registries; the pool snapshots each one inside the
     worker and merges it into the caller's registry after join, so
-    parallel kernels neither race on the tables nor lose counts. A
-    worker's spans are grafted under the spans open in the caller when
-    {!run} was called ({!Telemetry.open_path}), where the calling
-    domain's own spans of the same work land.
+    parallel kernels neither race on the tables nor lose counts.
 
     Work below [min_units_per_domain] per domain runs sequentially on the
     calling domain — spawning costs tens of microseconds, which would

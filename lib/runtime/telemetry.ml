@@ -110,9 +110,6 @@ let with_span name f =
       f
   end
 
-let open_path () =
-  if not !on then [] else List.rev_map (fun n -> n.n_name) (registry ()).g_stack
-
 let add tbl k n =
   let r = find_or_add tbl k (fun () -> ref 0) in
   r := !r + n

@@ -95,11 +95,6 @@ val with_span : string -> (unit -> 'a) -> 'a
     raises. Direct recursion double-charges the recursive frames; name
     recursion levels distinctly if that matters. *)
 
-val open_path : unit -> string list
-(** The names of the spans open on this domain, outermost first ([[]]
-    when disabled): the [prefix] under which {!merge} grafts what a
-    parallel section recorded, so its spans nest where it ran. *)
-
 val count : string -> int -> unit
 (** [count name n] adds [n] to the monotonic counter [name]. No-op when
     disabled. *)

@@ -71,21 +71,18 @@ let static_components (m : Mapped.t) ~probs =
 let block_words = 64
 
 (* One domain's buffers, allocated at its first chunk and reused for the
-   rest: a block buffer per primary input and per cell output, one
-   all-ones buffer for the nets tied high and one all-zero buffer for
-   every other net (as [Mapped.simulate] assigns its vectors), the
+   rest: a block vector per net as [Mapped.net_vectors] assigns them, the
    cells' covers lowered onto them, and the kernel's scratch. *)
 type buffers = { nets : B.words array; cells : Mapped.lowered; cubes : int; scratch : B.words }
 
 let buffers (m : Mapped.t) ~words =
-  let fresh () = B.words (B.create (64 * words)) in
-  let zero = fresh () and one = B.words (B.lognot (B.create (64 * words))) in
-  let nets = Array.make m.Mapped.num_nets zero in
-  Array.iter (fun (_, net) -> nets.(net) <- fresh ()) m.Mapped.pi_nets;
-  Array.iter (fun (net, b) -> if b then nets.(net) <- one) m.Mapped.const_nets;
-  Array.iter (fun (c : Mapped.cell) -> nets.(c.Mapped.output) <- fresh ()) m.Mapped.cells;
-  let cells = Mapped.lower m nets in
-  { nets; cells; cubes = Mapped.cube_count cells; scratch = fresh () }
+  let vectors, cells = Mapped.net_vectors m ~patterns:(64 * words) in
+  {
+    nets = Array.map B.words vectors;
+    cells;
+    cubes = Mapped.cube_count cells;
+    scratch = B.words (B.create (64 * words));
+  }
 
 (* What one chunk of blocks counted, per net: its ones, the differing
    pairs of adjacent bits inside the chunk, and its first and last bits,
@@ -112,17 +109,22 @@ let sweep ?domains ~patterns ~seed (m : Mapped.t) =
   let tail = B.tail_mask patterns in
   let nets = m.Mapped.num_nets in
   let own = Array.make D.max_domains None and counted = Array.make D.max_domains [] in
-  let block b blk c =
+  (* Only the calling domain (worker 0) charges the phase spans. The
+     other domains' blocks run at the same time as its own, so their
+     time would let the phases outgrow the sweep's wall; their share of
+     the work shows in the counters. *)
+  let phase ~worker name f = if worker = 0 then T.with_span name f else f () in
+  let block ~worker b blk c =
     let w0 = blk * bw in
     let len = min bw (nwords - w0) in
-    T.with_span "estimate.stimulus" (fun () ->
+    phase ~worker "estimate.stimulus" (fun () ->
         Array.iteri
           (fun input (_, net) ->
             Nets.Sim.fill_stimulus ~seed ~words:nwords ~input ~lo:w0 ~len b.nets.(net) ~at:0)
           m.Mapped.pi_nets);
-    T.with_span "estimate.simulate" (fun () ->
+    phase ~worker "estimate.simulate" (fun () ->
         Mapped.eval_range b.cells ~scratch:b.scratch ~lo:0 ~len);
-    T.with_span "estimate.toggles" (fun () ->
+    phase ~worker "estimate.toggles" (fun () ->
         let last = if w0 + len = nwords then tail else -1L in
         for net = 0 to nets - 1 do
           let ws = b.nets.(net) in
@@ -143,7 +145,7 @@ let sweep ?domains ~patterns ~seed (m : Mapped.t) =
           match own.(worker) with
           | Some b -> b
           | None ->
-              let b = T.with_span "estimate.simulate" (fun () -> buffers m ~words:bw) in
+              let b = phase ~worker "estimate.simulate" (fun () -> buffers m ~words:bw) in
               own.(worker) <- Some b;
               b
         in
@@ -157,7 +159,7 @@ let sweep ?domains ~patterns ~seed (m : Mapped.t) =
           }
         in
         for blk = lo to lo + len - 1 do
-          block b blk c
+          block ~worker b blk c
         done;
         counted.(worker) <- c :: counted.(worker);
         if T.enabled () then begin
@@ -195,7 +197,11 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
   let vdd = tech.Spice.Tech.vdd in
   let f = Spice.Tech.frequency in
   let t0 = if T.enabled () then T.now () else 0.0 in
-  let ones, transitions = sweep ?domains ~patterns ~seed m in
+  (* The sweep's wall on the calling domain: its phases, and the domains'
+     spawn and the wait for the last of them, which no phase covers. *)
+  let ones, transitions =
+    T.with_span "estimate.sweep" (fun () -> sweep ?domains ~patterns ~seed m)
+  in
   if T.enabled () then begin
     let dt = T.now () -. t0 in
     T.count "estimate.patterns_simulated" patterns;
@@ -209,12 +215,11 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
   in
   let prob net = float_of_int ones.(net) /. float_of_int patterns in
   (* Dynamic power: every net that toggles charges its load. *)
+  let loads = Mapped.net_loads ~wire_cap_per_fanout m in
   let dynamic = ref 0.0 in
-  T.with_span "estimate.toggles" (fun () ->
-      let loads = Mapped.net_loads ~wire_cap_per_fanout m in
-      for net = 0 to m.Mapped.num_nets - 1 do
-        dynamic := !dynamic +. (toggle net *. loads.(net) *. f *. vdd *. vdd)
-      done);
+  for net = 0 to m.Mapped.num_nets - 1 do
+    dynamic := !dynamic +. (toggle net *. loads.(net) *. f *. vdd *. vdd)
+  done;
   (* Static and gate leakage from the per-gate characterization. *)
   let static, gate_leak =
     T.with_span "estimate.characterize" (fun () -> static_components m ~probs:prob)

@@ -12,7 +12,7 @@
     for each block it fills the primary inputs' words from the
     counter-mode stimulus ({!Nets.Sim.fill_stimulus}), evaluates every
     cell's lowered cover on one block buffer per driven net
-    ({!Mapped.lower}), and folds each net's ones and transitions into
+    ({!Mapped.net_vectors}), and folds each net's ones and transitions into
     integers while the block is in cache ({!Logic.Bitvec.popcount_words},
     {!Logic.Bitvec.transitions_words}), carrying one seam bit per net to
     the next block. Its memory is one block per net and domain, whatever
@@ -55,12 +55,15 @@ val run :
     in block order after the join, so reported figures are bit-identical
     for any domain count.
 
-    Its span [techmap.estimate] has one child per phase, charged once per
-    block: [estimate.stimulus], [estimate.simulate] (also the buffers'
-    set-up) and [estimate.toggles] (the counts, then the merge and the
-    dynamic power), then [estimate.characterize] once. With several
-    domains the phase spans add up every domain's time, so they can
-    exceed [techmap.estimate]'s wall. Telemetry: [estimate.domains],
+    Its span [techmap.estimate] has two children: [estimate.sweep], the
+    sweep's wall on the calling domain, and [estimate.characterize].
+    Under [estimate.sweep] the phases are charged once per block the
+    calling domain sweeps: [estimate.stimulus], [estimate.simulate]
+    (also its buffers' set-up) and [estimate.toggles] (the counts, then
+    the merge). The other domains' blocks run meanwhile and are not
+    charged to any span, so every span's children stay within its wall;
+    the sweep's own time is the other domains' spawn and the wait for
+    the last of them. Telemetry: [estimate.domains],
     [estimate.d<k>.patterns_simulated], [estimate.cube_words],
     [estimate.patterns_simulated], [estimate.cells_simulated] and
     [estimate.patterns_per_s] (over the whole sweep). *)

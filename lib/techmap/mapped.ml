@@ -75,6 +75,17 @@ let lower t nets =
         nets.(c.output) ))
     t.cells
 
+let net_vectors ?inputs t ~patterns =
+  let values = Array.make t.num_nets (B.create patterns) in
+  Array.iteri
+    (fun i (_, net) ->
+      values.(net) <- (match inputs with Some v -> v.(i) | None -> B.create patterns))
+    t.pi_nets;
+  let one = lazy (B.lognot (B.create patterns)) in
+  Array.iter (fun (net, b) -> if b then values.(net) <- Lazy.force one) t.const_nets;
+  Array.iter (fun c -> values.(c.output) <- B.create patterns) t.cells;
+  (values, lower t (Array.map B.words values))
+
 let eval_range cells ~scratch ~lo ~len =
   Array.iter (fun (cover, dst) -> Sim.eval_cover cover ~dst ~scratch ~lo ~len) cells
 
@@ -84,17 +95,12 @@ let cube_count cells =
 let simulate ?domains t stimulus =
   assert (Array.length stimulus = Array.length t.pi_nets);
   let npat = if Array.length stimulus = 0 then 0 else B.length stimulus.(0) in
-  let values = Array.make t.num_nets (B.create npat) in
-  Array.iteri (fun i (_, net) -> values.(net) <- stimulus.(i)) t.pi_nets;
-  Array.iter
-    (fun (net, b) -> if b then values.(net) <- B.lognot (B.create npat))
-    t.const_nets;
-  (* Preallocate every cell output and lower the cells' covers onto the
-     vectors once, so the sweep below is the allocation-free cover kernel
-     of [Nets.Sim]. The word axis shards across domains: word-level ops
-     are word-local, so any domain count produces bit-identical values. *)
-  Array.iter (fun c -> values.(c.output) <- B.create npat) t.cells;
-  let cells = lower t (Array.map B.words values) in
+  (* Every cell output preallocated and the cells' covers lowered onto
+     the vectors once, so the sweep below is the allocation-free cover
+     kernel of [Nets.Sim]. The word axis shards across domains: word-level
+     ops are word-local, so any domain count produces bit-identical
+     values. *)
+  let values, cells = net_vectors ~inputs:stimulus t ~patterns:npat in
   let scratch = B.words (B.create npat) in
   let nwords = max 1 ((npat + 63) / 64) in
   let cubes_per_word = cube_count cells in

@@ -42,23 +42,28 @@ val gate_histogram : t -> (string * int) list
 
 val simulate : ?domains:int -> t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
 (** Per-net values given one stimulus vector per primary input: one
-    whole vector per net, so its memory grows with the pattern count.
-    {!check} (the flow's verify stage), the sequential estimator and the
-    tests use it; {!Estimate.run} sweeps the same kernel over blocks of
-    words instead ({!lower}). The pattern axis shards across domains
-    ({!Runtime.Dpool}, word-aligned chunks); results are bit-identical
-    for any [?domains] (default {!Runtime.Dpool.default_domains}). *)
+    whole vector per net ({!net_vectors}), so its memory grows with the
+    pattern count. {!check} (the flow's verify stage), the sequential
+    estimator and the tests use it; {!Estimate.run} sweeps the same
+    kernel over blocks of words instead. The pattern axis shards across
+    domains ({!Runtime.Dpool}, word-aligned chunks); results are
+    bit-identical for any [?domains] (default
+    {!Runtime.Dpool.default_domains}). *)
 
 (** {1 Cover kernel} *)
 
 type lowered
 (** Every cell's cover lowered onto one set of per-net word buffers. *)
 
-val lower : t -> Logic.Bitvec.words array -> lowered
-(** [lower t nets] lowers each cell's ISOP cover (computed once per gate
-    name) to {!Nets.Sim.eval_cover} over [nets], indexed by net: a cell
-    reads the buffers of its input nets and writes its output net's. The
-    buffers must all hold the same number of words. *)
+val net_vectors :
+  ?inputs:Logic.Bitvec.t array -> t -> patterns:int -> Logic.Bitvec.t array * lowered
+(** The per-net vectors of [patterns] bits that {!simulate} evaluates,
+    indexed by net, and every cell's ISOP cover (computed once per gate
+    name) lowered onto their words: a cell reads its input nets' vectors
+    and writes its output net's. Primary input [i] gets [inputs.(i)]
+    (fresh vectors when [inputs] is omitted), every cell output a fresh
+    vector, the nets tied high one shared all-ones vector and every other
+    net one shared all-zero vector. *)
 
 val eval_range : lowered -> scratch:Logic.Bitvec.words -> lo:int -> len:int -> unit
 (** Evaluates the cells in topological order over words [lo, lo + len)

@@ -205,6 +205,12 @@ let mapped_mult4 =
      let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
      (nl, Techmap.Mapper.map ml aig))
 
+let map_multiplier width lib =
+  let nl = Circuits.Multiplier.generate ~width in
+  Techmap.Mapper.map (Techmap.Matchlib.build lib) (Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl))
+
+let mapped_mult8 = lazy (map_multiplier 8 Cell.Genlib.generalized_cntfet)
+
 let mapped_simulate_deterministic_across_domains () =
   let _, mapped = Lazy.force mapped_mult4 in
   (* 70 K patterns = ~1100 words: enough for the pool to actually split
@@ -252,12 +258,14 @@ let estimate_report_identical_across_domains () =
         r.Techmap.Estimate.total)
     [ 2; 4 ]
 
+(* mult8 at 262 144 patterns (64 blocks) keeps both domains busy at
+   once, so the span check below sees their blocks overlap. *)
 let parallel_metadata_in_profile () =
-  let _, mapped = Lazy.force mapped_mult4 in
+  let mapped = Lazy.force mapped_mult8 in
   let was = T.enabled () in
   T.set_enabled true;
   T.reset ();
-  ignore (Techmap.Estimate.run ~domains:2 ~patterns:30_000 mapped);
+  ignore (Techmap.Estimate.run ~domains:2 ~patterns:262_144 mapped);
   let prof = T.snapshot () in
   T.set_enabled was;
   (match T.find_dist prof "estimate.domains" with
@@ -272,7 +280,32 @@ let parallel_metadata_in_profile () =
       prof.T.p_counters
   in
   let total = List.fold_left (fun acc (_, v) -> acc + v) 0 per_domain in
-  Alcotest.(check int) "per-domain patterns sum to the sweep" 30_000 total
+  Alcotest.(check int) "per-domain patterns sum to the sweep" 262_144 total;
+  (* Spans on the calling domain nest in wall time: no node's children
+     add up to more than its own total. The other domain's blocks run
+     at the same time, so charging their phases too would break this. *)
+  let rec nests path (s : T.span) =
+    let path = path ^ "/" ^ s.T.span_name in
+    let children = List.fold_left (fun acc (c : T.span) -> acc +. c.T.total_s) 0.0 s.T.children in
+    if children > s.T.total_s +. 1e-9 then
+      Alcotest.failf "%s: children %.6f s > its own %.6f s" path children s.T.total_s;
+    List.iter (nests path) s.T.children
+  in
+  match prof.T.p_spans with
+  | [ est ] when est.T.span_name = "techmap.estimate" ->
+      let named name (s : T.span) = s.T.span_name = name in
+      (match List.find_opt (named "estimate.sweep") est.T.children with
+      | None -> Alcotest.fail "estimate.sweep missing under techmap.estimate"
+      | Some sweep ->
+          List.iter
+            (fun phase ->
+              if not (List.exists (named phase) sweep.T.children) then
+                Alcotest.failf "%s missing under estimate.sweep" phase)
+            [ "estimate.stimulus"; "estimate.simulate"; "estimate.toggles" ]);
+      nests "" est
+  | spans ->
+      Alcotest.failf "spans outside techmap.estimate: %s"
+        (String.concat ", " (List.map (fun (s : T.span) -> s.T.span_name) spans))
 
 (* The whole-vector estimate from the public pieces it is defined by:
    the stimulus, [Mapped.simulate], the two counts per net and
@@ -313,10 +346,6 @@ let reference_estimate ~patterns ~seed (m : Techmap.Mapped.t) =
     edp = Power.Powermodel.edp ~total_power:total ~delay ();
   }
 
-let map_multiplier width lib =
-  let nl = Circuits.Multiplier.generate ~width in
-  Techmap.Mapper.map (Techmap.Matchlib.build lib) (Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl))
-
 (* Pattern counts on either side of a word (64) and of a block (4 096
    patterns), and 70 000, which splits over 4 domains. *)
 let estimate_equals_whole_vector_reference () =
@@ -341,8 +370,6 @@ let estimate_equals_whole_vector_reference () =
     [ 4; 8 ]
 
 (* --- allocation ---------------------------------------------------- *)
-
-let mapped_mult8 = lazy (map_multiplier 8 Cell.Genlib.generalized_cntfet)
 
 (* The kernels keep every word unboxed, so a sweep allocates the vectors
    it returns and little else: the rest is the per-call lowering of the
