@@ -1,65 +1,16 @@
-(* Benchmark harness.
+(* Benchmark harness: what no `cntpower` command does.
 
-   Running `dune exec bench/main.exe` regenerates every table and
-   figure-grade claim of the paper (experiments E1-E8 of DESIGN.md) plus
-   the A2-A5 ablations and bechamel microbenchmarks of the computational
-   kernels. Pass section names to run a subset:
+     dune exec bench/main.exe            # both sections
+     dune exec bench/main.exe -- micro   # bechamel micro-benchmarks
+     dune exec bench/main.exe -- profile # writes BENCH_profile.json
 
-     dune exec bench/main.exe -- micro table1
-     dune exec bench/main.exe -- quick table1   # E1 with fewer patterns
-     dune exec bench/main.exe -- domains=4 profile
-
-   One Bechamel test per paper table/figure measures the kernel that
-   produces it. *)
+   `micro` times the computational kernels behind the paper's tables,
+   one bechamel test each. `profile` runs a representative synth -> map
+   -> estimate workload with telemetry on, the snapshot CI compares
+   against the committed BENCH_profile.json. The experiments themselves
+   run with `cntpower <experiment>` or `cntpower all`. *)
 
 let std = Format.std_formatter
-
-let quick = ref false
-
-let patterns () = if !quick then 65536 else Techmap.Estimate.default_patterns
-
-(* ------------------------------------------------------------------ *)
-(* Experiment sections                                                 *)
-
-let run_libchar () =
-  Format.printf "@.#### E2/E4/E5/E6 — library characterization ####@.";
-  Experiments.Exp_libchar.print std (Experiments.Exp_libchar.run ())
-
-let run_patterns () =
-  Format.printf "@.#### E3/E8/A1 — I_off pattern classification ####@.";
-  Experiments.Exp_patterns.print std (Experiments.Exp_patterns.run ())
-
-let run_tgate () =
-  Format.printf "@.#### E7 — transmission gate (Fig. 2) ####@.";
-  Experiments.Exp_tgate.print std (Experiments.Exp_tgate.run ())
-
-let run_delay () =
-  Format.printf "@.#### E9 — intrinsic delay (transient analysis) ####@.";
-  Experiments.Exp_delay.print std (Experiments.Exp_delay.run ())
-
-let run_dynamic () =
-  Format.printf "@.#### E10 — dynamic / reconfigurable cells (extension) ####@.";
-  Experiments.Exp_dynamic.print std (Experiments.Exp_dynamic.run ())
-
-let run_seq () =
-  Format.printf "@.#### E12 — clocked CRC engine (extension) ####@.";
-  Experiments.Exp_seq.print std (Experiments.Exp_seq.run ())
-
-let run_pla () =
-  Format.printf "@.#### E11 — ambipolar PLAs (extension) ####@.";
-  Experiments.Exp_pla.print std (Experiments.Exp_pla.run ())
-
-let run_sensitivity () =
-  Format.printf "@.#### E13-E15 — operating point & variation sensitivity (extension) ####@.";
-  Experiments.Exp_sensitivity.print std (Experiments.Exp_sensitivity.run ())
-
-let run_table1 () =
-  Format.printf "@.#### E1 — Table 1 (%d random patterns) ####@." (patterns ());
-  Experiments.Exp_table1.print std (Experiments.Exp_table1.run ~patterns:(patterns ()) ())
-
-let run_ablations () =
-  Format.printf "@.#### A2-A5 — ablations ####@.";
-  Experiments.Ablations.print std ()
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)
@@ -228,129 +179,10 @@ let run_profile () =
   T.pp std prof
 
 (* ------------------------------------------------------------------ *)
-(* serve round-trip: request latency against a live daemon             *)
 
-let serve_blif =
-  ".model benchround\n\
-   .inputs a b c d\n\
-   .outputs y z\n\
-   .names a b t\n\
-   11 1\n\
-   .names c d u\n\
-   00 1\n\
-   .names t u y\n\
-   10 1\n\
-   .names t u z\n\
-   01 1\n\
-   .end\n"
-
-let run_serve_roundtrip () =
-  let module Sv = Runtime.Server in
-  let module Ck = Runtime.Checkpoint in
-  let module T = Runtime.Telemetry in
-  let n = 50 in
-  Format.printf "@.#### serve round-trip (%d requests) ####@." n;
-  let sock =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "cntb-%d.sock" (Unix.getpid ()))
-  in
-  flush stdout;
-  flush stderr;
-  (* The daemon is a forked child; OCaml 5 refuses to fork once any
-     domain has ever been spawned, which is why this section leads the
-     default order — every estimate section spawns pool domains. *)
-  match
-    try Some (Unix.fork ()) with Unix.Unix_error _ | Failure _ -> None
-  with
-  | None ->
-      Format.printf
-        "  skipped: cannot fork after parallel sections (run serve-roundtrip \
-         first)@."
-  | Some 0 ->
-      Runtime.Journal.set_verbosity None;
-      let handlers =
-        {
-          Sv.admit =
-            (fun req -> Result.bind (Ck.str_field req "blif") Nets.Blif.parse_string);
-          execute =
-            (fun nl ->
-              let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
-              Result.map
-                (fun flow ->
-                  let _, r = List.hd flow.Techmap.Flow.results in
-                  Ck.Obj [ ("total_W", Ck.Num r.Techmap.Estimate.total) ])
-                (Techmap.Flow.run ~domains:1 ~patterns:4096 ~name:"request" [ ml ] (fun () -> nl)));
-          describe = (fun _ -> [ ("bench", "roundtrip") ]);
-        }
-      in
-      let cfg =
-        { (Sv.default_config ~socket_path:sock) with Sv.max_workers = 2 }
-      in
-      let code =
-        match Sv.run cfg handlers with
-        | Ok Sv.Drained -> 0
-        | Ok Sv.Tripped -> 3
-        | Error _ -> 4
-      in
-      Unix._exit code
-  | Some pid ->
-      let health = Ck.Obj [ ("verb", Ck.Str "health") ] in
-      let rec wait_ready tries =
-        tries > 0
-        &&
-        match Sv.call ~socket_path:sock ~timeout_s:2.0 health with
-        | Ok _ -> true
-        | Error _ ->
-            Unix.sleepf 0.1;
-            wait_ready (tries - 1)
-      in
-      if not (wait_ready 100) then
-        Format.printf "  daemon never became ready@."
-      else begin
-        let req =
-          Ck.Obj [ ("verb", Ck.Str "estimate"); ("blif", Ck.Str serve_blif) ]
-        in
-        (* Two throwaway calls, so that the measured requests do not
-           include the daemon's first fork. *)
-        for _ = 1 to 2 do
-          ignore (Sv.call ~socket_path:sock req)
-        done;
-        let was = T.enabled () in
-        T.set_enabled true;
-        let failures = ref 0 in
-        for _ = 1 to n do
-          let t0 = Unix.gettimeofday () in
-          match Sv.call ~socket_path:sock req with
-          | Ok resp when Sv.response_error resp = None ->
-              T.observe "serve.roundtrip_s" (Unix.gettimeofday () -. t0)
-          | Ok _ | Error _ -> incr failures
-        done;
-        let prof = T.snapshot () in
-        T.set_enabled was;
-        (match T.find_dist prof "serve.roundtrip_s" with
-        | Some d ->
-            Format.printf "  requests %d  failures %d@." n !failures;
-            Format.printf "  p50 %8.3f ms   p95 %8.3f ms   mean %8.3f ms@."
-              (1e3 *. T.percentile d 0.50)
-              (1e3 *. T.percentile d 0.95)
-              (1e3 *. T.mean d)
-        | None -> Format.printf "  no samples (all %d requests failed)@." n);
-        let path = "BENCH_serve.json" in
-        match T.save ~path prof with
-        | Ok () -> Format.printf "wrote %s@." path
-        | Error e ->
-            Format.eprintf "cannot write %s: %a@." path Runtime.Cnt_error.pp e
-      end;
-      Unix.kill pid Sys.sigterm;
-      (match Unix.waitpid [] pid with
-      | _, Unix.WEXITED 0 -> Format.printf "  daemon drained clean@."
-      | _, _ -> Format.printf "  daemon exited abnormally@.")
-
-(* ------------------------------------------------------------------ *)
-
-(* Data-file families ride along in every per-family section when the
-   committed libraries are present (bench runs from the repo root). *)
+(* Data-file families ride along in the per-family micros and profile
+   spans when the committed libraries are present (bench runs from the
+   repo root). *)
 let load_data_libraries () =
   let dir = Filename.concat "data" "libraries" in
   let builtin name =
@@ -373,47 +205,18 @@ let load_data_libraries () =
 
 let () =
   load_data_libraries ();
-  let args = Array.to_list Sys.argv |> List.tl in
-  let args =
-    List.filter
-      (fun a ->
-        if a = "quick" then begin
-          quick := true;
-          false
-        end
-        else if String.length a > 8 && String.sub a 0 8 = "domains=" then begin
-          (match int_of_string_opt (String.sub a 8 (String.length a - 8)) with
-          | Some d when d >= 1 && d <= Runtime.Dpool.max_domains ->
-              Runtime.Dpool.set_default (Some d)
-          | _ ->
-              Format.printf "ignoring bad domains=%s (want 1..%d)@."
-                (String.sub a 8 (String.length a - 8))
-                Runtime.Dpool.max_domains);
-          false
-        end
-        else true)
-      args
-  in
   let sections =
     [
-      (* must lead: forks a daemon, illegal once pool domains have run *)
-      ("serve-roundtrip", run_serve_roundtrip);
-      (* next, for the same reason: its fork micro leads it *)
+      (* must lead: its fork micro is refused once a domain has run *)
       ("micro", run_micro);
-      ("libchar", run_libchar);
-      ("patterns", run_patterns);
-      ("tgate", run_tgate);
-      ("delay", run_delay);
-      ("dynamic", run_dynamic);
-      ("pla", run_pla);
-      ("seq", run_seq);
-      ("sensitivity", run_sensitivity);
-      ("table1", run_table1);
-      ("ablations", run_ablations);
       ("profile", run_profile);
     ]
   in
-  let selected = if args = [] then List.map fst sections else args in
+  let selected =
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> List.map fst sections
+    | args -> args
+  in
   List.iter
     (fun name ->
       match List.assoc_opt name sections with

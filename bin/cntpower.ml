@@ -1,11 +1,12 @@
 (* cntpower — command-line driver for the ambipolar-CNTFET power study.
 
-   Subcommands map one-to-one onto the experiments of DESIGN.md:
-   table1, libchar, patterns, tgate, delay, dynamic, pla, seq, sensitivity,
-   ablations, synth, genlib, check, golden, and `all`, which reproduces
-   every table and headline figure as the shards of one supervised run
-   (Experiments.Campaign: forked workers, watchdog timeouts, a crash-safe
-   queue log and resume), the runner `campaign` sweeps Table 1 on.
+   One table of experiments (table1, libchar, patterns, tgate, delay,
+   dynamic, pla, seq, sensitivity, ablations) makes both a subcommand per
+   experiment and the shards of `all`, which reproduces every table and
+   headline figure as one supervised run (Experiments.Campaign: forked
+   workers, watchdog timeouts, a crash-safe queue log and resume), the
+   runner `campaign` sweeps Table 1 on. Beside them: synth, genlib,
+   check, golden, the run tools and the `serve` daemon.
 
    Exit codes (documented in README.md): 0 success; 10 `all --keep-going`
    completed with failures; 11 `all --strict` stopped at the first failure;
@@ -162,83 +163,101 @@ let circuit_arg =
   let doc = "Benchmark circuit name (Table 1 row), e.g. C6288." in
   Arg.(value & opt string "C6288" & info [ "c"; "circuit" ] ~doc)
 
-(* All commands evaluate to an exit code so `all` can report partial
-   failure distinctly from success. *)
-let ok0 run = Term.(const (fun () -> run (); 0) $ const ())
+(* ------------------------------------------------------------------ *)
+(* The experiments. Each entry makes both its subcommand and its shard
+   of `all`, so the two run one workload.                               *)
 
-let run_table1 libfiles patterns seed only =
-  validate_patterns patterns;
-  validate_seed seed;
-  load_library_files libfiles;
-  let circuits =
-    match only with [] -> Circuits.Suite.all | names -> List.map find_circuit names
+type experiment = {
+  name : string;  (* the subcommand, and the shard id under `all` *)
+  doc : string;
+  run : degraded:bool -> (string * float) list;
+      (* prints the report and returns the manifest scalars *)
+}
+
+(* A degraded retry (see `all --retries`) runs half the workload. *)
+let shed ~degraded n = if degraded then max 1 (n / 2) else n
+
+(* [workload] is what the experiment runs: cycles, samples or patterns,
+   0 for the experiments with nothing to shed. *)
+let experiment name doc workload run print scalars =
+  let run ~degraded =
+    let r = run (shed ~degraded workload) in
+    print std r;
+    scalars r
   in
-  let summary = Experiments.Exp_table1.run ~patterns ~seed ~circuits () in
-  Experiments.Exp_table1.print std summary
+  { name; doc; run }
+
+(* The table, in `all`'s order; [patterns], [seed] and [circuits] are
+   Table 1's. *)
+let experiments ~patterns ~seed ~circuits =
+  let module X = Experiments in
+  let fixed run _ = run () in
+  [
+    experiment "libchar" "Library characterization (E2, E4-E6)" 0
+      (fixed X.Exp_libchar.run) X.Exp_libchar.print X.Exp_libchar.scalars;
+    experiment "patterns" "I_off pattern census (E3, E8, A1)" 0
+      (fixed X.Exp_patterns.run) X.Exp_patterns.print X.Exp_patterns.scalars;
+    experiment "tgate" "Transmission-gate transfer study (E7, Fig. 2)" 0
+      (fixed X.Exp_tgate.run) X.Exp_tgate.print X.Exp_tgate.scalars;
+    experiment "delay" "Intrinsic inverter delays by transient analysis (E9)" 0
+      (fixed X.Exp_delay.run) X.Exp_delay.print X.Exp_delay.scalars;
+    experiment "dynamic" "Dynamic / reconfigurable ambipolar cells (E10, extension)" 0
+      (fixed X.Exp_dynamic.run) X.Exp_dynamic.print X.Exp_dynamic.scalars;
+    experiment "pla" "In-field programmable ambipolar PLA (E11, extension)" 0
+      (fixed X.Exp_pla.run) X.Exp_pla.print X.Exp_pla.scalars;
+    experiment "seq" "Clocked CRC engine with registers and clock tree (E12, extension)"
+      10_000
+      (fun cycles -> X.Exp_seq.run ~cycles ())
+      X.Exp_seq.print X.Exp_seq.scalars;
+    experiment "sensitivity"
+      "Supply/temperature/variation sensitivity (E13-E15, extension)" 2_000
+      (fun mc_samples -> X.Exp_sensitivity.run ~mc_samples ())
+      X.Exp_sensitivity.print X.Exp_sensitivity.scalars;
+    experiment "table1" "Table 1 reproduction: synthesis, mapping, power and EDP (E1)"
+      patterns
+      (fun patterns -> X.Exp_table1.run ~patterns ~seed ~circuits ())
+      X.Exp_table1.print X.Exp_table1.scalars;
+    experiment "ablations" "A2-A6 ablations (C6288 mapping, C1355 wire load)" 0 ignore
+      X.Ablations.print (fun () -> []);
+  ]
+
+let table1 table = List.find (fun e -> e.name = "table1") table
+
+let default_experiments =
+  experiments ~patterns:Techmap.Estimate.default_patterns ~seed:42L
+    ~circuits:Circuits.Suite.all
+
+(* Every command evaluates to an exit code, so `all` can report partial
+   failure apart from success. The experiments other than Table 1 take
+   no options. *)
+let experiment_cmds =
+  List.filter_map
+    (fun e ->
+      if e.name = "table1" then None
+      else
+        Some
+          (Cmd.v (Cmd.info e.name ~doc:e.doc)
+             Term.(const (fun () -> ignore (e.run ~degraded:false); 0) $ const ())))
+    default_experiments
 
 let table1_cmd =
   let only =
     let doc = "Restrict to the given circuits (repeatable)." in
     Arg.(value & opt_all string [] & info [ "only" ] ~doc)
   in
+  let run libfiles patterns seed only =
+    validate_patterns patterns;
+    validate_seed seed;
+    load_library_files libfiles;
+    let circuits =
+      match only with [] -> Circuits.Suite.all | names -> List.map find_circuit names
+    in
+    ignore ((table1 (experiments ~patterns ~seed ~circuits)).run ~degraded:false);
+    0
+  in
   Cmd.v
-    (Cmd.info "table1" ~doc:"Reproduce Table 1 (synthesis, mapping, power, EDP).")
-    Term.(
-      const (fun libfiles patterns seed only ->
-          run_table1 libfiles patterns seed only;
-          0)
-      $ library_file_arg $ patterns_arg $ seed_arg $ only)
-
-let libchar_cmd =
-  Cmd.v
-    (Cmd.info "libchar"
-       ~doc:"Reproduce the library characterization (E2, E4, E5, E6).")
-    (ok0 (fun () -> Experiments.Exp_libchar.print std (Experiments.Exp_libchar.run ())))
-
-let patterns_cmd =
-  Cmd.v
-    (Cmd.info "patterns" ~doc:"Reproduce the I_off pattern census (E3, E8, A1).")
-    (ok0 (fun () -> Experiments.Exp_patterns.print std (Experiments.Exp_patterns.run ())))
-
-let tgate_cmd =
-  Cmd.v
-    (Cmd.info "tgate" ~doc:"Reproduce the transmission-gate transfer study (E7, Fig. 2).")
-    (ok0 (fun () -> Experiments.Exp_tgate.print std (Experiments.Exp_tgate.run ())))
-
-let delay_cmd =
-  Cmd.v
-    (Cmd.info "delay"
-       ~doc:"Measure intrinsic inverter delays by transient analysis (E9).")
-    (ok0 (fun () -> Experiments.Exp_delay.print std (Experiments.Exp_delay.run ())))
-
-let dynamic_cmd =
-  Cmd.v
-    (Cmd.info "dynamic"
-       ~doc:"Dynamic / reconfigurable ambipolar cells study (E10, extension).")
-    (ok0 (fun () -> Experiments.Exp_dynamic.print std (Experiments.Exp_dynamic.run ())))
-
-let pla_cmd =
-  Cmd.v
-    (Cmd.info "pla"
-       ~doc:"In-field programmable ambipolar PLA study (E11, extension).")
-    (ok0 (fun () -> Experiments.Exp_pla.print std (Experiments.Exp_pla.run ())))
-
-let seq_cmd =
-  Cmd.v
-    (Cmd.info "seq"
-       ~doc:"Clocked CRC engine with registers and clock tree (E12, extension).")
-    (ok0 (fun () -> Experiments.Exp_seq.print std (Experiments.Exp_seq.run ())))
-
-let sensitivity_cmd =
-  Cmd.v
-    (Cmd.info "sensitivity"
-       ~doc:"Supply/temperature/variation sensitivity studies (E13-E15, extension).")
-    (ok0 (fun () -> Experiments.Exp_sensitivity.print std (Experiments.Exp_sensitivity.run ())))
-
-let ablations_cmd =
-  Cmd.v
-    (Cmd.info "ablations" ~doc:"Run the A2-A5 ablations on the multiplier.")
-    (ok0 (fun () -> Experiments.Ablations.print std ()))
+    (Cmd.info "table1" ~doc:(table1 default_experiments).doc)
+    Term.(const run $ library_file_arg $ patterns_arg $ seed_arg $ only)
 
 let flow_all_families ~patterns ~seed ~name source =
   let tables = List.map Techmap.Matchlib.build (Cell.Genlib.libraries ()) in
@@ -418,10 +437,12 @@ let supervised_term ~default_run =
 
 (* Select the shards --only names, then run them with the event journal
    on: shard transitions are its observable surface, and `trace` and
-   post-mortems feed on them. An invalid configuration (an existing queue
-   log without --resume among them) leaves as a typed error. *)
+   post-mortems feed on them. The run name is checked before the journal
+   opens in its directory; any other invalid configuration (an existing
+   queue log without --resume among them) leaves as a typed error too. *)
 let run_supervised cfg ~only shards =
   let shards = R.get_exn (Cg.select ~only shards) in
+  R.get_exn (Cg.validate_run_name cfg.Cg.campaign);
   Jn.set_enabled true;
   let events = Cg.run_file ~runs_dir:cfg.Cg.runs_dir cfg.Cg.campaign "events.jsonl" in
   (match Jn.open_sink ~path:events () with
@@ -476,9 +497,10 @@ let all_cmd =
   let retries_arg =
     let doc =
       "Extra attempts after a worker crash or timeout, each after a short \
-       backoff; any other failure is final. Retries run degraded: \
-       pattern-driven experiments shed half their pattern budget and the \
-       result is tagged as degraded in the summary and manifest."
+       backoff; any other failure is final. Retries run degraded: an \
+       experiment with a workload (Table 1's and a BLIF's patterns, E12's \
+       cycles, E15's samples) runs half of it, and the result is tagged as \
+       degraded in the summary and manifest."
     in
     Arg.(value & opt int 1 & info [ "retries" ] ~doc)
   in
@@ -495,7 +517,6 @@ let all_cmd =
   let run (cfg, only, patterns, seed) strict with_blifs timeout retries profile =
     validate_timeout timeout;
     validate_range "retries" ~lo:0 ~hi:1000 retries;
-    let budget ~degraded = if degraded then max 1 (patterns / 2) else patterns in
     (* One shard per experiment, keyed for resume on the run's seed and
        pattern count; the worker prints its report on stdout. *)
     let shard id doc run =
@@ -509,51 +530,17 @@ let all_cmd =
             run ~degraded);
       }
     in
-    (* Run an experiment, print its report and return its scalars;
-       [fixed] marks one that sheds nothing on a degraded retry. *)
-    let experiment id doc run print scalars =
-      shard id doc (fun ~degraded ->
-          let r = run degraded in
-          print std r;
-          scalars r)
-    in
-    let fixed run _ = run () in
-    let module X = Experiments in
     let shards =
-      [
-        experiment "libchar" "library characterization (E2, E4-E6)"
-          (fixed X.Exp_libchar.run) X.Exp_libchar.print X.Exp_libchar.scalars;
-        experiment "patterns" "I_off pattern census (E3, E8, A1)"
-          (fixed X.Exp_patterns.run) X.Exp_patterns.print X.Exp_patterns.scalars;
-        experiment "tgate" "transmission-gate transfer study (E7)"
-          (fixed X.Exp_tgate.run) X.Exp_tgate.print X.Exp_tgate.scalars;
-        experiment "delay" "intrinsic inverter delays (E9)"
-          (fixed X.Exp_delay.run) X.Exp_delay.print X.Exp_delay.scalars;
-        experiment "dynamic" "dynamic / reconfigurable cells (E10)"
-          (fixed X.Exp_dynamic.run) X.Exp_dynamic.print X.Exp_dynamic.scalars;
-        experiment "pla" "programmable ambipolar PLA (E11)"
-          (fixed X.Exp_pla.run) X.Exp_pla.print X.Exp_pla.scalars;
-        experiment "seq" "clocked CRC engine (E12)"
-          (fun degraded -> X.Exp_seq.run ~cycles:(if degraded then 250 else 500) ())
-          X.Exp_seq.print X.Exp_seq.scalars;
-        experiment "sensitivity" "supply/temperature/variation (E13-E15)"
-          (fun degraded ->
-            X.Exp_sensitivity.run ~mc_samples:(if degraded then 500 else 1000) ())
-          X.Exp_sensitivity.print X.Exp_sensitivity.scalars;
-        experiment "table1" "Table 1 reproduction (E1)"
-          (fun degraded -> X.Exp_table1.run ~patterns:(budget ~degraded) ~seed ())
-          X.Exp_table1.print X.Exp_table1.scalars;
-        shard "ablations" "A2-A5 ablations" (fun ~degraded:_ ->
-            X.Ablations.print std ();
-            []);
-      ]
+      List.map
+        (fun e -> shard e.name e.doc e.run)
+        (experiments ~patterns ~seed ~circuits:Circuits.Suite.all)
       @ List.map
           (fun path ->
             shard
               ("blif:" ^ Filename.basename path)
               ("external BLIF pipeline on " ^ path)
               (fun ~degraded ->
-                run_blif_pipeline std ~patterns:(budget ~degraded) ~seed path))
+                run_blif_pipeline std ~patterns:(shed ~degraded patterns) ~seed path))
           with_blifs
     in
     let cfg =
@@ -1407,6 +1394,7 @@ let serve_cmd =
       | Some n -> n
       | None -> Printf.sprintf "serve-%d" (int_of_float (Unix.time ()))
     in
+    R.get_exn (Cg.validate_run_name run_name);
     (* The journal is always on for the daemon, as is the telemetry
        Sv.run turns on: the typed lifecycle events and the per-request
        profile merge are the observable surface `stats`/`trace`/`compare`
@@ -1912,12 +1900,12 @@ let main =
        ~doc:
          "Power consumption of logic circuits in ambipolar carbon nanotube \
           technology (DATE 2010) - reproduction harness.")
-    [
-      table1_cmd; libchar_cmd; patterns_cmd; tgate_cmd; delay_cmd; dynamic_cmd;
-      pla_cmd; seq_cmd; sensitivity_cmd; ablations_cmd; synth_cmd; genlib_cmd;
-      check_cmd; all_cmd; campaign_cmd; golden_cmd; stats_cmd; trace_cmd;
-      compare_cmd; serve_cmd; request_cmd; metrics_cmd; top_cmd; library_cmd;
-    ]
+    ((table1_cmd :: experiment_cmds)
+    @ [
+        synth_cmd; genlib_cmd; check_cmd; all_cmd; campaign_cmd; golden_cmd;
+        stats_cmd; trace_cmd; compare_cmd; serve_cmd; request_cmd; metrics_cmd;
+        top_cmd; library_cmd;
+      ])
 
 (* Every failure leaves through a typed error: Cnt_error carries its own
    exit code; anything else is wrapped (never a bare backtrace). *)

@@ -242,13 +242,15 @@ let manifest_entry wq id =
 
 let ( let* ) = Result.bind
 
+let validate_run_name name =
+  if name = "" || name = "." || name = ".." || String.contains name '/' then
+    E.error E.Experiment E.Validation_error "invalid run name %S" name
+  else Ok ()
+
 let validate cfg shards =
   let bad fmt = E.error E.Experiment E.Validation_error fmt in
-  if
-    cfg.campaign = "" || cfg.campaign = "." || cfg.campaign = ".."
-    || String.contains cfg.campaign '/'
-  then bad "invalid run name %S" cfg.campaign
-  else if cfg.workers < 1 then bad "workers must be >= 1 (got %d)" cfg.workers
+  let* () = validate_run_name cfg.campaign in
+  if cfg.workers < 1 then bad "workers must be >= 1 (got %d)" cfg.workers
   else if cfg.max_attempts < 1 then
     bad "max-attempts must be >= 1 (got %d)" cfg.max_attempts
   else if shards = [] then bad "no shards selected"

@@ -148,5 +148,11 @@ val run_file : ?runs_dir:string -> string -> string -> string
     [metrics.json] (the live {!Runtime.Metrics} snapshot) and the
     [trace.json] export. *)
 
+val validate_run_name : string -> (unit, Runtime.Cnt_error.t) result
+(** A run name must name one directory under [runs_dir]: [""], ["."],
+    [".."] and any name containing ['/'] are a [validation-error]. {!run}
+    checks it; [cntpower serve], [all] and [campaign] check it before they
+    open the run's journal. *)
+
 val queue_path : config -> string
 val manifest_path : config -> string

@@ -83,7 +83,7 @@ let monte_carlo ?(samples = 2000) ?(sigma = 0.03) tech =
     p95 = values.(int_of_float (0.95 *. float_of_int samples));
   }
 
-let run ?(mc_samples = 2000) () =
+let run ~mc_samples () =
   {
     vdd_sweep = vdd_sweep ();
     temp_sweep = temp_sweep ();

@@ -49,7 +49,10 @@ type result = {
   mc_cmos : mc_summary;
 }
 
-val run : ?mc_samples:int -> unit -> result
+val run : mc_samples:int -> unit -> result
+(** The three studies; E15 draws [mc_samples] Monte-Carlo samples per
+    corner. *)
+
 val print : Format.formatter -> result -> unit
 
 val scalars : result -> (string * float) list

@@ -2,7 +2,7 @@ module S = Techmap.Seqmap
 
 type row = { library : string; report : S.report }
 
-let run ?(data_width = 8) ?(cycles = 10_000) () =
+let run ?(data_width = 8) ~cycles () =
   List.map
     (fun lib ->
       let ml = Techmap.Matchlib.build lib in

@@ -13,7 +13,10 @@
 
 type row = { library : string; report : Techmap.Seqmap.report }
 
-val run : ?data_width:int -> ?cycles:int -> unit -> row list
+val run : ?data_width:int -> cycles:int -> unit -> row list
+(** Map the CRC engine ([data_width] message bits per clock, default 8)
+    with every library and estimate its power over [cycles] clock cycles. *)
+
 val print : Format.formatter -> row list -> unit
 
 val scalars : row list -> (string * float) list

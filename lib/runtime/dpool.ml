@@ -67,9 +67,11 @@ let run ?domains ?(min_units_per_domain = 256) ~units f =
     { domains_used = 1; chunks = (if units > 0 then 1 else 0); units = [| units |] }
   end
   else begin
-    (* Chunks several times smaller than a per-domain share smooth out load
-       imbalance between slices without contending on the cursor. *)
-    let chunk = max mupd (units / (d * 8)) in
+    (* [min_units_per_domain] decides how many domains run, not how small
+       a chunk may be: about eight chunks per domain smooth out the load
+       imbalance between slices, so the domains reach the join within
+       about a chunk of each other, without contending on the cursor. *)
+    let chunk = max 1 (units / (d * 8)) in
     let nchunks = (units + chunk - 1) / chunk in
     let cursor = Atomic.make 0 in
     let done_units = Array.make d 0 in

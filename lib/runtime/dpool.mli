@@ -68,6 +68,8 @@ val run :
     default {!default_domains}. When [units / min_units_per_domain]
     (default 256) allows fewer domains than requested, the pool shrinks —
     down to a plain sequential loop on the calling domain for small work.
+    On [d > 1] domains the chunks are [units / (d * 8)] units long (at
+    least one), whatever [min_units_per_domain] is.
 
     An exception raised by any chunk is re-raised (with its backtrace)
     after all domains have joined and worker telemetry has been merged. *)

@@ -354,6 +354,26 @@ let test_campaign_manifest_is_queue_view () =
     "manifest equals the queue's done records, bit for bit" queue_view
     (List.map (fun (e : C.entry) -> (e.C.experiment, e.C.scalars)) m.C.entries)
 
+(* The one run-name rule: a name that would leave [runs_dir] ("..",
+   a path) is refused, by the runner and by [validate_run_name], which
+   `serve` calls before it writes its journal. *)
+let test_run_name_rule () =
+  let refused name =
+    match Cg.validate_run_name name with
+    | Error e -> e.E.code = E.Validation_error
+    | Ok () -> false
+  in
+  List.iter
+    (fun name -> Alcotest.(check bool) (Printf.sprintf "%S refused" name) true (refused name))
+    [ ""; "."; ".."; "a/b"; "../x"; "/tmp" ];
+  List.iter
+    (fun name -> Alcotest.(check bool) (Printf.sprintf "%S accepted" name) false (refused name))
+    [ "all"; "serve-1700000000"; "..x"; "a.b" ];
+  let runs_dir = temp_dir "runname" in
+  match Cg.run (test_cfg ~campaign:".." ~runs_dir) (test_grid ()) with
+  | Error e -> Alcotest.(check bool) "runner refuses \"..\"" true (e.E.code = E.Validation_error)
+  | Ok _ -> Alcotest.fail "the runner accepted run name \"..\""
+
 (* ------------------------------------------------------------------ *)
 (* One flow: Table 1 and a campaign shard run the same stages          *)
 
@@ -455,6 +475,8 @@ let () =
             `Quick test_campaign_sigkill_resume;
           Alcotest.test_case "resume renders the manifest from the queue"
             `Quick test_campaign_manifest_is_queue_view;
+          Alcotest.test_case "run names stay under the runs directory" `Quick
+            test_run_name_rule;
         ] );
       ( "flow",
         [

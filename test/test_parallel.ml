@@ -40,6 +40,15 @@ let pool_small_work_is_sequential () =
   in
   Alcotest.(check int) "one domain" 1 stats.D.domains_used
 
+let pool_chunks_below_min_share () =
+  (* The minimum share sets the domain count only; the estimator's 16
+     blocks on 2 domains split into 16 chunks, not 4 of the share's size. *)
+  let stats =
+    D.run ~domains:2 ~min_units_per_domain:4 ~units:16 (fun ~worker:_ ~lo:_ ~len:_ -> ())
+  in
+  Alcotest.(check int) "two domains" 2 stats.D.domains_used;
+  Alcotest.(check int) "chunks" 16 stats.D.chunks
+
 let pool_propagates_exception () =
   Alcotest.check_raises "re-raised" (Failure "boom") (fun () ->
       ignore
@@ -439,6 +448,7 @@ let () =
           tc "env valid value is used" `Quick env_valid_value_is_used;
           tc "covers all units exactly once" `Quick pool_covers_all_units;
           tc "small work stays sequential" `Quick pool_small_work_is_sequential;
+          tc "chunks smaller than the minimum share" `Quick pool_chunks_below_min_share;
           tc "exception propagates" `Quick pool_propagates_exception;
           tc "default resolution" `Quick pool_default_respects_env;
           tc "worker telemetry merged" `Quick pool_merges_worker_telemetry;

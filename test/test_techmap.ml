@@ -437,25 +437,7 @@ let verify_too_large_guard () =
       ignore (M.Verify.equiv_netlist_aig ~max_nodes:50_000 nl aig))
 
 (* ------------------------------------------------------------------ *)
-(* Verilog writer *)
-
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec scan i = i + n <= h && (String.sub hay i n = needle || scan (i + 1)) in
-  scan 0
-
-let verilog_structural () =
-  let aig = A.create () in
-  let a = A.add_input aig "a" and b = A.add_input aig "b" in
-  A.add_output aig "y" (A.mk_xor aig a b);
-  let m = M.Mapper.map (ml_gen ()) aig in
-  let v = M.Verilog.write_string ~module_name:"xor_top" m in
-  Alcotest.(check bool) "module header" true (contains v "module xor_top(");
-  Alcotest.(check bool) "instantiates XOR2" true (contains v "XOR2 u0 (");
-  Alcotest.(check bool) "output assign" true (contains v "assign y = ");
-  let lib = M.Verilog.cell_library_string Cell.Genlib.generalized_cntfet in
-  Alcotest.(check bool) "library has XOR2 module" true (contains lib "module XOR2(A, B, Y)");
-  Alcotest.(check bool) "verilog operators" true (contains lib "assign Y = A ^ B")
+(* Wire load *)
 
 let wire_load_increases_power () =
   let aig = A.create () in
@@ -514,7 +496,6 @@ let () =
         @ qt [ verify_agrees_with_simulation ] );
       ( "verilog+wireload",
         [
-          Alcotest.test_case "structural verilog" `Quick verilog_structural;
           Alcotest.test_case "wire load" `Quick wire_load_increases_power;
         ] );
       ( "mapped+estimate",
