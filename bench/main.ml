@@ -44,13 +44,24 @@ let micro_tests () =
     let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
     Test.make ~name:"map-mult4" (Staged.stage (fun () -> ignore (Techmap.Mapper.map ml aig)))
   in
-  let simulate =
+  let mult8 =
     let nl = Circuits.Multiplier.generate ~width:8 in
     let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
-    let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
-    let mapped = Techmap.Mapper.map ml aig in
+    Techmap.Mapper.map (Techmap.Matchlib.build Cell.Genlib.generalized_cntfet) aig
+  in
+  let estimate =
     Test.make ~name:"estimate-mult8-64k"
-      (Staged.stage (fun () -> ignore (Techmap.Estimate.run ~patterns:65536 mapped)))
+      (Staged.stage (fun () -> ignore (Techmap.Estimate.run ~patterns:65536 mult8)))
+  in
+  let simulate =
+    (* The whole-vector kernel behind verification and the sequential
+       estimator. *)
+    let stimulus =
+      Nets.Sim.random_stimulus ~inputs:(Array.length mult8.Techmap.Mapped.pi_nets)
+        ~patterns:65536 ()
+    in
+    Test.make ~name:"simulate-mult8-64k"
+      (Staged.stage (fun () -> ignore (Techmap.Mapped.simulate mult8 stimulus)))
   in
   let matchlib_per_family =
     (* The real table construction per logic family: built-ins plus any
@@ -62,35 +73,14 @@ let micro_tests () =
           (Staged.stage (fun () -> ignore (Techmap.Matchlib.build lib))))
       (Cell.Genlib.libraries ())
   in
-  let sim_seq_vs_par =
-    (* Sequential vs. domain-parallel sweep over the same mapped netlist
-       and stimulus: the pair pins the parallel speedup (and on a 1-core
-       host, the sharding overhead) of the bit-sliced kernel. *)
-    let nl = Circuits.Multiplier.generate ~width:8 in
-    let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
-    let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
-    let mapped = Techmap.Mapper.map ml aig in
-    let stimulus =
-      Nets.Sim.random_stimulus ~domains:1
-        ~inputs:(Array.length mapped.Techmap.Mapped.pi_nets) ~patterns:65536 ()
-    in
-    [
-      Test.make ~name:"simulate-mult8-64k-seq"
-        (Staged.stage (fun () ->
-             ignore (Techmap.Mapped.simulate ~domains:1 mapped stimulus)));
-      Test.make ~name:"simulate-mult8-64k-par"
-        (Staged.stage (fun () ->
-             ignore (Techmap.Mapped.simulate mapped stimulus)));
-    ]
-  in
   let supervise =
     (* Cost of the process-isolation layer itself: fork a worker, marshal
        a typical scalar payload back, reap the exit. Bounds the overhead
        `cntpower all` and `campaign` pay per shard for crash/timeout
        safety. It leads the list because OCaml 5 refuses to fork once a
-       domain has been spawned, and the parallel micros spawn them; after
-       an earlier parallel section the fork is refused and the micro is
-       skipped. *)
+       domain has been spawned, and the estimate micro spawns them on a
+       multi-core host; after an earlier parallel section the fork is
+       refused and the micro is skipped. *)
     let payload = List.init 16 (fun i -> (Printf.sprintf "m%d" i, float_of_int i)) in
     let fork () =
       let job =
@@ -125,8 +115,8 @@ let micro_tests () =
                Runtime.Telemetry.observe "bench.dist" 1.0)))
   in
   supervise
-  @ [ classify; dc_solve; resyn; mapping; simulate ]
-  @ matchlib_per_family @ sim_seq_vs_par
+  @ [ classify; dc_solve; resyn; mapping; estimate; simulate ]
+  @ matchlib_per_family
   @ [ telemetry_disabled ]
 
 let run_micro () =

@@ -93,7 +93,7 @@ let apply_runtime_opts ~domains =
 
 let domains_arg =
   let doc =
-    "Simulation worker domains (cores) for the pattern sweeps; default: \
+    "Worker domains (cores) for the estimator's pattern sweep; default: \
      the runtime's recommended count (or $(b,CNTPOWER_DOMAINS)). Results \
      are bit-identical for any value."
   in
@@ -170,6 +170,9 @@ let circuit_arg =
 type experiment = {
   name : string;  (* the subcommand, and the shard id under `all` *)
   doc : string;
+  workload : int;
+      (* what it runs: cycles, samples or patterns, 0 for the experiments
+         with nothing to shed; with the seed, its resume key under `all` *)
   run : degraded:bool -> (string * float) list;
       (* prints the report and returns the manifest scalars *)
 }
@@ -177,15 +180,13 @@ type experiment = {
 (* A degraded retry (see `all --retries`) runs half the workload. *)
 let shed ~degraded n = if degraded then max 1 (n / 2) else n
 
-(* [workload] is what the experiment runs: cycles, samples or patterns,
-   0 for the experiments with nothing to shed. *)
 let experiment name doc workload run print scalars =
   let run ~degraded =
     let r = run (shed ~degraded workload) in
     print std r;
     scalars r
   in
-  { name; doc; run }
+  { name; doc; workload; run }
 
 (* The table, in `all`'s order; [patterns], [seed] and [circuits] are
    Table 1's. *)
@@ -388,7 +389,7 @@ let supervised_term ~default_run =
     let doc =
       "Continue an existing run: reclaim leases left by a dead coordinator, \
        skip shards the queue log records as done with the same seed and \
-       pattern count, and re-run every other one. Without this flag an \
+       workload, and re-run every other one. Without this flag an \
        existing queue log is refused."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
@@ -518,10 +519,12 @@ let all_cmd =
     validate_timeout timeout;
     validate_range "retries" ~lo:0 ~hi:1000 retries;
     (* One shard per experiment, keyed for resume on the run's seed and
-       pattern count; the worker prints its report on stdout. *)
-    let shard id doc run =
+       the experiment's workload; the worker prints its report on
+       stdout. *)
+    let shard id doc workload run =
       {
         Cg.id;
+        key = Printf.sprintf "seed %Ld, workload %d" seed workload;
         seed;
         patterns;
         run =
@@ -532,13 +535,14 @@ let all_cmd =
     in
     let shards =
       List.map
-        (fun e -> shard e.name e.doc e.run)
+        (fun e -> shard e.name e.doc e.workload e.run)
         (experiments ~patterns ~seed ~circuits:Circuits.Suite.all)
       @ List.map
           (fun path ->
             shard
               ("blif:" ^ Filename.basename path)
               ("external BLIF pipeline on " ^ path)
+              patterns
               (fun ~degraded ->
                 run_blif_pipeline std ~patterns:(shed ~degraded patterns) ~seed path))
           with_blifs

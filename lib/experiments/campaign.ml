@@ -11,6 +11,7 @@ module G = Cell.Genlib
 
 type shard = {
   id : string;
+  key : string;
   seed : int64;
   patterns : int;
   run : degraded:bool -> (string * float) list;
@@ -91,6 +92,7 @@ let grid ~circuits ~libraries ~seeds ~patterns =
                 id =
                   Printf.sprintf "%s/%s/%Ld" entry.Circuits.Suite.name
                     lib.G.name seed;
+                key = Printf.sprintf "seed %Ld, %d patterns" seed patterns;
                 seed;
                 patterns;
                 run = (fun ~degraded:_ -> execute entry lib ~patterns ~seed);
@@ -188,14 +190,14 @@ let apply_injection inject id ~degraded =
     done
 
 (* ------------------------------------------------------------------ *)
-(* Durable result fields: everything the manifest entry is rendered
-   from rides the [done] record, scalars under an "s:" prefix.         *)
+(* Durable result fields: the [done] record carries the shard's resume
+   key and every result the manifest entry is rendered from, scalars
+   under an "s:" prefix.                                                *)
 
 let scalar_prefix = "s:"
 
 let done_fields sh ~degraded ~wall_s scalars =
-  ("seed", Int64.to_string sh.seed)
-  :: ("patterns", string_of_int sh.patterns)
+  ("key", sh.key)
   :: ("degraded", string_of_bool degraded)
   :: ("wall_s", Printf.sprintf "%.6f" wall_s)
   :: List.map
@@ -213,25 +215,21 @@ let scalars_of_fields fields =
       else None)
     fields
 
-(* The resume key: a done record stands for the shard only when it ran
-   the same workload. *)
+(* A done record stands for the shard only when it ran the same
+   workload: its key is the shard's. *)
 let is_current wq sh =
-  W.state wq sh.id = Some W.Done
-  &&
-  let f = W.fields wq sh.id in
-  List.assoc_opt "seed" f = Some (Int64.to_string sh.seed)
-  && List.assoc_opt "patterns" f = Some (string_of_int sh.patterns)
+  W.state wq sh.id = Some W.Done && List.assoc_opt "key" (W.fields wq sh.id) = Some sh.key
 
-let manifest_entry wq id =
-  let f = W.fields wq id in
+(* Only a current done record is rendered (a stale one was enqueued
+   afresh), so the shard's own seed and pattern count label it. *)
+let manifest_entry wq sh =
+  let f = W.fields wq sh.id in
   let get k conv default =
     Option.value ~default (Option.bind (List.assoc_opt k f) conv)
   in
-  C.entry ~experiment:id
-    ~seed:(get "seed" Int64.of_string_opt 0L)
-    ~patterns:(get "patterns" int_of_string_opt 0)
+  C.entry ~experiment:sh.id ~seed:sh.seed ~patterns:sh.patterns
     ~wall_time:(get "wall_s" float_of_string_opt 0.0)
-    ~attempts:(max 1 (W.attempts wq id))
+    ~attempts:(max 1 (W.attempts wq sh.id))
     ~status:
       (if get "degraded" bool_of_string_opt false then C.Degraded
        else C.Passed)
@@ -311,7 +309,7 @@ let run cfg shards =
     let entries =
       List.filter_map
         (fun sh ->
-          if W.state wq sh.id = Some W.Done then Some (manifest_entry wq sh.id)
+          if W.state wq sh.id = Some W.Done then Some (manifest_entry wq sh)
           else None)
         shards
     in

@@ -19,17 +19,17 @@
     - {b resume}: without [resume] an existing queue log is refused.
       With it, leases left by a dead coordinator (dead owner or expired
       timestamp) are reclaimed, a shard the log records [done] with the
-      same seed and pattern count is skipped, and every other shard —
-      quarantined, failed, or done for another workload — runs again.
+      same resume key is skipped, and every other shard — quarantined,
+      failed, or done for another workload — runs again.
     - {b strict}: with [strict] the first quarantine stops all leasing;
       shards never leased are reported {!Skipped}.
     - {b profiles}: each worker's telemetry is grafted under a span named
       for its shard id, so identical runs have identical span paths.
 
     The queue log is the only durable record: the [done] record carries
-    the shard's seed, pattern count, degraded flag, wall time and result
-    scalars, and [manifest.json] is a {!Runtime.Checkpoint} view rendered
-    from the [done] records (one entry per done shard, in shard order) at
+    the shard's resume key, degraded flag, wall time and result scalars,
+    and [manifest.json] is a {!Runtime.Checkpoint} view rendered from the
+    [done] records (one entry per done shard, in shard order) at
     start-up and after every completion, next to a merged telemetry
     profile, so [cntpower stats/trace/compare] work on a half-finished
     run.
@@ -47,8 +47,11 @@
 
 type shard = {
   id : string;  (** unique in the run; the manifest entry's name *)
-  seed : int64;  (** resume key *)
-  patterns : int;  (** resume key *)
+  key : string;
+      (** resume key, made from what [run] runs: a [done] record with
+          another key runs again *)
+  seed : int64;  (** the manifest entry's seed *)
+  patterns : int;  (** the manifest entry's pattern count *)
   run : degraded:bool -> (string * float) list;
       (** Runs in a forked worker and returns the scalars recorded in the
           manifest; [~degraded:true] on a retry, to shed load. *)
@@ -62,7 +65,7 @@ val grid :
   shard list
 (** The Table 1 sweep in deterministic (circuit-major) order, one shard
     ["<circuit>/<library>/<seed>"] per cell: generate, check, resyn2rs,
-    map and estimate. *)
+    map and estimate, keyed on its seed and pattern count. *)
 
 val select : only:string list -> shard list -> (shard list, Runtime.Cnt_error.t) result
 (** The shards [only] names, in shard order; every shard when [only] is

@@ -77,9 +77,7 @@ let xor_into dst src lo hi =
   done
 
 (* The first cube is built in [dst]; every later one is built in
-   [scratch] and ORed into [dst] by the pass of its last literal.
-   [scratch] is shared by a whole sweep: concurrent chunks own disjoint
-   word ranges of it. *)
+   [scratch] and ORed into [dst] by the pass of its last literal. *)
 let eval_cover cover ~dst ~scratch ~lo ~len =
   let hi = lo + len - 1 in
   if Array.length cover = 0 then fill dst 0L lo hi;
@@ -107,10 +105,8 @@ let eval_cover cover ~dst ~scratch ~lo ~len =
 (* Flat compiled form. The netlist is lowered once per [run] into an
    instruction array over the word buffers (inputs alias the stimulus
    vectors, every other node gets a preallocated vector). Every gate but
-   XOR/XNOR lowers to a cover. All passes are word-local, so evaluating
-   disjoint word ranges on different domains produces exactly the
-   sequential result; tail bits past [num_patterns] are clamped once at
-   the end. *)
+   XOR/XNOR lowers to a cover. Tail bits past [num_patterns] are clamped
+   once at the end. *)
 
 type instr =
   | Cover of B.words * cover
@@ -164,13 +160,7 @@ let eval_range instrs ~scratch ~lo ~len =
 
 let words_per_vec patterns = max 1 ((patterns + 63) / 64)
 
-(* Patterns covered by the word range [lo, lo+len), clipped to the tail. *)
-let patterns_in ~patterns ~lo ~len =
-  let first = lo * 64 in
-  let last = min ((lo + len) * 64) patterns in
-  max 0 (last - first)
-
-let run ?domains t input_vectors =
+let run t input_vectors =
   let ins = Netlist.inputs t in
   assert (Array.length input_vectors = Array.length ins);
   let num_patterns =
@@ -185,21 +175,12 @@ let run ?domains t input_vectors =
   let scratch = B.words (B.create num_patterns) in
   let wpv = words_per_vec num_patterns in
   let t0 = if T.enabled () then T.now () else 0.0 in
-  let stats =
-    Runtime.Dpool.run ?domains ~units:wpv (fun ~worker ~lo ~len ->
-        eval_range instrs ~scratch ~lo ~len;
-        if T.enabled () then begin
-          T.count "sim.words_evaluated" (Array.length instrs * len);
-          T.count
-            (Printf.sprintf "sim.d%d.patterns_simulated" worker)
-            (patterns_in ~patterns:num_patterns ~lo ~len)
-        end)
-  in
+  eval_range instrs ~scratch ~lo:0 ~len:wpv;
   Array.iter B.clamp node_values;
   if T.enabled () then begin
     let dt = T.now () -. t0 in
+    T.count "sim.words_evaluated" (Array.length instrs * wpv);
     T.count "sim.nodes_evaluated" (Array.length instrs);
-    T.observe "sim.domains" (float_of_int stats.Runtime.Dpool.domains_used);
     if dt > 0.0 && num_patterns > 0 then
       T.observe "sim.patterns_per_s" (float_of_int num_patterns /. dt)
   end;
@@ -213,27 +194,18 @@ let fill_stimulus ~seed ~words ~input ~lo ~len dst ~at =
   B.fill_words rng dst ~at ~len
 
 let random_stimulus ?domains ?(seed = 42L) ~inputs ~patterns () =
-  let vecs = Array.init inputs (fun _ -> B.create patterns) in
+  (match domains with
+  | Some d when d <> 1 -> invalid_arg "Sim.random_stimulus: ~domains must be 1"
+  | _ -> ());
   let wpv = words_per_vec patterns in
-  (* One unit = one storage word, numbered input-major as the draws are;
-     a chunk fills its words one input at a time. *)
-  ignore
-    (Runtime.Dpool.run ?domains ~units:(inputs * wpv) (fun ~worker:_ ~lo ~len ->
-         let u = ref lo in
-         while !u < lo + len do
-           let input = !u / wpv and w = !u mod wpv in
-           let n = min (wpv - w) (lo + len - !u) in
-           fill_stimulus ~seed ~words:wpv ~input ~lo:w ~len:n (B.words vecs.(input)) ~at:w;
-           u := !u + n
-         done));
-  Array.iter B.clamp vecs;
-  vecs
+  Array.init inputs (fun input ->
+      let v = B.create patterns in
+      fill_stimulus ~seed ~words:wpv ~input ~lo:0 ~len:wpv (B.words v) ~at:0;
+      B.clamp v;
+      v)
 
-let run_random ?domains ?(seed = 42L) t n =
-  let stimulus =
-    random_stimulus ?domains ~seed ~inputs:(Netlist.num_inputs t) ~patterns:n ()
-  in
-  run ?domains t stimulus
+let run_random ?(seed = 42L) t n =
+  run t (random_stimulus ~seed ~inputs:(Netlist.num_inputs t) ~patterns:n ())
 
 let signal_probability r id =
   if r.num_patterns = 0 then 0.0

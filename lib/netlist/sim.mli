@@ -6,24 +6,20 @@
     sequential estimators and the experiments that need node values; the
     640 K-pattern power estimate ({!Techmap.Estimate.run}) instead sweeps
     blocks of words through this module's cover kernel and stimulus fill
-    ({!fill_stimulus}), holding no vector whole.
+    ({!fill_stimulus}), holding no vector whole, and is the only sweep
+    that runs on more than one domain.
 
     The netlist is first lowered to a flat instruction stream over the
     unboxed word buffers (every gate but XOR/XNOR becomes a {!cover}; no
-    allocation in the inner loop), then the pattern axis is sharded into
-    word-aligned chunks across domains with {!Runtime.Dpool}. Word-level
-    bitwise operations are word-local, so the result is bit-identical for
-    any domain count — including the random stimulus, whose PRNG stream
-    is split per chunk with {!Logic.Prng.jump}. [?domains] defaults to
-    {!Runtime.Dpool.default_domains} ([--domains N] on the CLI); small
-    pattern counts fall back to a sequential loop. *)
+    allocation in the inner loop), then evaluated over every word in one
+    loop on the calling domain. *)
 
 type result = {
   num_patterns : int;
   node_values : Logic.Bitvec.t array;  (** indexed by node id *)
 }
 
-val run : ?domains:int -> Netlist.t -> Logic.Bitvec.t array -> result
+val run : Netlist.t -> Logic.Bitvec.t array -> result
 (** [run t input_vectors] simulates with the given per-input stimulus (in
     [Netlist.inputs] order; all vectors must have equal length). *)
 
@@ -36,8 +32,9 @@ val random_stimulus :
   Logic.Bitvec.t array
 (** [inputs] fresh vectors of [patterns] uniform random bits each —
     exactly the vectors a single [Prng.create seed] generator produces
-    filling vector 0 word-by-word, then vector 1, ... (bit-identical for
-    any [?domains]). *)
+    filling vector 0 word-by-word, then vector 1, ... [?domains] stays
+    only because [perfbench/perfbench.ml] passes it; any value but 1
+    raises [Invalid_argument]. *)
 
 val fill_stimulus :
   seed:int64 ->
@@ -55,9 +52,9 @@ val fill_stimulus :
     out random. {!random_stimulus} fills its vectors through it, and a
     streaming caller fills one block of words at a time. *)
 
-val run_random : ?domains:int -> ?seed:int64 -> Netlist.t -> int -> result
+val run_random : ?seed:int64 -> Netlist.t -> int -> result
 (** [run_random t n] simulates [n] uniform random patterns (deterministic
-    given [seed], default [42L], for any domain count). *)
+    given [seed], default [42L]). *)
 
 val signal_probability : result -> int -> float
 (** Fraction of patterns on which the node evaluates to 1. *)
@@ -94,6 +91,5 @@ val eval_cover :
   unit
 (** Writes the cover's value to words [lo, lo + len) of [dst] and uses
     the same words of [scratch], a vector of [dst]'s size, for products
-    after the first; allocates nothing. Disjoint word ranges may run
-    concurrently over the same [dst] and [scratch]. Tail bits past the
-    vector length may come out set: {!Logic.Bitvec.clamp} after. *)
+    after the first; allocates nothing. Tail bits past the vector length
+    may come out set: {!Logic.Bitvec.clamp} after. *)

@@ -52,7 +52,7 @@ let default_domains () =
 
 type stats = { domains_used : int; chunks : int; units : int array }
 
-let run ?domains ?(min_units_per_domain = 256) ~units f =
+let run ?domains ~min_units_per_domain ~units f =
   if units < 0 then invalid_arg "Dpool.run: negative units";
   let requested =
     match domains with

@@ -1,11 +1,10 @@
 (** Chunked work-sharing across OCaml 5 domains.
 
     A tiny reusable pool for data-parallel kernels: the caller describes
-    its work as [units] independent items (for the bit-sliced simulators a
-    unit is one 64-pattern machine word, so chunks are word-aligned by
-    construction), and {!run} partitions the index space into contiguous
-    chunks that worker domains pull from a shared atomic cursor until the
-    work is drained. Domains are spawned with stdlib [Domain.spawn] and
+    its work as [units] independent items (for the power estimator's
+    sweep a unit is one block of 64 machine words, 4 096 patterns), and
+    {!run} partitions the index space into contiguous chunks that worker
+    domains pull from a shared atomic cursor until the work is drained. Domains are spawned with stdlib [Domain.spawn] and
     joined before {!run} returns — no domain outlives the call, so the
     pool composes with the fork-based {!Supervisor} (never fork while
     domains are alive; here none ever are across a fork point).
@@ -16,8 +15,8 @@
     parallel kernels neither race on the tables nor lose counts.
 
     Work below [min_units_per_domain] per domain runs sequentially on the
-    calling domain — spawning costs tens of microseconds, which would
-    dominate a 512-pattern verification sweep. *)
+    calling domain: spawning costs tens of microseconds, which would
+    dominate a small sweep. *)
 
 val max_domains : int
 (** Upper bound on worker domains per pool run (64). *)
@@ -54,20 +53,20 @@ type stats = {
 
 val run :
   ?domains:int ->
-  ?min_units_per_domain:int ->
+  min_units_per_domain:int ->
   units:int ->
   (worker:int -> lo:int -> len:int -> unit) ->
   stats
 (** [run ~units f] calls [f ~worker ~lo ~len] over disjoint contiguous
     ranges covering exactly [0 .. units - 1]. [f] must be safe to call
-    concurrently from different domains on disjoint ranges (the simulators
-    write disjoint word slices of shared buffers). [worker] identifies the
-    executing domain (stable within one run) for per-domain accounting.
+    concurrently from different domains on disjoint ranges. [worker]
+    identifies the executing domain (stable within one run) for
+    per-domain accounting.
 
     [?domains] caps the worker count (clamped to [1, max_domains]);
     default {!default_domains}. When [units / min_units_per_domain]
-    (default 256) allows fewer domains than requested, the pool shrinks —
-    down to a plain sequential loop on the calling domain for small work.
+    allows fewer domains than requested, the pool shrinks — down to a
+    plain sequential loop on the calling domain for small work.
     On [d > 1] domains the chunks are [units / (d * 8)] units long (at
     least one), whatever [min_units_per_domain] is.
 

@@ -20,7 +20,7 @@ let run ?domains ?patterns ?seed ~name tables source =
     try
       let mapped = Mapper.map ml optimized in
       T.with_span "flow.verify" (fun () ->
-          if not (Mapped.check ?domains mapped netlist ~patterns:512 ~seed:99L) then
+          if not (Mapped.check mapped netlist ~patterns:512 ~seed:99L) then
             E.failf E.Techmap E.Mismatch "%s mapped with %s is not equivalent to its source"
               name lib);
       (mapped, Estimate.run ?domains ?patterns ?seed mapped)

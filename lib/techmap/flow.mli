@@ -26,5 +26,5 @@ val run :
 (** [run ~name tables source] reads the netlist from [source] (a
     generator, a raising reader such as {!Nets.Blif.read_file}, or a
     netlist parsed earlier) and runs every stage; [name] is the circuit
-    in errors. The options go to {!Estimate.run}, [?domains] to the
-    co-simulation too. Stops at the first failing table. *)
+    in errors. The options go to {!Estimate.run}. Stops at the first
+    failing table. *)

@@ -93,39 +93,29 @@ let cube_count cells =
   Array.fold_left (fun acc (cover, _) -> acc + Sim.cover_cubes cover) 0 cells
 
 let simulate ?domains t stimulus =
+  (match domains with
+  | Some d when d <> 1 -> invalid_arg "Mapped.simulate: ~domains must be 1"
+  | _ -> ());
   assert (Array.length stimulus = Array.length t.pi_nets);
   let npat = if Array.length stimulus = 0 then 0 else B.length stimulus.(0) in
   (* Every cell output preallocated and the cells' covers lowered onto
      the vectors once, so the sweep below is the allocation-free cover
-     kernel of [Nets.Sim]. The word axis shards across domains: word-level
-     ops are word-local, so any domain count produces bit-identical
-     values. *)
+     kernel of [Nets.Sim]. *)
   let values, cells = net_vectors ~inputs:stimulus t ~patterns:npat in
   let scratch = B.words (B.create npat) in
   let nwords = max 1 ((npat + 63) / 64) in
-  let cubes_per_word = cube_count cells in
-  let stats =
-    Runtime.Dpool.run ?domains ~units:nwords (fun ~worker ~lo ~len ->
-        eval_range cells ~scratch ~lo ~len;
-        if Runtime.Telemetry.enabled () then begin
-          Runtime.Telemetry.count "mapped.sim.cube_words" (cubes_per_word * len);
-          Runtime.Telemetry.count
-            (Printf.sprintf "sim.d%d.patterns_simulated" worker)
-            (max 0 (min ((lo + len) * 64) npat - (lo * 64)))
-        end)
-  in
+  eval_range cells ~scratch ~lo:0 ~len:nwords;
+  if Runtime.Telemetry.enabled () then
+    Runtime.Telemetry.count "mapped.sim.cube_words" (cube_count cells * nwords);
   (* Clamp tails beyond npat (inputs are clean, but all-neg cubes and the
      constant -1 product can set tail bits). *)
   Array.iter (fun c -> B.clamp values.(c.output)) t.cells;
-  Runtime.Telemetry.observe "sim.domains"
-    (float_of_int stats.Runtime.Dpool.domains_used);
   values
 
-let check ?domains t reference ~patterns ~seed =
+let check t reference ~patterns ~seed =
   let module N = Nets.Netlist in
   let stimulus =
-    Sim.random_stimulus ?domains ~seed ~inputs:(Array.length t.pi_nets)
-      ~patterns ()
+    Sim.random_stimulus ~seed ~inputs:(Array.length t.pi_nets) ~patterns ()
   in
   (* Align reference inputs by name. *)
   let ref_inputs = N.inputs reference in
@@ -147,9 +137,9 @@ let check ?domains t reference ~patterns ~seed =
               "Mapped.check: unknown PI %s" name)
       ref_inputs
   in
-  let ref_result = Sim.run ?domains reference ref_stimulus in
+  let ref_result = Sim.run reference ref_stimulus in
   let ref_outs = Sim.output_values reference ref_result in
-  let values = simulate ?domains t stimulus in
+  let values = simulate t stimulus in
   Array.for_all
     (fun (name, net) ->
       let ref_v =

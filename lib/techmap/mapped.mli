@@ -43,12 +43,11 @@ val gate_histogram : t -> (string * int) list
 val simulate : ?domains:int -> t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
 (** Per-net values given one stimulus vector per primary input: one
     whole vector per net ({!net_vectors}), so its memory grows with the
-    pattern count. {!check} (the flow's verify stage), the sequential
-    estimator and the tests use it; {!Estimate.run} sweeps the same
-    kernel over blocks of words instead. The pattern axis shards across
-    domains ({!Runtime.Dpool}, word-aligned chunks); results are
-    bit-identical for any [?domains] (default
-    {!Runtime.Dpool.default_domains}). *)
+    pattern count, evaluated in one loop on the calling domain. {!check}
+    (the flow's verify stage), the sequential estimator and the tests use
+    it; {!Estimate.run} sweeps the same kernel over blocks of words
+    instead. [?domains] stays only because [perfbench/perfbench.ml]
+    passes it; any value but 1 raises [Invalid_argument]. *)
 
 (** {1 Cover kernel} *)
 
@@ -68,16 +67,14 @@ val net_vectors :
 val eval_range : lowered -> scratch:Logic.Bitvec.words -> lo:int -> len:int -> unit
 (** Evaluates the cells in topological order over words [lo, lo + len)
     of their buffers, with [scratch] a buffer of the same size; allocates
-    nothing per word. Disjoint word ranges may run concurrently. Tail
-    bits past the patterns may come out set. *)
+    nothing per word. Tail bits past the patterns may come out set. *)
 
 val cube_count : lowered -> int
 (** Cubes evaluated per word: the sum of the cells' cover sizes. *)
 
-val check :
-  ?domains:int -> t -> Nets.Netlist.t -> patterns:int -> seed:int64 -> bool
+val check : t -> Nets.Netlist.t -> patterns:int -> seed:int64 -> bool
 (** Random co-simulation of the mapped netlist against a reference netlist
     with matching PI/PO names: true when all sampled outputs agree. The
-    verdict is deterministic in [seed] for any [?domains]. *)
+    verdict is deterministic in [seed]. *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -387,7 +387,7 @@ let run_shards ~strict shards =
     { (Cg.default_config ~campaign:"faults") with Cg.runs_dir; workers = 1; strict }
   in
   let shards =
-    List.map (fun (id, run) -> { Cg.id; seed = 42L; patterns = 1; run }) shards
+    List.map (fun (id, run) -> { Cg.id; key = ""; seed = 42L; patterns = 1; run }) shards
   in
   match Cg.run cfg shards with
   | Ok s -> (cfg, s)

@@ -1,7 +1,7 @@
-(* Domain-parallel simulation: the pool's work-sharing contract, the
-   PRNG jump that splits the stimulus stream, and — the property the
-   whole tentpole rests on — bit-identical simulation results for any
-   domain count, on both the netlist and the mapped-cell kernels. *)
+(* Domain-parallel estimation: the pool's work-sharing contract, the
+   PRNG jump that splits the stimulus stream, and bit-identical power
+   estimates for any domain count, the estimator's sweep being the one
+   pattern sweep that runs on more than one domain. *)
 
 module B = Logic.Bitvec
 module P = Logic.Prng
@@ -163,6 +163,8 @@ let jump_matches_sequential () =
   let d = P.create 99L in
   Alcotest.(check int64) "0-draw jump" (P.next64 d) (P.next64 c)
 
+(* The estimator's domains each fill their own blocks of words: two word
+   ranges filled apart give the one generator's vectors too. *)
 let stimulus_matches_sequential_fill () =
   List.iter
     (fun (inputs, patterns) ->
@@ -173,46 +175,26 @@ let stimulus_matches_sequential_fill () =
             B.fill_random rng v;
             v)
       in
-      List.iter
-        (fun domains ->
-          let got =
-            Sim.random_stimulus ~domains ~seed:42L ~inputs ~patterns ()
-          in
-          Array.iteri
-            (fun i v ->
-              Alcotest.(check bool)
-                (Printf.sprintf "input %d, %d domains" i domains)
-                true (B.equal expected.(i) v))
-            got)
-        [ 1; 2; 4 ])
+      let words = (patterns + 63) / 64 in
+      let split input =
+        let v = B.create patterns and half = words / 2 in
+        Sim.fill_stimulus ~seed:42L ~words ~input ~lo:half ~len:(words - half) (B.words v)
+          ~at:half;
+        Sim.fill_stimulus ~seed:42L ~words ~input ~lo:0 ~len:half (B.words v) ~at:0;
+        B.clamp v;
+        v
+      in
+      Array.iteri
+        (fun i v ->
+          Alcotest.(check bool) (Printf.sprintf "input %d" i) true (B.equal expected.(i) v);
+          Alcotest.(check bool)
+            (Printf.sprintf "input %d, two ranges" i)
+            true
+            (B.equal expected.(i) (split i)))
+        (Sim.random_stimulus ~seed:42L ~inputs ~patterns ()))
     [ (1, 64); (3, 1000); (5, 20000) ]
 
-(* --- bit-exact parallel simulation --------------------------------- *)
-
-let mult8 = lazy (Circuits.Multiplier.generate ~width:8)
-
-let run_random_deterministic_across_domains () =
-  let nl = Lazy.force mult8 in
-  let reference = Sim.run_random ~domains:1 ~seed:7L nl 50_000 in
-  List.iter
-    (fun domains ->
-      let r = Sim.run_random ~domains ~seed:7L nl 50_000 in
-      Alcotest.(check int) "patterns" reference.Sim.num_patterns r.Sim.num_patterns;
-      Array.iteri
-        (fun id v ->
-          Alcotest.(check bool)
-            (Printf.sprintf "node %d, %d domains" id domains)
-            true
-            (B.equal reference.Sim.node_values.(id) v))
-        r.Sim.node_values)
-    [ 2; 4 ]
-
-let mapped_mult4 =
-  lazy
-    (let nl = Circuits.Multiplier.generate ~width:4 in
-     let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist nl) in
-     let ml = Techmap.Matchlib.build Cell.Genlib.generalized_cntfet in
-     (nl, Techmap.Mapper.map ml aig))
+(* --- bit-exact parallel estimation --------------------------------- *)
 
 let map_multiplier width lib =
   let nl = Circuits.Multiplier.generate ~width in
@@ -220,39 +202,8 @@ let map_multiplier width lib =
 
 let mapped_mult8 = lazy (map_multiplier 8 Cell.Genlib.generalized_cntfet)
 
-let mapped_simulate_deterministic_across_domains () =
-  let _, mapped = Lazy.force mapped_mult4 in
-  (* 70 K patterns = ~1100 words: enough for the pool to actually split
-     across 4 domains (256-word minimum share). *)
-  let stimulus =
-    Sim.random_stimulus ~domains:1 ~seed:11L
-      ~inputs:(Array.length mapped.Techmap.Mapped.pi_nets) ~patterns:70_000 ()
-  in
-  let reference = Techmap.Mapped.simulate ~domains:1 mapped stimulus in
-  List.iter
-    (fun domains ->
-      let values = Techmap.Mapped.simulate ~domains mapped stimulus in
-      Array.iteri
-        (fun net v ->
-          Alcotest.(check bool)
-            (Printf.sprintf "net %d, %d domains" net domains)
-            true
-            (B.equal reference.(net) v))
-        values)
-    [ 2; 4 ]
-
-let mapped_check_deterministic_across_domains () =
-  let nl, mapped = Lazy.force mapped_mult4 in
-  List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "verified with %d domains" domains)
-        true
-        (Techmap.Mapped.check ~domains mapped nl ~patterns:2048 ~seed:4L))
-    [ 1; 2; 4 ]
-
 let estimate_report_identical_across_domains () =
-  let _, mapped = Lazy.force mapped_mult4 in
+  let mapped = map_multiplier 4 Cell.Genlib.generalized_cntfet in
   let r1 = Techmap.Estimate.run ~domains:1 ~patterns:70_000 ~seed:5L mapped in
   List.iter
     (fun domains ->
@@ -326,9 +277,9 @@ let reference_estimate ~patterns ~seed (m : Techmap.Mapped.t) =
   let module E = Techmap.Estimate in
   let vdd = m.M.lib.Cell.Genlib.tech.Spice.Tech.vdd and f = Spice.Tech.frequency in
   let stimulus =
-    Sim.random_stimulus ~domains:1 ~seed ~inputs:(Array.length m.M.pi_nets) ~patterns ()
+    Sim.random_stimulus ~seed ~inputs:(Array.length m.M.pi_nets) ~patterns ()
   in
-  let values = M.simulate ~domains:1 m stimulus in
+  let values = M.simulate m stimulus in
   let toggle net =
     if patterns <= 1 then 0.0
     else float_of_int (B.transitions values.(net)) /. float_of_int (patterns - 1)
@@ -385,11 +336,11 @@ let estimate_equals_whole_vector_reference () =
    gates' covers. A boxed word per store, or a word accessor that is a
    function rather than an external primitive, allocates at least three
    times as much. The circuit and pattern count are those of the
-   simulate-mult8-64k micro-benchmarks. *)
+   simulate-mult8-64k micro-benchmark. *)
 let mapped_simulate_allocates_only_its_vectors () =
   let mapped = Lazy.force mapped_mult8 in
   let stimulus =
-    Sim.random_stimulus ~domains:1 ~seed:3L
+    Sim.random_stimulus ~seed:3L
       ~inputs:(Array.length mapped.Techmap.Mapped.pi_nets) ~patterns:65_536 ()
   in
   (* Emptying the minor heap first makes the counters exact. *)
@@ -399,7 +350,7 @@ let mapped_simulate_allocates_only_its_vectors () =
     minor +. major -. promoted
   in
   let before = words () in
-  let values = Techmap.Mapped.simulate ~domains:1 mapped stimulus in
+  let values = Techmap.Mapped.simulate mapped stimulus in
   let allocated = words () -. before in
   (* Storage words of the distinct vectors it returns, less its inputs. *)
   let returned =
@@ -461,12 +412,6 @@ let () =
         ] );
       ( "determinism",
         [
-          tc "run_random bit-exact for 1/2/4 domains" `Slow
-            run_random_deterministic_across_domains;
-          tc "Mapped.simulate bit-exact for 1/2/4 domains" `Slow
-            mapped_simulate_deterministic_across_domains;
-          tc "Mapped.check stable across domains" `Slow
-            mapped_check_deterministic_across_domains;
           tc "Estimate.run reports identical floats" `Slow
             estimate_report_identical_across_domains;
           tc "parallel metadata lands in the profile" `Slow

@@ -18,7 +18,7 @@ let temp_dir prefix =
   Unix.mkdir d 0o700;
   d
 
-let shard id run = { Cg.id; seed = 7L; patterns = 64; run }
+let shard id run = { Cg.id; key = ""; seed = 7L; patterns = 64; run }
 let ok_shard id scalars = shard id (fun ~degraded:_ -> scalars)
 let failing_shard id = shard id (fun ~degraded:_ -> failwith "boom")
 
@@ -187,7 +187,9 @@ let checkpoint_and_resume () =
 
 let resume_keyed_on_workload () =
   let cfg = { (all_cfg (temp_dir "all-runs")) with Cg.resume = true } in
-  let alpha patterns = { (ok_shard "alpha" []) with Cg.patterns } in
+  let alpha patterns =
+    { (ok_shard "alpha" []) with Cg.key = string_of_int patterns; patterns }
+  in
   ignore (ok (Cg.run cfg [ alpha 64 ]));
   (* Different pattern count -> the stored pass is stale, re-run. *)
   (match outcome (ok (Cg.run cfg [ alpha 128 ])) "alpha" with
@@ -200,6 +202,18 @@ let resume_keyed_on_workload () =
   let m = ok (C.load ~path:(Cg.manifest_path cfg)) in
   Alcotest.(check int) "manifest labels the workload that ran" 128
     (Option.get (C.find m "alpha")).C.patterns
+
+(* `all`'s seq shard: every shard of a run has its seed and patterns,
+   so only the key tells 500 cycles from 10 000. *)
+let resume_keyed_beyond_seed_and_patterns () =
+  let cfg = { (all_cfg (temp_dir "all-runs")) with Cg.resume = true } in
+  let seq cycles =
+    { (ok_shard "seq" []) with Cg.key = Printf.sprintf "seed 7, workload %d" cycles }
+  in
+  ignore (ok (Cg.run cfg [ seq 500 ]));
+  match outcome (ok (Cg.run cfg [ seq 10_000 ])) "seq" with
+  | Cg.Done _ -> ()
+  | _ -> Alcotest.fail "another workload at the same seed and patterns must run again"
 
 let corrupt_manifest_rerendered () =
   let cfg = all_cfg (temp_dir "all-runs") in
@@ -321,6 +335,8 @@ let () =
           Alcotest.test_case "checkpoint and resume" `Quick checkpoint_and_resume;
           Alcotest.test_case "resume keyed on workload" `Quick
             resume_keyed_on_workload;
+          Alcotest.test_case "same seed and patterns, new workload re-runs" `Quick
+            resume_keyed_beyond_seed_and_patterns;
           Alcotest.test_case "corrupt manifest is re-rendered" `Quick
             corrupt_manifest_rerendered;
         ] );

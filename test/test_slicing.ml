@@ -233,6 +233,7 @@ let retried_shard_slice () =
   let shard id =
     {
       Cg.id;
+      key = "";
       seed = 7L;
       patterns = 64;
       run =

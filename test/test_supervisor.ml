@@ -69,7 +69,7 @@ let run_shard ~max_attempts run =
       backoff_max_s = 0.02;
     }
   in
-  match Cg.run cfg [ { Cg.id = "job"; seed = 42L; patterns = 1; run } ] with
+  match Cg.run cfg [ { Cg.id = "job"; key = ""; seed = 42L; patterns = 1; run } ] with
   | Ok { Cg.results = [ (_, outcome) ]; leases; _ } -> (outcome, leases)
   | Ok _ -> Alcotest.fail "expected one result"
   | Result.Error e -> Alcotest.failf "run failed: %s" (E.to_string e)
