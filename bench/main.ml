@@ -54,8 +54,7 @@ let micro_tests () =
       (Staged.stage (fun () -> ignore (Techmap.Estimate.run ~patterns:65536 mult8)))
   in
   let simulate =
-    (* The whole-vector kernel behind verification and the sequential
-       estimator. *)
+    (* The whole-vector kernel behind verification. *)
     let stimulus =
       Nets.Sim.random_stimulus ~inputs:(Array.length mult8.Techmap.Mapped.pi_nets)
         ~patterns:65536 ()

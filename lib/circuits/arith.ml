@@ -10,9 +10,6 @@ let input_bus t name width =
 let output_bus t name bus =
   Array.iteri (fun i id -> N.add_output t (Printf.sprintf "%s%d" name i) id) bus
 
-let half_adder t a b =
-  (N.add_node t N.Xor [| a; b |], N.add_node t N.And [| a; b |])
-
 let full_adder t a b c =
   let sum = N.add_node t N.Xor [| a; b; c |] in
   let carry = N.add_node t N.Maj [| a; b; c |] in

@@ -10,9 +10,6 @@ val constant : Nets.Netlist.t -> bool -> int
 val input_bus : Nets.Netlist.t -> string -> int -> bus
 val output_bus : Nets.Netlist.t -> string -> bus -> unit
 
-val half_adder : Nets.Netlist.t -> int -> int -> int * int
-(** [(sum, carry)] *)
-
 val full_adder : Nets.Netlist.t -> int -> int -> int -> int * int
 (** [(sum, carry)] *)
 

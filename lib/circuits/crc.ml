@@ -16,7 +16,7 @@ let generate ?(polynomial = crc32_polynomial) ~data_width () =
   let t = Nets.Seq.create () in
   let data = Array.init data_width (fun i -> Nets.Seq.add_input t (Printf.sprintf "d%d" i)) in
   let state =
-    Array.init 32 (fun i -> Nets.Seq.add_register t (Printf.sprintf "s%d" i) ())
+    Array.init 32 (fun i -> Nets.Seq.add_register t (Printf.sprintf "s%d" i))
   in
   (* Unroll the bit-serial recurrence data_width times. *)
   let current = ref (Array.copy state) in

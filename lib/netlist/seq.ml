@@ -1,6 +1,7 @@
 module B = Logic.Bitvec
+module R = Runtime.Cnt_error
 
-type reg = { name : string; q_node : int; mutable d_node : int; init : bool }
+type reg = { name : string; q_node : int; mutable d_node : int }
 
 type t = {
   netlist : Netlist.t;
@@ -12,15 +13,18 @@ let create () = { netlist = Netlist.create (); regs = [] }
 let comb t = t.netlist
 let add_input t name = Netlist.add_input t.netlist name
 
-let add_register t name ?(init = false) () =
+let add_register t name =
   let q = Netlist.add_input t.netlist (name ^ ".q") in
-  t.regs <- { name; q_node = q; d_node = -1; init } :: t.regs;
+  t.regs <- { name; q_node = q; d_node = -1 } :: t.regs;
   q
+
+let invalid ~what name fmt =
+  R.failf ~context:[ (what, name) ] R.Netlist R.Validation_error fmt
 
 let connect t name d_node =
   match List.find_opt (fun r -> r.name = name) t.regs with
   | Some r -> r.d_node <- d_node
-  | None -> invalid_arg ("Seq.connect: unknown register " ^ name)
+  | None -> invalid ~what:"register" name "Seq.connect: unknown register %s" name
 
 let add_output t name id = Netlist.add_output t.netlist name id
 
@@ -29,80 +33,16 @@ let num_registers t = List.length t.regs
 let registers t =
   List.rev_map
     (fun r ->
-      if r.d_node < 0 then failwith ("Seq: register " ^ r.name ^ " is unconnected");
+      if r.d_node < 0 then
+        invalid ~what:"register" r.name "Seq: register %s is unconnected" r.name;
       (r.name, r.q_node, r.d_node))
     t.regs
-
-type sim = {
-  cycles : int;
-  streams : int;
-  node_toggles : float array;
-  node_probs : float array;
-  final_state : B.t array;
-}
 
 (* True primary inputs = inputs of the core that are not register Qs. *)
 let true_inputs t =
   let qs = List.map (fun r -> r.q_node) t.regs in
   Array.to_list (Netlist.inputs t.netlist)
   |> List.filter (fun id -> not (List.mem id qs))
-
-let simulate ?(seed = 99L) ?(cycles = 10_000) t =
-  let regs = registers t in
-  let rng = Logic.Prng.create seed in
-  let streams = 64 in
-  let size = Netlist.size t.netlist in
-  (* Per-node running stats. *)
-  let toggles = Array.make size 0 in
-  let ones = Array.make size 0 in
-  (* Current state per register: one word = 64 streams. *)
-  let state =
-    Array.of_list
-      (List.map
-         (fun (_, _, _) -> B.create streams)
-         regs)
-  in
-  List.iteri
-    (fun i (name, _, _) ->
-      let r = List.find (fun r -> r.name = name) t.regs in
-      if r.init then state.(i) <- B.lognot (B.create streams))
-    regs;
-  let prev = Array.make size (B.create streams) in
-  let all_input_ids = Netlist.inputs t.netlist in
-  for cycle = 0 to cycles - 1 do
-    (* Build this cycle's stimulus: fresh random values on true inputs,
-       current state on register Qs. *)
-    let stimulus =
-      Array.map
-        (fun id ->
-          match List.find_index (fun (_, q, _) -> q = id) regs with
-          | Some ri -> state.(ri)
-          | None ->
-              let v = B.create streams in
-              B.fill_random rng v;
-              v)
-        all_input_ids
-    in
-    let result = Sim.run t.netlist stimulus in
-    let values = result.Sim.node_values in
-    for node = 0 to size - 1 do
-      ones.(node) <- ones.(node) + B.popcount values.(node);
-      if cycle > 0 then
-        toggles.(node) <- toggles.(node) + B.popcount (B.logxor values.(node) prev.(node));
-      prev.(node) <- values.(node)
-    done;
-    (* Clock edge: capture D into state. *)
-    List.iteri (fun ri (_, _, d) -> state.(ri) <- values.(d)) regs
-  done;
-  let denom_t = float_of_int (max 1 ((cycles - 1) * streams)) in
-  let denom_p = float_of_int (cycles * streams) in
-  {
-    cycles;
-    streams;
-    node_toggles = Array.map (fun c -> float_of_int c /. denom_t) toggles;
-    node_probs = Array.map (fun c -> float_of_int c /. denom_p) ones;
-    final_state = state;
-  }
 
 let step t ~state ~inputs =
   let regs = registers t in
@@ -115,12 +55,12 @@ let step t ~state ~inputs =
       (fun id ->
         match List.find_index (fun (_, q, _) -> q = id) regs with
         | Some ri -> state.(ri)
-        | None ->
-            let rec pos i = function
-              | [] -> failwith "Seq.step: unknown input"
-              | x :: rest -> if x = id then i else pos (i + 1) rest
-            in
-            inputs.(pos 0 input_ids))
+        | None -> (
+            match List.find_index (( = ) id) input_ids with
+            | Some i -> inputs.(i)
+            | None ->
+                let name = Netlist.input_name t.netlist id in
+                invalid ~what:"input" name "Seq.step: unknown input %s" name))
       all
   in
   let outputs = Netlist.eval t.netlist stimulus in

@@ -4,9 +4,11 @@
     The paper evaluates combinational blocks; real designs clock them. A
     sequential circuit here is a combinational netlist in which every
     register contributes one pseudo-input (its Q output) and designates one
-    node as its D input. Cycle simulation advances all registers
-    simultaneously; 64 independent streams run in parallel (bit-sliced), so
-    power estimation gets 64 samples per simulated cycle. *)
+    node as its D input; every register starts at 0 and all of them are
+    clocked at once. {!step} gives the single-stream semantics of one
+    cycle; the power estimate of the mapped circuit
+    ({!Techmap.Seqmap.estimate}) clocks 64 bit-sliced streams over the
+    mapping's nets. *)
 
 type t
 
@@ -18,38 +20,28 @@ val comb : t -> Netlist.t
 val add_input : t -> string -> int
 (** A true primary input of the sequential circuit. *)
 
-val add_register : t -> string -> ?init:bool -> unit -> int
+val add_register : t -> string -> int
 (** Declare a register; returns the node id of its Q output (a pseudo-input
     of the combinational core). The D input is connected later with
     {!connect}. *)
 
 val connect : t -> string -> int -> unit
 (** [connect t reg d_node]: drive register [reg] from [d_node]. Every
-    register must be connected before simulation. *)
+    register must be connected before {!registers} is called. Raises
+    [Runtime.Cnt_error.Error] ([Netlist]/[Validation_error], naming the
+    register) if [t] has no register [reg]. *)
 
 val add_output : t -> string -> int -> unit
 
 val num_registers : t -> int
 val registers : t -> (string * int * int) list
-(** [(name, q_node, d_node)]; raises if some register is unconnected. *)
-
-type sim = {
-  cycles : int;
-  streams : int;  (** 64 independent executions, bit-sliced *)
-  node_toggles : float array;
-      (** average toggles per cycle per node of the combinational core,
-          register outputs included *)
-  node_probs : float array;  (** average probability of 1 per node *)
-  final_state : Logic.Bitvec.t array;  (** per register, one bit per stream *)
-}
-
-val simulate :
-  ?seed:int64 -> ?cycles:int -> t -> sim
-(** Drive the primary inputs with fresh random values every cycle,
-    starting from the declared initial state in every stream. *)
+(** [(name, q_node, d_node)] in declaration order. Raises
+    [Runtime.Cnt_error.Error] ([Netlist]/[Validation_error], naming the
+    register) if some register is unconnected. *)
 
 val step :
   t -> state:bool array -> inputs:bool array -> bool array * bool array
 (** Single-stream reference semantics: [(outputs, next_state)] for one
-    cycle, registers in {!registers} order, outputs in declaration order.
-    Used by the tests to cross-check {!simulate}. *)
+    cycle, registers in {!registers} order, true inputs in declaration
+    order, outputs in declaration order. The tests check the mapped
+    circuit's cycles against it. *)

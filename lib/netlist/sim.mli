@@ -3,11 +3,13 @@
     Input vectors are packed 64 per machine word, and the whole netlist is
     evaluated with word-level logic operations, one whole vector per node.
     It serves verification (the flow's 512-pattern co-simulation), the
-    sequential estimators and the experiments that need node values; the
-    640 K-pattern power estimate ({!Techmap.Estimate.run}) instead sweeps
-    blocks of words through this module's cover kernel and stimulus fill
-    ({!fill_stimulus}), holding no vector whole, and is the only sweep
-    that runs on more than one domain.
+    single-cycle reference {!Seq.step} and the experiments that need node
+    values. The power estimates hold no vector whole: the 640 K-pattern
+    one ({!Techmap.Estimate.run}) sweeps blocks of words through this
+    module's cover kernel and stimulus fill ({!fill_stimulus}), and is the
+    only sweep that runs on more than one domain; the clocked one
+    ({!Techmap.Seqmap.estimate}) runs the same cover kernel on one word
+    per net and cycle.
 
     The netlist is first lowered to a flat instruction stream over the
     unboxed word buffers (every gate but XOR/XNOR becomes a {!cover}; no

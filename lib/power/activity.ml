@@ -10,9 +10,3 @@ let toggle_alpha tt =
   let total = 1 lsl T.nvars tt in
   let p = float_of_int (T.count_ones tt) /. float_of_int total in
   2.0 *. p *. (1.0 -. p)
-
-let library_average cells =
-  let sum =
-    List.fold_left (fun acc cell -> acc +. gate_alpha (Cell.Cells.tt cell)) 0.0 cells
-  in
-  sum /. float_of_int (List.length cells)

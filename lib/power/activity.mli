@@ -13,6 +13,3 @@ val gate_alpha : Logic.Truthtable.t -> float
 val toggle_alpha : Logic.Truthtable.t -> float
 (** Temporal definition for reference: probability that two consecutive
     uniform input vectors produce different outputs, [2 p (1-p)]. *)
-
-val library_average : Cell.Cells.t list -> float
-(** Mean combinational activity factor across the given cells. *)

@@ -220,11 +220,6 @@ let validate t =
   in
   all (source_checks @ element_checks)
 
-let solve_checked ?max_iter ?tol t =
-  match validate t with
-  | Result.Error _ as e -> e
-  | Ok () -> Runtime.Cnt_error.protect ~stage (fun () -> solve ?max_iter ?tol t)
-
 let source_current t sol n =
   let inj = injections t sol in
   inj.(n)

@@ -37,12 +37,7 @@ val source_current : t -> solution -> node -> float
 val solve : ?max_iter:int -> ?tol:float -> t -> solution
 (** Newton–Raphson nodal analysis. Raises [Runtime.Cnt_error.Error] with
     code [Convergence_failure], [Singular_matrix] or [Non_finite] when the
-    iteration fails. Use {!solve_checked} at hardened boundaries. *)
-
-val solve_checked :
-  ?max_iter:int -> ?tol:float -> t -> (solution, Runtime.Cnt_error.t) result
-(** {!validate} followed by {!solve}, with every failure (including wrapped
-    unexpected exceptions) returned as a typed error. *)
+    iteration fails. *)
 
 val validate : t -> (unit, Runtime.Cnt_error.t) result
 (** Well-formedness of the element list: finite source voltages, positive

@@ -16,11 +16,6 @@ type diagnostics = {
   converged : bool;
 }
 
-let pp_diagnostics ppf d =
-  Format.fprintf ppf
-    "settle=%d steps=%d retries=%d min_dt=%.3gs residual=%.3gV converged=%b"
-    d.settle_steps d.steps d.retries d.min_dt d.residual d.converged
-
 let stage = Runtime.Cnt_error.Spice
 
 (* Below this per-step voltage change the settle relaxation is considered

@@ -26,8 +26,6 @@ type diagnostics = {
   converged : bool;
 }
 
-val pp_diagnostics : Format.formatter -> diagnostics -> unit
-
 val simulate_checked :
   Circuit.t ->
   caps:(Circuit.node * float) list ->

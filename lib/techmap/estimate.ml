@@ -64,6 +64,33 @@ let static_components (m : Mapped.t) ~probs =
     m.Mapped.cells;
   (!static, !gate_leak)
 
+let of_activity (m : Mapped.t) ~loads ~toggles ~probs =
+  let vdd = m.Mapped.lib.G.tech.Spice.Tech.vdd in
+  let f = Spice.Tech.frequency in
+  (* Dynamic power: every net that toggles charges its load. *)
+  let dynamic = ref 0.0 in
+  for net = 0 to m.Mapped.num_nets - 1 do
+    dynamic := !dynamic +. (toggles net *. loads.(net) *. f *. vdd *. vdd)
+  done;
+  (* Static and gate leakage from the per-gate characterization. *)
+  let static, gate_leak =
+    T.with_span "estimate.characterize" (fun () -> static_components m ~probs)
+  in
+  let short_circuit = Spice.Tech.short_circuit_fraction *. !dynamic in
+  let total = !dynamic +. short_circuit +. static +. gate_leak in
+  let delay = Mapped.delay m in
+  {
+    gates = Mapped.num_gates m;
+    area = Mapped.area m;
+    delay;
+    dynamic = !dynamic;
+    short_circuit;
+    static;
+    gate_leak;
+    total;
+    edp = Power.Powermodel.edp ~total_power:total ~delay ();
+  }
+
 (* The sweep's block: 64 words (4 096 patterns), 512 bytes per net, so a
    whole circuit's block stays in cache while it is simulated and
    counted (Table 1's largest mapping, des on CMOS, has 3 724 nets:
@@ -193,9 +220,6 @@ let sweep ?domains ~patterns ~seed (m : Mapped.t) =
 let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     ?(wire_cap_per_fanout = 0.0) (m : Mapped.t) =
   T.with_span "techmap.estimate" (fun () ->
-  let tech = m.Mapped.lib.G.tech in
-  let vdd = tech.Spice.Tech.vdd in
-  let f = Spice.Tech.frequency in
   let t0 = if T.enabled () then T.now () else 0.0 in
   (* The sweep's wall on the calling domain: its phases, and the domains'
      spawn and the wait for the last of them, which no phase covers. *)
@@ -209,35 +233,12 @@ let run ?domains ?(patterns = default_patterns) ?(seed = 42L)
     if dt > 0.0 then
       T.observe "estimate.patterns_per_s" (float_of_int patterns /. dt)
   end;
-  let toggle net =
+  let toggles net =
     if patterns <= 1 then 0.0
     else float_of_int transitions.(net) /. float_of_int (patterns - 1)
   in
-  let prob net = float_of_int ones.(net) /. float_of_int patterns in
-  (* Dynamic power: every net that toggles charges its load. *)
-  let loads = Mapped.net_loads ~wire_cap_per_fanout m in
-  let dynamic = ref 0.0 in
-  for net = 0 to m.Mapped.num_nets - 1 do
-    dynamic := !dynamic +. (toggle net *. loads.(net) *. f *. vdd *. vdd)
-  done;
-  (* Static and gate leakage from the per-gate characterization. *)
-  let static, gate_leak =
-    T.with_span "estimate.characterize" (fun () -> static_components m ~probs:prob)
-  in
-  let short_circuit = Spice.Tech.short_circuit_fraction *. !dynamic in
-  let total = !dynamic +. short_circuit +. static +. gate_leak in
-  let delay = Mapped.delay m in
-  {
-    gates = Mapped.num_gates m;
-    area = Mapped.area m;
-    delay;
-    dynamic = !dynamic;
-    short_circuit;
-    static;
-    gate_leak;
-    total;
-    edp = Power.Powermodel.edp ~total_power:total ~delay ();
-  })
+  let probs net = float_of_int ones.(net) /. float_of_int patterns in
+  of_activity m ~loads:(Mapped.net_loads ~wire_cap_per_fanout m) ~toggles ~probs)
 
 let pp_report ppf r =
   Format.fprintf ppf

@@ -72,7 +72,17 @@ val static_components : Mapped.t -> probs:(int -> float) -> float * float
 (** [(static, gate_leak)] powers in W of every cell, weighting each cell's
     characterized per-input-vector currents by the given per-net
     1-probabilities (independence assumption). [probs] is called once per
-    net that drives a cell pin. Shared by the combinational and the
-    sequential estimators. *)
+    net that drives a cell pin. *)
+
+val of_activity :
+  Mapped.t -> loads:float array -> toggles:(int -> float) -> probs:(int -> float) -> report
+(** The report of a mapping whose nets have the given loads (F, indexed
+    by net), toggle rates (transitions per sample) and 1-probabilities:
+    the dynamic power [toggles net *. loads.(net) *. f *. vdd *. vdd]
+    summed in net order at {!Spice.Tech.frequency}, then
+    {!static_components} under the span [estimate.characterize], the
+    short-circuit share of the dynamic power, the total, the critical
+    path delay and the EDP. Shared by the combinational ({!run}) and the
+    sequential ({!Seqmap.estimate}) estimators. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -87,7 +87,10 @@ let net_vectors ?inputs t ~patterns =
   (values, lower t (Array.map B.words values))
 
 let eval_range cells ~scratch ~lo ~len =
-  Array.iter (fun (cover, dst) -> Sim.eval_cover cover ~dst ~scratch ~lo ~len) cells
+  for i = 0 to Array.length cells - 1 do
+    let cover, dst = cells.(i) in
+    Sim.eval_cover cover ~dst ~scratch ~lo ~len
+  done
 
 let cube_count cells =
   Array.fold_left (fun acc (cover, _) -> acc + Sim.cover_cubes cover) 0 cells

@@ -44,10 +44,11 @@ val simulate : ?domains:int -> t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
 (** Per-net values given one stimulus vector per primary input: one
     whole vector per net ({!net_vectors}), so its memory grows with the
     pattern count, evaluated in one loop on the calling domain. {!check}
-    (the flow's verify stage), the sequential estimator and the tests use
-    it; {!Estimate.run} sweeps the same kernel over blocks of words
-    instead. [?domains] stays only because [perfbench/perfbench.ml]
-    passes it; any value but 1 raises [Invalid_argument]. *)
+    (the flow's verify stage) and the tests use it; {!Estimate.run}
+    sweeps the same kernel over blocks of words instead, and
+    {!Seqmap.estimate} over one word per cycle. [?domains] stays only
+    because [perfbench/perfbench.ml] passes it; any value but 1 raises
+    [Invalid_argument]. *)
 
 (** {1 Cover kernel} *)
 
@@ -67,7 +68,7 @@ val net_vectors :
 val eval_range : lowered -> scratch:Logic.Bitvec.words -> lo:int -> len:int -> unit
 (** Evaluates the cells in topological order over words [lo, lo + len)
     of their buffers, with [scratch] a buffer of the same size; allocates
-    nothing per word. Tail bits past the patterns may come out set. *)
+    nothing. Tail bits past the patterns may come out set. *)
 
 val cube_count : lowered -> int
 (** Cubes evaluated per word: the sum of the cells' cover sizes. *)

@@ -1,5 +1,7 @@
 module B = Logic.Bitvec
 module G = Cell.Genlib
+module R = Runtime.Cnt_error
+module T = Runtime.Telemetry
 
 type report = {
   gates : int;
@@ -30,19 +32,19 @@ let map_seq ml (seq : Nets.Seq.t) =
     regs;
   let aig = Aigs.Opt.resyn2rs (Aigs.Aig.of_netlist comb) in
   let mapped = Mapper.map ml aig in
-  let find_pi name =
-    match Array.find_opt (fun (n, _) -> n = name) mapped.Mapped.pi_nets with
+  let find what nets name =
+    match Array.find_opt (fun (n, _) -> n = name) nets with
     | Some (_, net) -> net
-    | None -> failwith ("Seqmap: missing Q input " ^ name)
-  in
-  let find_po name =
-    match Array.find_opt (fun (n, _) -> n = name) mapped.Mapped.po_nets with
-    | Some (_, net) -> net
-    | None -> failwith ("Seqmap: missing D output " ^ name)
+    | None ->
+        R.failf ~context:[ ("net", name) ] R.Techmap R.Missing_signal
+          "Seqmap: the mapping has no %s %s" what name
   in
   let reg_nets =
     List.map
-      (fun (name, _, _) -> (name, find_pi (name ^ ".q"), find_po (name ^ ".d")))
+      (fun (name, _, _) ->
+        ( name,
+          find "Q input" mapped.Mapped.pi_nets (name ^ ".q"),
+          find "D output" mapped.Mapped.po_nets (name ^ ".d") ))
       regs
   in
   (mapped, reg_nets)
@@ -56,72 +58,65 @@ let estimate ?(cycles = 10_000) ?(seed = 21L) ml (seq : Nets.Seq.t) =
   let dff = Cell.Register.for_library lib in
   let streams = 64 in
   let rng = Logic.Prng.create seed in
-  (* Cycle-accurate simulation of the mapped netlist. *)
-  let nregs = List.length reg_nets in
   let q_nets = Array.of_list (List.map (fun (_, q, _) -> q) reg_nets) in
   let d_nets = Array.of_list (List.map (fun (_, _, d) -> d) reg_nets) in
-  let is_q = Hashtbl.create 16 in
-  Array.iteri (fun i q -> Hashtbl.replace is_q q i) q_nets;
-  let state = Array.init nregs (fun _ -> B.create streams) in
-  let num_nets = mapped.Mapped.num_nets in
-  let toggles = Array.make num_nets 0 in
-  let ones = Array.make num_nets 0 in
+  let nregs = Array.length q_nets in
+  let nets = mapped.Mapped.num_nets in
+  (* One word per net, the streams bit-sliced, and every cell's cover
+     lowered onto the words once; the registers' Q words hold the state. *)
+  let vectors, cells = Mapped.net_vectors mapped ~patterns:streams in
+  let words = Array.map B.words vectors in
+  let inputs =
+    Array.to_list mapped.Mapped.pi_nets
+    |> List.filter_map (fun (_, net) ->
+           if Array.mem net q_nets then None else Some words.(net))
+    |> Array.of_list
+  in
+  let buffer n = B.words (B.create (streams * n)) in
+  let scratch = buffer 1 and diff = buffer 1 and prev = buffer nets in
+  let draws = buffer (Array.length inputs) and next = buffer nregs in
+  let count ws = B.popcount_words ws 1 ~last:(-1L) in
+  let ones = Array.make nets 0 and toggles = Array.make nets 0 in
   let state_toggles = ref 0 in
-  let prev = Array.make num_nets (B.create streams) in
-  for cycle = 0 to cycles - 1 do
-    let stimulus =
-      Array.map
-        (fun (_, net) ->
-          match Hashtbl.find_opt is_q net with
-          | Some ri -> state.(ri)
-          | None ->
-              let v = B.create streams in
-              B.fill_random rng v;
-              v)
-        mapped.Mapped.pi_nets
-    in
-    let values = Mapped.simulate mapped stimulus in
-    for net = 0 to num_nets - 1 do
-      ones.(net) <- ones.(net) + B.popcount values.(net);
-      if cycle > 0 then
-        toggles.(net) <- toggles.(net) + B.popcount (B.logxor values.(net) prev.(net));
-      prev.(net) <- values.(net)
-    done;
-    (* Clock edge. *)
-    for ri = 0 to nregs - 1 do
-      let next = values.(d_nets.(ri)) in
-      state_toggles := !state_toggles + B.popcount (B.logxor next state.(ri));
-      state.(ri) <- next
-    done
-  done;
+  T.with_span "seqmap.cycles" (fun () ->
+    for cycle = 0 to cycles - 1 do
+      (* One draw per true input, in [pi_nets] order. *)
+      B.fill_words rng draws ~at:0 ~len:(Array.length inputs);
+      for i = 0 to Array.length inputs - 1 do
+        B.store inputs.(i) 0 (B.load draws (i lsl 3))
+      done;
+      Mapped.eval_range cells ~scratch ~lo:0 ~len:1;
+      for net = 0 to nets - 1 do
+        let ws = words.(net) and o = net lsl 3 in
+        ones.(net) <- ones.(net) + count ws;
+        if cycle > 0 then begin
+          B.store diff 0 (Int64.logxor (B.load ws 0) (B.load prev o));
+          toggles.(net) <- toggles.(net) + count diff
+        end;
+        B.store prev o (B.load ws 0)
+      done;
+      (* Clock edge: a register's D may be another's Q, so every D is read
+         before any Q is written. *)
+      for r = 0 to nregs - 1 do
+        B.store next (r lsl 3) (B.load words.(d_nets.(r)) 0)
+      done;
+      for r = 0 to nregs - 1 do
+        let q = words.(q_nets.(r)) and o = r lsl 3 in
+        B.store diff 0 (Int64.logxor (B.load next o) (B.load q 0));
+        state_toggles := !state_toggles + count diff;
+        B.store q 0 (B.load next o)
+      done
+    done);
   let samples_t = float_of_int (max 1 ((cycles - 1) * streams)) in
   let samples_p = float_of_int (cycles * streams) in
-  let toggle net = float_of_int toggles.(net) /. samples_t in
-  let prob net = float_of_int ones.(net) /. samples_p in
   (* Combinational power under the sequential stimulus. *)
   let loads = Mapped.net_loads mapped in
   Array.iter (fun q -> loads.(q) <- loads.(q) +. dff.Cell.Register.q_drive_cap) q_nets;
   Array.iter (fun d -> loads.(d) <- loads.(d) +. dff.Cell.Register.d_cap) d_nets;
-  let dynamic = ref 0.0 in
-  for net = 0 to num_nets - 1 do
-    dynamic := !dynamic +. (toggle net *. loads.(net) *. f *. vdd *. vdd)
-  done;
-  let static, gate_leak = Estimate.static_components mapped ~probs:prob in
-  let short_circuit = Spice.Tech.short_circuit_fraction *. !dynamic in
-  let comb_total = !dynamic +. short_circuit +. static +. gate_leak in
-  let delay = Mapped.delay mapped in
   let comb_power =
-    {
-      Estimate.gates = Mapped.num_gates mapped;
-      area = Mapped.area mapped;
-      delay;
-      dynamic = !dynamic;
-      short_circuit;
-      static;
-      gate_leak;
-      total = comb_total;
-      edp = Power.Powermodel.edp ~total_power:comb_total ~delay ();
-    }
+    Estimate.of_activity mapped ~loads
+      ~toggles:(fun net -> float_of_int toggles.(net) /. samples_t)
+      ~probs:(fun net -> float_of_int ones.(net) /. samples_p)
   in
   (* Register contributions. *)
   let nregs_f = float_of_int nregs in
@@ -135,14 +130,16 @@ let estimate ?(cycles = 10_000) ?(seed = 21L) ml (seq : Nets.Seq.t) =
     nregs_f *. state_alpha *. dff.Cell.Register.internal_cap *. f *. vdd *. vdd
   in
   let reg_leak_power = nregs_f *. dff.Cell.Register.leakage *. vdd in
-  let total = comb_total +. clock_power +. reg_internal_power +. reg_leak_power in
+  let total =
+    comb_power.Estimate.total +. clock_power +. reg_internal_power +. reg_leak_power
+  in
   let reg_delay_margin = 4.0 *. tech.Spice.Tech.tau in
   {
-    gates = Mapped.num_gates mapped;
+    gates = comb_power.Estimate.gates;
     registers = nregs;
-    comb_area = Mapped.area mapped;
+    comb_area = comb_power.Estimate.area;
     reg_area = nregs_f *. float_of_int dff.Cell.Register.transistors;
-    min_period = delay +. reg_delay_margin;
+    min_period = comb_power.Estimate.delay +. reg_delay_margin;
     comb_power;
     clock_power;
     reg_internal_power;

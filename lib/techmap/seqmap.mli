@@ -24,9 +24,22 @@ type report = {
 
 val map_seq : Matchlib.t -> Nets.Seq.t -> Mapped.t * (string * int * int) list
 (** Map the core; returns the mapped netlist plus, per register, its name
-    and the indices of its Q net and D net in the mapped netlist. *)
+    and the indices of its Q net and D net in the mapped netlist. Raises
+    [Runtime.Cnt_error.Error] ([Techmap]/[Missing_signal], naming the net)
+    if the mapping lost a register's Q input or D output. *)
 
 val estimate : ?cycles:int -> ?seed:int64 -> Matchlib.t -> Nets.Seq.t -> report
-(** Default 10_000 cycles x 64 streams (= the paper's 640 K samples). *)
+(** Default 10_000 cycles x 64 streams (= the paper's 640 K samples).
+
+    The mapping is lowered once onto one word per net
+    ({!Mapped.net_vectors}), the 64 streams bit-sliced and every register
+    at 0. Each cycle draws one word per true input ([Prng.create seed],
+    [pi_nets] order), evaluates the cells ({!Mapped.eval_range}), counts
+    every net's ones and its toggles against the cycle before, and clocks
+    all registers at once: every D word is read before any Q word is
+    written. The loop runs under the span [seqmap.cycles] and allocates
+    no vector. {!Estimate.of_activity} turns the counts, with the
+    registers' D and Q capacitances added to the loads, into
+    [comb_power]. *)
 
 val pp_report : Format.formatter -> report -> unit
