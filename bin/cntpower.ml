@@ -387,10 +387,11 @@ let supervised_term ~default_run =
   in
   let resume_arg =
     let doc =
-      "Continue an existing run: reclaim leases left by a dead coordinator, \
-       skip shards the queue log records as done with the same seed and \
-       workload, and re-run every other one. Without this flag an \
-       existing queue log is refused."
+      "Continue an existing run: reclaim every lease in the queue log (the \
+       run's one coordinator stopped mid-attempt), skip shards the log \
+       records as done with the same seed and workload, and re-run every \
+       other one. Without this flag an existing queue log is refused. Do \
+       not resume a run whose coordinator is still running."
     in
     Arg.(value & flag & info [ "resume" ] ~doc)
   in
@@ -685,7 +686,7 @@ let campaign_cmd =
           per-attempt deadlines with bounded retry + exponential backoff, \
           poison shards are quarantined after --max-attempts (campaign \
           continues degraded, exit 30), and --resume after a hard kill \
-          reclaims stale leases and re-runs only what is not recorded \
+          reclaims every lease and re-runs only what is not recorded \
           done. Results stream into the run manifest and telemetry \
           profile, so stats/trace/compare work mid-campaign.")
     Term.(
@@ -830,70 +831,6 @@ let load_journal path =
         Format.eprintf "cntpower: cannot read journal %s: %a@." path R.pp e;
         None
 
-(* Machine-readable stats rendering: span paths flattened, quantiles
-   precomputed — the shape scripts want, on the Checkpoint JSON dialect. *)
-let stats_json ~path ?journal prof =
-  C.Obj
-    ([ ("profile", C.Str path) ]
-    @ (match journal with
-      | None -> []
-      | Some (events, skipped) ->
-          [
-            ( "journal",
-              C.Obj
-                [
-                  ("events", C.Num (float_of_int events));
-                  ("skipped_lines", C.Num (float_of_int skipped));
-                ] );
-          ])
-    @ [
-        ( "spans",
-          C.Arr
-            (List.map
-               (fun (p, (s : T.span)) ->
-                 C.Obj
-                   [
-                     ("path", C.Str p);
-                     ("calls", C.Num (float_of_int s.T.calls));
-                     ("total_s", C.Num s.T.total_s);
-                   ])
-               (T.flatten prof.T.p_spans)) );
-        ("counters", C.obj (fun v -> C.Num (float_of_int v)) prof.T.p_counters);
-        ( "dists",
-          C.Arr
-            (List.map
-               (fun (name, d) ->
-                 C.Obj (("name", C.Str name) :: T.summary_fields (T.summarize d)))
-               prof.T.p_dists) );
-      ])
-
-(* Span ordering for `stats`: applied recursively, so every level of the
-   tree (and the --json flattening, which walks the same tree) comes out
-   in the requested order. *)
-let rec sort_spans ~cmp ~top spans =
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: tl -> x :: take (n - 1) tl
-  in
-  let spans = List.stable_sort cmp spans in
-  let spans = match top with Some n -> take n spans | None -> spans in
-  List.map
-    (fun (s : Runtime.Telemetry.span) ->
-      { s with T.children = sort_spans ~cmp ~top s.T.children })
-    spans
-
-let span_cmp = function
-  | `Wall ->
-      fun (a : Runtime.Telemetry.span) (b : Runtime.Telemetry.span) ->
-        Float.compare b.T.total_s a.T.total_s
-  | `Count ->
-      fun (a : Runtime.Telemetry.span) (b : Runtime.Telemetry.span) ->
-        compare (b.T.calls, b.T.span_name) (a.T.calls, a.T.span_name)
-  | `Path ->
-      fun (a : Runtime.Telemetry.span) (b : Runtime.Telemetry.span) ->
-        String.compare a.T.span_name b.T.span_name
-
 let stats_cmd =
   let run_pos =
     let doc = "Run name whose profile to render (_runs/$(docv)/profile.json)." in
@@ -903,80 +840,40 @@ let stats_cmd =
     let doc = "Read the profile from $(docv) instead of _runs/<run>/profile.json." in
     Arg.(value & opt (some string) None & info [ "file" ] ~docv:"FILE" ~doc)
   in
-  let json_arg =
-    let doc =
-      "Emit the rendering as JSON on stdout (flattened span paths, \
-       counters, distribution quantiles) instead of the human tables."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let sort_arg =
-    let doc =
-      "Span ordering at every tree level: $(b,wall) (total wall time, \
-       largest first — the default, so the expensive stages lead), \
-       $(b,count) (call count), or $(b,path) (name, alphabetical)."
-    in
-    Arg.(
-      value
-      & opt (enum [ ("wall", `Wall); ("count", `Count); ("path", `Path) ]) `Wall
-      & info [ "sort" ] ~docv:"KEY" ~doc)
-  in
-  let top_arg =
-    let doc = "Show only the top $(docv) spans at each tree level." in
-    Arg.(value & opt (some int) None & info [ "top" ] ~docv:"N" ~doc)
-  in
-  let run run_name file json sort top =
-    (match top with
-    | Some n when n < 1 ->
-        R.failf
-          ~context:[ ("top", string_of_int n) ]
-          R.Cli R.Validation_error "--top must be >= 1 (got %d)" n
-    | _ -> ());
+  let run run_name file =
     let path =
       match file with Some p -> p | None -> Cg.run_file run_name "profile.json"
     in
     let prof = R.get_exn (T.load ~path) in
-    let prof =
-      { prof with T.p_spans = sort_spans ~cmp:(span_cmp sort) ~top prof.T.p_spans }
-    in
     (* The run's journal rides along when stats is pointed at a run (not
        a bare --file): event count plus how many torn/corrupt lines the
        lenient loader had to skip — silent data loss is not OK. *)
-    let journal =
-      match file with
-      | Some _ -> None
-      | None ->
-          Option.map
-            (fun (evs, skipped) -> (List.length evs, skipped))
-            (load_journal (Cg.run_file run_name "events.jsonl"))
-    in
-    if json then print_string (C.json_to_string (stats_json ~path ?journal prof))
-    else begin
-      Format.fprintf std "profile: %s@." path;
-      (match journal with
-      | Some (events, skipped) ->
-          Format.fprintf std "journal: %d events" events;
-          if skipped > 0 then
-            Format.fprintf std " (%d torn/corrupt line(s) skipped)" skipped;
-          Format.fprintf std "@."
-      | None -> ());
-      T.pp std prof
-    end;
+    Format.fprintf std "profile: %s@." path;
+    (match file with
+    | Some _ -> ()
+    | None -> (
+        match load_journal (Cg.run_file run_name "events.jsonl") with
+        | Some (evs, skipped) ->
+            Format.fprintf std "journal: %d events" (List.length evs);
+            if skipped > 0 then
+              Format.fprintf std " (%d torn/corrupt line(s) skipped)" skipped;
+            Format.fprintf std "@."
+        | None -> ()));
+    T.pp std prof;
     0
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:
          "Pretty-print the telemetry profile of a run recorded with \
-          `cntpower all --profile`: the hierarchical span tree (wall time \
-          per pipeline stage per experiment), monotonic counters (DC \
-          solves, cache hits, matches tried, words simulated) and \
-          throughput distributions; --json emits the same data \
-          machine-readably. Spans are sorted by total wall time (--sort \
-          count/path for other orders, --top N to truncate each level). A \
-          missing or malformed profile exits with its typed error code, \
-          never a backtrace.")
-    Term.(const run $ run_pos $ file_arg $ json_arg $ sort_arg $ top_arg)
+          `cntpower all --profile`: one row per layer (span name) with its \
+          self time summed over the whole tree, largest first, so the \
+          first row names the stage that dominates; then the hierarchical \
+          span tree (wall time per pipeline stage per experiment), \
+          monotonic counters (DC solves, cache hits, matches tried, words \
+          simulated) and throughput distributions. A missing or malformed \
+          profile exits with its typed error code, never a backtrace.")
+    Term.(const run $ run_pos $ file_arg)
 
 (* ------------------------------------------------------------------ *)
 (* `trace`: Chrome trace_event export of profile + journal.            *)
@@ -1074,7 +971,10 @@ let compare_cmd =
     Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
   in
   let wall_rtol_arg =
-    let doc = "Allowed relative wall-clock slowdown per span before it regresses." in
+    let doc =
+      "Allowed relative slowdown of a layer's self time (a span name's, \
+       summed over the tree) before it regresses."
+    in
     Arg.(value & opt float Cp.default.Cp.wall_rtol & info [ "wall-rtol" ] ~doc)
   in
   let counter_rtol_arg =
@@ -1095,8 +995,8 @@ let compare_cmd =
   in
   let min_wall_arg =
     let doc =
-      "Spans faster than this (seconds) in both runs never regress — \
-       sub-jitter timings are noise."
+      "Layers whose self time is under this (seconds) in both runs never \
+       regress — sub-jitter timings are noise."
     in
     Arg.(value & opt float Cp.default.Cp.min_wall_s & info [ "min-wall" ] ~docv:"SECONDS" ~doc)
   in
@@ -1181,7 +1081,7 @@ let compare_cmd =
     (Cmd.info "compare"
        ~doc:
          "Diff two profiled runs (or one run against a committed baseline \
-          profile): per-span wall-clock deltas, counter drift, and \
+          profile): per-layer self-time deltas, counter drift, and \
           manifest scalar drift, each under its own relative tolerance. \
           Exits 0 when everything is within tolerance and 28 \
           (cli/regression) when any metric regressed, so CI can gate on \
@@ -1520,17 +1420,7 @@ let request_cmd =
       & opt (some (enum [ ("crash", "crash"); ("hang", "hang") ])) None
       & info [ "inject" ] ~docv:"MODE" ~doc)
   in
-  let req_retries_arg =
-    let doc =
-      "Extra attempts when the daemon sheds the request as overloaded: \
-       each retry waits the server's retry_after_s hint (doubled per \
-       attempt, jittered, capped at 30 s) before re-dialing. Default 0: \
-       give up immediately, as before."
-    in
-    Arg.(value & opt int 0 & info [ "retries" ] ~doc)
-  in
-  let run socket file health library patterns seed deadline timeout inject
-      retries =
+  let run socket file health library patterns seed deadline timeout inject =
     validate_timeout timeout;
     if health then begin
       let resp =
@@ -1575,49 +1465,19 @@ let request_cmd =
           | Some d -> [ ("deadline_s", C.Num d) ])
         @ match inject with None -> [] | Some s -> [ ("inject", C.Str s) ]
       in
-      (* Overload is the one retryable reply: the daemon shed the request
-         and said when to come back (retry_after_s). Honor the hint with
-         exponential growth and jitter so a herd of shed clients does not
-         re-dial in lockstep; everything else still fails fast. *)
-      let retry_delay ~hint attempt =
-        let frac, _ = Float.modf (Unix.gettimeofday () *. 1000.0) in
-        let jitter = 0.75 +. (0.5 *. frac) in
-        Float.min 30.0 (hint *. (2.0 ** float_of_int attempt) *. jitter)
+      let resp =
+        R.get_exn (Sv.call ~socket_path:socket ~timeout_s:timeout (C.Obj fields))
       in
-      let rec attempt n =
-        let resp =
-          R.get_exn
-            (Sv.call ~socket_path:socket ~timeout_s:timeout (C.Obj fields))
-        in
-        match Sv.response_error resp with
-        | Some e when e.R.code = R.Overloaded && n < retries ->
-            let hint =
-              match List.assoc_opt "retry_after_s" e.R.context with
-              | Some s -> (
-                  match float_of_string_opt s with
-                  | Some f when Float.is_finite f && f > 0.0 -> f
-                  | _ -> 1.0)
-              | None -> 1.0
-            in
-            let delay = retry_delay ~hint n in
-            Format.eprintf
-              "cntpower: daemon overloaded; retry %d/%d in %.2f s@." (n + 1)
-              retries delay;
-            Unix.sleepf delay;
-            attempt (n + 1)
-        | Some e ->
-            Format.eprintf "cntpower: %a@." R.pp e;
-            R.exit_code e
-        | None ->
-            let result =
-              match C.field resp "result" with
-              | Ok r -> r
-              | Result.Error _ -> resp
-            in
-            print_endline (C.json_to_string result);
-            0
-      in
-      attempt 0
+      match Sv.response_error resp with
+      | Some e ->
+          Format.eprintf "cntpower: %a@." R.pp e;
+          R.exit_code e
+      | None ->
+          let result =
+            match C.field resp "result" with Ok r -> r | Result.Error _ -> resp
+          in
+          print_endline (C.json_to_string result);
+          0
     end
   in
   Cmd.v
@@ -1629,8 +1489,7 @@ let request_cmd =
           load); transport failures are typed cli/io-error.")
     Term.(
       const run $ socket_arg $ file_arg $ health_arg $ library_arg
-      $ req_patterns_arg $ seed_arg $ deadline_arg $ timeout_arg $ inject_arg
-      $ req_retries_arg)
+      $ req_patterns_arg $ seed_arg $ deadline_arg $ timeout_arg $ inject_arg)
 
 (* ------------------------------------------------------------------ *)
 (* `metrics` / `top`: live operational metrics from a daemon socket or

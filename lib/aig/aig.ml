@@ -1,5 +1,4 @@
 module T = Logic.Truthtable
-module B = Logic.Bitvec
 
 type lit = int
 
@@ -217,22 +216,6 @@ let to_netlist t =
   done;
   List.iter (fun (name, lit) -> N.add_output nl name (lit_node lit)) (List.rev t.outs);
   nl
-
-let simulate t stimulus =
-  assert (Array.length stimulus = t.ninputs);
-  let npat = if t.ninputs = 0 then 0 else B.length stimulus.(0) in
-  let values = Array.make t.num (B.create npat) in
-  for i = 1 to t.ninputs do
-    values.(i) <- stimulus.(i - 1)
-  done;
-  let lit_val lit =
-    let v = values.(node_of_lit lit) in
-    if is_complemented lit then B.lognot v else v
-  in
-  for node = t.ninputs + 1 to t.num - 1 do
-    values.(node) <- B.logand (lit_val t.fanin0.(node)) (lit_val t.fanin1.(node))
-  done;
-  values
 
 let cleanup t =
   let reachable = Array.make t.num false in

@@ -74,9 +74,6 @@ val cone_tt : t -> int -> lit array -> Logic.Truthtable.t
 val of_netlist : Nets.Netlist.t -> t
 val to_netlist : t -> Nets.Netlist.t
 
-val simulate : t -> Logic.Bitvec.t array -> Logic.Bitvec.t array
-(** Per-node simulation values given one stimulus vector per input. *)
-
 val cleanup : t -> t
 (** Copy, keeping only nodes reachable from the outputs. *)
 

@@ -281,15 +281,16 @@ let run cfg shards =
   let* wq, torn = W.open_ ~path:(queue_path cfg) in
   if torn > 0 then
     Format.eprintf "campaign: queue log: skipped %d torn/corrupt line(s)@." torn;
-  (* Leases left by a dead (or wedged-past-expiry) coordinator. *)
-  let stale = W.stale_leases wq ~now:t0 in
+  (* Only this run's one coordinator appends to the log, so every lease
+     in it was left by an invocation that has stopped. *)
+  let reclaimed = W.leased wq in
   List.iter
     (fun id ->
       if Jn.enabled () then
         Jn.emit ~level:Jn.Warn Jn.Lease_reclaimed
           [ ("shard", id); ("attempts", string_of_int (W.attempts wq id)) ];
       W.mark_failed wq id ~fields:[ ("reason", "lease-reclaimed") ])
-    stale;
+    reclaimed;
   (* Every shard not done for this workload is enqueued afresh, which
      restarts its attempt count for this invocation. *)
   let outcomes = Hashtbl.create 64 in
@@ -368,7 +369,7 @@ let run cfg shards =
                ("campaign.failed", W.count wq W.Failed);
                ("campaign.quarantined", W.count wq W.Quarantined);
                ("campaign.leases", !leases);
-               ("campaign.reclaimed", List.length stale);
+               ("campaign.reclaimed", List.length reclaimed);
                ("campaign.resumed", resumed);
              ])
         ()
@@ -429,12 +430,7 @@ let run cfg shards =
       |> List.iteri (fun i id ->
              if i < capacity then begin
                let sh = Hashtbl.find by_id id in
-               let ttl_s =
-                 (if cfg.shard_timeout_s > 0.0 then cfg.shard_timeout_s
-                  else 3600.0)
-                 +. 60.0
-               in
-               let attempt = W.lease wq id ~ttl_s in
+               let attempt = W.lease wq id in
                let degraded = attempt > 1 in
                incr leases;
                let job =
@@ -488,7 +484,7 @@ let run cfg shards =
   save_metrics ();
   let wall_s = Unix.gettimeofday () -. t0 in
   let summary =
-    { results; leases = !leases; reclaimed = List.length stale; wall_s }
+    { results; leases = !leases; reclaimed = List.length reclaimed; wall_s }
   in
   if Jn.enabled () then
     Jn.emit Jn.Run_finished

@@ -17,10 +17,13 @@
       degraded. Attempts count per invocation: each invocation enqueues
       afresh every shard it runs, so its first attempt is undegraded.
     - {b resume}: without [resume] an existing queue log is refused.
-      With it, leases left by a dead coordinator (dead owner or expired
-      timestamp) are reclaimed, a shard the log records [done] with the
-      same resume key is skipped, and every other shard — quarantined,
-      failed, or done for another workload — runs again.
+      With it, every lease in the log is reclaimed — it was left by an
+      invocation that stopped mid-attempt, whatever its PID — a shard
+      the log records [done] with the same resume key is skipped, and
+      every other shard — quarantined, failed, or done for another
+      workload — runs again. A run has one coordinator: a second
+      [run] on the same live log is not supported (it would reclaim the
+      first's leases and run their shards twice).
     - {b strict}: with [strict] the first quarantine stops all leasing;
       shards never leased are reported {!Skipped}.
     - {b profiles}: each worker's telemetry is grafted under a span named
@@ -117,7 +120,7 @@ type outcome =
 type summary = {
   results : (string * outcome) list;  (** shard order *)
   leases : int;  (** leases taken by this invocation *)
-  reclaimed : int;  (** stale leases reclaimed on open *)
+  reclaimed : int;  (** leases reclaimed on open *)
   wall_s : float;
 }
 

@@ -101,14 +101,6 @@ let rec depth = function
       let levels = int_of_float (ceil (log (float_of_int k) /. log 2.0)) in
       levels + List.fold_left (fun acc e -> max acc (depth e)) 0 children
 
-let rec map_vars f = function
-  | Const b -> Const b
-  | Var i -> f i
-  | Not e -> not_ (map_vars f e)
-  | And children -> and_ (List.map (map_vars f) children)
-  | Or children -> or_ (List.map (map_vars f) children)
-  | Xor children -> xor (List.map (map_vars f) children)
-
 (* ------------------------------------------------------------------ *)
 (* Factoring                                                           *)
 

@@ -38,9 +38,6 @@ val size : t -> int
 val depth : t -> int
 (** Levels of 2-input gate logic assuming balanced decomposition. *)
 
-val map_vars : (int -> t) -> t -> t
-(** Substitute an expression for every variable. *)
-
 val of_cubes : Truthtable.cube list -> t
 (** Two-level OR-of-ANDs expression of a cover. *)
 

@@ -53,10 +53,11 @@ let delta_rel i =
 (* ------------------------------------------------------------------ *)
 (* Matching                                                            *)
 
-(* Spans compare by path on total time; calls are not compared (attempt
-   counts legitimately differ between runs). *)
-let span_totals spans =
-  List.map (fun (path, (s : T.span)) -> (path, s.T.total_s)) (T.flatten spans)
+(* Spans compare by layer on self time, so a slowdown spread over many
+   paths adds up; calls are not compared (attempt counts legitimately
+   differ between runs). *)
+let layer_selves spans =
+  List.map (fun (l : T.layer) -> (l.T.l_name, l.T.l_self_s)) (T.rollup spans)
 
 (* Union of two assoc lists by key, preserving a deterministic order. *)
 let union_keys base cur =
@@ -108,11 +109,11 @@ let drift_verdict rtol =
       if Float.abs (c -. b) > rtol *. scale then Regressed else Within)
 
 let compare_profiles ?(tol = default) ~base cur =
-  let spans =
+  let layers =
     pair ~kind:Span
       ~verdict:(span_verdict tol)
-      (span_totals base.T.p_spans)
-      (span_totals cur.T.p_spans)
+      (layer_selves base.T.p_spans)
+      (layer_selves cur.T.p_spans)
   in
   let counters =
     pair ~kind:Counter
@@ -126,7 +127,7 @@ let compare_profiles ?(tol = default) ~base cur =
       (List.map (fun (k, d) -> (k, (T.summarize d).T.mean)) base.T.p_dists)
       (List.map (fun (k, d) -> (k, (T.summarize d).T.mean)) cur.T.p_dists)
   in
-  spans @ counters @ dists
+  layers @ counters @ dists
 
 let manifest_scalars (m : C.manifest) =
   List.concat_map
@@ -177,7 +178,7 @@ let pp ppf r =
           Format.fprintf ppf "  (%d more within tolerance)@."
             (List.length quiet)
   in
-  section Span "spans";
+  section Span "layers";
   section Counter "counters";
   section Dist "dists (means)";
   section Scalar "scalars";

@@ -5,14 +5,16 @@
     and with a distinct typed exit code ({!Cnt_error.Regression}, 28) so
     CI can gate on performance drift.
 
-    Span trees are matched by path ([table1/techmap.map/...]); wall-clock
-    regressions are one-sided (only slower-than-tolerance fails — faster
-    is reported as improved), and spans below [min_wall_s] in both runs
-    are ignored as timing jitter. Counters and manifest scalars are
-    deterministic for a fixed seed, so their drift is two-sided. *)
+    Span trees are compared layer by layer ({!Telemetry.rollup}): each
+    span name's self time, summed over every node with that name, so a
+    slowdown spread over many circuits adds up. Wall-clock regressions
+    are one-sided (only slower-than-tolerance fails — faster is reported
+    as improved), and layers below [min_wall_s] in both runs are ignored
+    as timing jitter. Counters and manifest scalars are deterministic
+    for a fixed seed, so their drift is two-sided. *)
 
 type tolerances = {
-  wall_rtol : float;  (** allowed relative slowdown per span (default 0.5) *)
+  wall_rtol : float;  (** allowed relative slowdown per layer (default 0.5) *)
   counter_rtol : float;  (** allowed relative counter drift (default 0.1) *)
   scalar_rtol : float;  (** allowed relative scalar drift (default 0.05) *)
   dist_rtol : float;
@@ -20,7 +22,7 @@ type tolerances = {
           distributions are throughput-like, so only lower-than-tolerance
           regresses *)
   min_wall_s : float;
-      (** spans faster than this in both runs never regress (default 0.05) *)
+      (** layers faster than this in both runs never regress (default 0.05) *)
 }
 
 val default : tolerances
@@ -36,7 +38,7 @@ type kind = Span | Counter | Scalar | Dist
 
 type item = {
   i_kind : kind;
-  i_name : string;  (** span path joined with "/", counter or exp/metric *)
+  i_name : string;  (** span name (layer), counter or exp/metric *)
   i_base : float option;
   i_cur : float option;
   i_verdict : verdict;
@@ -49,7 +51,7 @@ val kind_name : kind -> string
 
 val compare_profiles :
   ?tol:tolerances -> base:Telemetry.profile -> Telemetry.profile -> item list
-(** [compare_profiles ~base cur]: span wall-clock items (seconds), then
+(** [compare_profiles ~base cur]: layer self-time items (seconds), then
     counter items, then distribution means ([sim.patterns_per_s],
     [estimate.patterns_per_s], ...), each name sorted. Distribution drift is
     one-sided: only a mean dropping more than [dist_rtol] regresses. *)
@@ -65,7 +67,7 @@ val delta_rel : item -> float option
     nonzero. *)
 
 val pp : Format.formatter -> report -> unit
-(** Human table: spans with base/current/delta, then counters, then
+(** Human table: layers with base/current/delta, then counters, then
     scalars, then a one-line verdict count. *)
 
 val to_json : report -> Checkpoint.json

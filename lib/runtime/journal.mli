@@ -59,7 +59,7 @@ type kind =
       (** a shard exhausted its attempts and was set aside; the campaign
           continues degraded *)
   | Lease_reclaimed
-      (** on resume, a lease whose owner died (or expired) was reclaimed *)
+      (** on resume, a lease left in the queue log was reclaimed *)
   | Custom of string
       (** forward compatibility: unknown names parse as [Custom] rather
           than failing the whole journal *)

@@ -273,12 +273,39 @@ let summary_fields s =
     ("p95", J.Num s.p95);
   ]
 
-let flatten spans =
-  let rec go prefix acc s =
-    let path = prefix ^ s.span_name in
-    List.fold_left (go (path ^ "/")) ((path, s) :: acc) s.children
+type layer = {
+  l_name : string;
+  l_calls : int;
+  l_total_s : float;
+  l_self_s : float;
+}
+
+(* Self time is not clamped: summed over every node, the children's
+   totals cancel and the selves add up to the roots' totals. *)
+let rollup spans =
+  let tbl = Hashtbl.create 32 in
+  let rec visit s =
+    let l =
+      match Hashtbl.find_opt tbl s.span_name with
+      | Some l -> l
+      | None -> { l_name = s.span_name; l_calls = 0; l_total_s = 0.0; l_self_s = 0.0 }
+    in
+    let covered = List.fold_left (fun acc c -> acc +. c.total_s) 0.0 s.children in
+    Hashtbl.replace tbl s.span_name
+      {
+        l with
+        l_calls = l.l_calls + s.calls;
+        l_total_s = l.l_total_s +. s.total_s;
+        l_self_s = l.l_self_s +. (s.total_s -. covered);
+      };
+    List.iter visit s.children
   in
-  List.rev (List.fold_left (go "") [] spans)
+  List.iter visit spans;
+  Hashtbl.fold (fun _ l acc -> l :: acc) tbl []
+  |> List.sort (fun a b ->
+         match Float.compare b.l_self_s a.l_self_s with
+         | 0 -> String.compare a.l_name b.l_name
+         | c -> c)
 
 (* ------------------------------------------------------------------ *)
 (* JSON                                                                *)
@@ -367,7 +394,21 @@ let pp_summary ppf s =
   Format.fprintf ppf "n=%d mean=%.4g p50=%.4g p95=%.4g min=%.4g max=%.4g"
     s.count s.mean s.p50 s.p95 s.min s.max
 
+(* Seconds to the nanosecond, so the rows' self times add up to the
+   roots' total as printed. *)
+let pp_layers ppf spans =
+  let roots = List.fold_left (fun acc s -> acc +. s.total_s) 0.0 spans in
+  let share s = if roots > 0.0 then 100.0 *. s /. roots else 0.0 in
+  Format.fprintf ppf "layers (self, share of the roots' total %.9f s, total, calls):@."
+    roots;
+  List.iter
+    (fun l ->
+      Format.fprintf ppf "  %-36s %12.9f %6.2f%% %12.9f %6d@." l.l_name l.l_self_s
+        (share l.l_self_s) l.l_total_s l.l_calls)
+    (rollup spans)
+
 let pp ppf p =
+  if p.p_spans <> [] then pp_layers ppf p.p_spans;
   Format.fprintf ppf "span tree (calls, total wall):@.";
   if p.p_spans = [] then Format.fprintf ppf "  (no spans recorded)@.";
   let rec pp_span depth s =

@@ -23,9 +23,10 @@
     Readers of the live registry ({!counter}, {!counters}, {!dists})
     skip the span tree, which a campaign grows by one subtree per shard;
     {!Metrics} snapshots and the daemon's lifecycle totals read through
-    them. {!summarize} and {!flatten} are the one distribution summary
-    and the one span-path listing that [profile.json], [cntpower stats]
-    (and [--json]), {!Metrics} and {!Compare} report.
+    them. {!summarize} is the one distribution summary that
+    [profile.json], [cntpower stats], {!Metrics} and {!Compare} report,
+    and {!rollup} the one per-layer view of the span tree that
+    [cntpower stats] prints and {!Compare} diffs.
 
     The registry is plain data, so a forked worker
     ({!Runtime.Supervisor.spawn} with a telemetry prefix) can {!reset}
@@ -135,7 +136,7 @@ val find_counter : profile -> string -> int option
 val find_dist : profile -> string -> dist option
 
 (** The one summary of a distribution that [profile.json], [stats],
-    [stats --json], {!Metrics} and {!Compare} report. *)
+    {!Metrics} and {!Compare} report. *)
 type summary = {
   count : int;
   sum : float;
@@ -155,9 +156,20 @@ val summary_fields : summary -> (string * Checkpoint.json) list
 val pp_summary : Format.formatter -> summary -> unit
 (** ["n=… mean=… p50=… p95=… min=… max=…"]. *)
 
-val flatten : span list -> (string * span) list
-(** Every node of the span trees with its ['/']-joined path from the
-    root, in pre-order: the rows of [stats --json] and of {!Compare}. *)
+type layer = {
+  l_name : string;  (** a span name *)
+  l_calls : int;  (** calls summed over every node with that name *)
+  l_total_s : float;  (** totals summed over those nodes *)
+  l_self_s : float;
+      (** each node's total minus its children's totals, summed; not
+          clamped, so a span whose children outgrow it reads negative *)
+}
+
+val rollup : span list -> layer list
+(** One layer per span name, wherever it sits in the trees, largest self
+    time first (ties by name). The self times add up to the roots'
+    totals: a Table 1 profile's 36 [techmap.estimate] nodes are one
+    row. *)
 
 val to_json : profile -> Checkpoint.json
 val of_json : Checkpoint.json -> (profile, Cnt_error.t) result
@@ -173,5 +185,7 @@ val save : path:string -> profile -> (unit, Cnt_error.t) result
 val load : path:string -> (profile, Cnt_error.t) result
 
 val pp : Format.formatter -> profile -> unit
-(** Human rendering: the span tree with calls and totals, then counters
-    and distribution summaries ([cntpower stats]). *)
+(** Human rendering ([cntpower stats]): the {!rollup} table (self time
+    and total in seconds to the nanosecond, self's share of the roots'
+    total, calls), then the span tree with calls and totals, then
+    counters and distribution summaries. *)

@@ -20,15 +20,12 @@ type record = {
   rc_shard : string;
   rc_state : state;
   rc_attempt : int;
-  rc_expires : float;
   rc_fields : (string * string) list;
 }
 
 type status = {
   mutable st_state : state;
   mutable st_attempts : int;
-  mutable st_expires : float;
-  mutable st_owner : int;
   mutable st_fields : (string * string) list;
 }
 
@@ -49,7 +46,6 @@ let record_to_json rc =
       ("shard", J.Str rc.rc_shard);
       ("state", J.Str (state_name rc.rc_state));
       ("attempt", J.Num (float_of_int rc.rc_attempt));
-      ("expires", J.Num rc.rc_expires);
       ("fields", J.obj (fun v -> J.Str v) rc.rc_fields);
     ]
 
@@ -66,7 +62,6 @@ let record_of_json j =
     | None -> E.error E.Cli E.Parse_error "unknown shard state %S" state_str
   in
   let* attempt = J.num_field j "attempt" in
-  let* rc_expires = J.num_field j "expires" in
   let* rc_fields = J.obj_field J.as_str j "fields" in
   Ok
     {
@@ -75,7 +70,6 @@ let record_of_json j =
       rc_shard;
       rc_state;
       rc_attempt = int_of_float attempt;
-      rc_expires;
       rc_fields;
     }
 
@@ -87,15 +81,7 @@ let apply tbl order rc =
     match Hashtbl.find_opt tbl rc.rc_shard with
     | Some st -> st
     | None ->
-        let st =
-          {
-            st_state = rc.rc_state;
-            st_attempts = 0;
-            st_expires = 0.0;
-            st_owner = 0;
-            st_fields = [];
-          }
-        in
+        let st = { st_state = rc.rc_state; st_attempts = 0; st_fields = [] } in
         Hashtbl.add tbl rc.rc_shard st;
         order := rc.rc_shard :: !order;
         st
@@ -103,10 +89,7 @@ let apply tbl order rc =
   st.st_state <- rc.rc_state;
   (match rc.rc_state with
   | Enqueued -> st.st_attempts <- 0
-  | Leased ->
-      st.st_attempts <- max st.st_attempts rc.rc_attempt;
-      st.st_expires <- rc.rc_expires;
-      st.st_owner <- rc.rc_pid
+  | Leased -> st.st_attempts <- max st.st_attempts rc.rc_attempt
   | Done | Quarantined -> st.st_fields <- rc.rc_fields
   | Failed -> ())
 
@@ -140,7 +123,7 @@ let journal_kind = function
   | Failed -> (Jn.Shard_failed, Jn.Warn)
   | Quarantined -> (Jn.Shard_quarantined, Jn.Warn)
 
-let transition t shard state ~attempt ~expires ~fields =
+let transition t shard state ~attempt ~fields =
   append t
     {
       rc_time = Unix.gettimeofday ();
@@ -148,7 +131,6 @@ let transition t shard state ~attempt ~expires ~fields =
       rc_shard = shard;
       rc_state = state;
       rc_attempt = attempt;
-      rc_expires = expires;
       rc_fields = fields;
     };
   if Jn.enabled () then begin
@@ -174,7 +156,7 @@ let enqueue t shard =
   match state t shard with
   | Some (Enqueued | Leased) -> false
   | _ ->
-      transition t shard Enqueued ~attempt:0 ~expires:0.0 ~fields:[];
+      transition t shard Enqueued ~attempt:0 ~fields:[];
       true
 
 let attempts t shard =
@@ -182,22 +164,19 @@ let attempts t shard =
   | Some st -> st.st_attempts
   | None -> 0
 
-let lease t shard ~ttl_s =
+let lease t shard =
   let attempt = attempts t shard + 1 in
-  transition t shard Leased ~attempt
-    ~expires:(Unix.gettimeofday () +. ttl_s)
-    ~fields:[];
+  transition t shard Leased ~attempt ~fields:[];
   attempt
 
 let mark_done t shard ~fields =
-  transition t shard Done ~attempt:(attempts t shard) ~expires:0.0 ~fields
+  transition t shard Done ~attempt:(attempts t shard) ~fields
 
 let mark_failed t shard ~fields =
-  transition t shard Failed ~attempt:(attempts t shard) ~expires:0.0 ~fields
+  transition t shard Failed ~attempt:(attempts t shard) ~fields
 
 let mark_quarantined t shard ~fields =
-  transition t shard Quarantined ~attempt:(attempts t shard) ~expires:0.0
-    ~fields
+  transition t shard Quarantined ~attempt:(attempts t shard) ~fields
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -222,21 +201,4 @@ let ready t =
       | _ -> false)
     (shards t)
 
-(* Signal-0 probe; [true] when in doubt (e.g. EPERM). *)
-let pid_alive pid =
-  if pid <= 0 then false
-  else
-    match Unix.kill pid 0 with
-    | () -> true
-    | exception Unix.Unix_error (Unix.ESRCH, _, _) -> false
-    | exception _ -> true
-
-let stale_leases t ~now =
-  List.filter
-    (fun shard ->
-      match Hashtbl.find_opt t.wq_tbl shard with
-      | Some { st_state = Leased; st_expires; st_owner; _ } ->
-          st_expires <= now
-          || (st_owner <> Unix.getpid () && not (pid_alive st_owner))
-      | _ -> false)
-    (shards t)
+let leased t = List.filter (fun shard -> state t shard = Some Leased) (shards t)

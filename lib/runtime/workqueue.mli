@@ -14,10 +14,15 @@
     {!open_} skips torn lines and reports how many. Because the
     log is the single durable source of truth, replaying it reconstructs
     the exact queue state: which shards are done (with their result
-    scalars carried in the [done] record's fields), which hold a stale
-    lease from a dead coordinator, and how many attempts each has
+    scalars carried in the [done] record's fields), which were leased
+    when the coordinator stopped, and how many attempts each has
     consumed since it was last enqueued. Resume is therefore "open the
-    log, reclaim stale leases, re-enqueue whatever must run again".
+    log, reclaim every lease, re-enqueue whatever must run again".
+
+    {b One coordinator per log.} Only the run's one coordinator appends
+    to it, so every lease found at {!open_} belongs to an invocation that
+    has stopped. Two coordinators on one live log are not supported:
+    nothing detects the second, and it would reclaim the first's leases.
 
     The queue knows nothing about what a shard {e is} — shards are
     opaque string ids with opaque string fields — so the module stays in
@@ -28,11 +33,10 @@ type state = Enqueued | Leased | Done | Failed | Quarantined
 
 type record = {
   rc_time : float;  (** unix epoch seconds of the append *)
-  rc_pid : int;  (** appending process (the lease owner for [Leased]) *)
+  rc_pid : int;  (** appending process *)
   rc_shard : string;
   rc_state : state;
   rc_attempt : int;  (** lease ordinal, from 1; [0] for [enqueued] *)
-  rc_expires : float;  (** lease expiry epoch; [0.] for non-lease records *)
   rc_fields : (string * string) list;
 }
 
@@ -42,7 +46,8 @@ val open_ : path:string -> ((t * int), Cnt_error.t) result
 (** Open (or create, with parent directories) the queue log at [path],
     replay existing records into in-memory per-shard state, and return
     the handle plus the number of torn/corrupt lines skipped. Only an
-    unreadable or unwritable file is an error. *)
+    unreadable or unwritable file is an error. A log written when leases
+    carried an [expires] time still loads; the field is ignored. *)
 
 val close : t -> unit
 
@@ -61,10 +66,9 @@ val enqueue : t -> string -> bool
     Returns [false] (and appends nothing) when the shard is already
     enqueued or leased. *)
 
-val lease : t -> string -> ttl_s:float -> int
-(** Take a time-stamped lease: appends a [leased] record owned by this
-    PID expiring at [now + ttl_s] and returns the attempt ordinal (one
-    more than the attempts consumed so far). *)
+val lease : t -> string -> int
+(** Take a lease: appends a [leased] record and returns the attempt
+    ordinal (one more than the attempts consumed so far). *)
 
 val mark_done : t -> string -> fields:(string * string) list -> unit
 (** Terminal success. [fields] should carry everything needed to rebuild
@@ -74,7 +78,7 @@ val mark_done : t -> string -> fields:(string * string) list -> unit
 
 val mark_failed : t -> string -> fields:(string * string) list -> unit
 (** One attempt failed; the shard becomes eligible for re-lease. Also
-    used to reclaim a stale lease on resume. *)
+    used to reclaim a lease on resume. *)
 
 val mark_quarantined : t -> string -> fields:(string * string) list -> unit
 (** Terminal failure: attempts exhausted, shard set aside. *)
@@ -98,13 +102,14 @@ val count : t -> state -> int
 
 val ready : t -> string list
 (** Shards eligible for (re-)lease — state [Enqueued] or [Failed] — in
-    enqueue order. Leased shards are not ready; reclaim stale leases
-    first (see {!stale_leases}). *)
+    enqueue order. Leased shards are not ready; reclaim them first (see
+    {!leased}). *)
 
-val stale_leases : t -> now:float -> string list
-(** Shards stuck in [Leased] whose lease expired before [now] or whose
-    owner process is gone — the residue of a SIGKILLed coordinator,
-    which the caller marks [failed]. *)
+val leased : t -> string list
+(** Shards whose last record is [leased], in enqueue order. Read right
+    after {!open_}, these are the residue of a coordinator that stopped
+    mid-attempt (a SIGKILL, a crash, a restart), which the caller marks
+    [failed]. *)
 
 (** {2 Reading without a handle} *)
 

@@ -1,5 +1,5 @@
 (* Campaign durability: the workqueue write-ahead log survives torn
-   lines and dead lease owners, and the campaign runner survives poison
+   lines and stopped lease owners, and the campaign runner survives poison
    shards (quarantine) and a SIGKILLed coordinator (resume re-runs only
    what is not recorded done for the same workload). *)
 
@@ -32,9 +32,9 @@ let test_wq_roundtrip () =
   Alcotest.(check bool) "re-enqueue is a no-op" false (W.enqueue wq "a");
   ignore (W.enqueue wq "b");
   ignore (W.enqueue wq "c");
-  Alcotest.(check int) "first lease is attempt 1" 1 (W.lease wq "a" ~ttl_s:60.);
+  Alcotest.(check int) "first lease is attempt 1" 1 (W.lease wq "a");
   W.mark_done wq "a" ~fields:[ ("wall_s", "1.5"); ("s:total_uW", "2.25") ];
-  ignore (W.lease wq "b" ~ttl_s:60.);
+  ignore (W.lease wq "b");
   W.mark_failed wq "b" ~fields:[ ("error", "boom") ];
   W.close wq;
   let wq, skipped = ok (W.open_ ~path) in
@@ -49,14 +49,14 @@ let test_wq_roundtrip () =
   Alcotest.(check int) "b consumed one attempt" 1 (W.attempts wq "b");
   Alcotest.(check (list string))
     "failed and enqueued shards are ready" [ "b"; "c" ] (W.ready wq);
-  Alcotest.(check int) "re-lease is attempt 2" 2 (W.lease wq "b" ~ttl_s:60.);
+  Alcotest.(check int) "re-lease is attempt 2" 2 (W.lease wq "b");
   W.close wq
 
 let test_wq_torn_lines () =
   let path = Filename.concat (temp_dir "wq") "queue.jsonl" in
   let wq, _ = ok (W.open_ ~path) in
   ignore (W.enqueue wq "a");
-  ignore (W.lease wq "a" ~ttl_s:60.);
+  ignore (W.lease wq "a");
   W.mark_done wq "a" ~fields:[ ("wall_s", "0.5") ];
   ignore (W.enqueue wq "b");
   W.close wq;
@@ -80,29 +80,36 @@ let test_wq_torn_lines () =
        (fun r -> r.W.rc_shard = "c" && r.W.rc_state = W.Enqueued)
        records)
 
-let test_wq_stale_leases () =
+(* Only the run's one coordinator appends to the log, so every lease in
+   it is reclaimed: a dead owner's, and one that names a live PID (this
+   process) — a reused PID, or a restarted coordinator that runs as
+   PID 1. *)
+let test_wq_every_lease_reclaimed () =
   let path = Filename.concat (temp_dir "wq") "queue.jsonl" in
   let wq, _ = ok (W.open_ ~path) in
-  ignore (W.enqueue wq "expired");
-  ignore (W.lease wq "expired" ~ttl_s:(-1.0));
-  ignore (W.enqueue wq "held");
-  ignore (W.lease wq "held" ~ttl_s:3600.);
-  ignore (W.enqueue wq "orphan");
+  List.iter (fun id -> ignore (W.enqueue wq id)) [ "done"; "own"; "orphan"; "idle" ];
+  ignore (W.lease wq "done");
+  W.mark_done wq "done" ~fields:[];
+  ignore (W.lease wq "own");
   W.close wq;
-  (* A coordinator in another process takes a lease and dies holding it. *)
   (match Unix.fork () with
   | 0 ->
       let wq, _ = ok (W.open_ ~path) in
-      ignore (W.lease wq "orphan" ~ttl_s:3600.);
+      ignore (W.lease wq "orphan");
       W.close wq;
       Unix._exit 0
   | pid -> ignore (Unix.waitpid [] pid));
-  let wq, _ = ok (W.open_ ~path) in
-  let stale = W.stale_leases wq ~now:(Unix.gettimeofday ()) in
-  Alcotest.(check (list string))
-    "expired ttl and dead owner are stale, live own lease is not"
-    [ "expired"; "orphan" ]
-    (List.sort compare stale);
+  (* A record from before leases lost their expiry: PID 1, far from
+     expired. *)
+  let oc = open_out_gen [ Open_append; Open_wronly ] 0o644 path in
+  output_string oc
+    "{\"t\": 1, \"pid\": 1, \"shard\": \"old\", \"state\": \"leased\", \
+     \"attempt\": 1, \"expires\": 9e9, \"fields\": {}}\n";
+  close_out oc;
+  let wq, skipped = ok (W.open_ ~path) in
+  Alcotest.(check int) "the old record loads" 0 skipped;
+  Alcotest.(check (list string)) "every leased shard, live PIDs included"
+    [ "own"; "orphan"; "old" ] (W.leased wq);
   W.close wq
 
 (* ------------------------------------------------------------------ *)
@@ -394,10 +401,9 @@ let profiled f =
       T.snapshot ())
 
 let span_calls (p : T.profile) name =
-  List.fold_left
-    (fun acc (_, (s : T.span)) ->
-      if s.T.span_name = name then acc + s.T.calls else acc)
-    0 (T.flatten p.T.p_spans)
+  match List.find_opt (fun l -> l.T.l_name = name) (T.rollup p.T.p_spans) with
+  | Some l -> l.T.l_calls
+  | None -> 0
 
 let test_flow_verifies_every_table () =
   let p =
@@ -459,7 +465,8 @@ let () =
         [
           Alcotest.test_case "roundtrip replay" `Quick test_wq_roundtrip;
           Alcotest.test_case "torn lines" `Quick test_wq_torn_lines;
-          Alcotest.test_case "stale leases" `Quick test_wq_stale_leases;
+          Alcotest.test_case "every lease in the log is reclaimed" `Quick
+            test_wq_every_lease_reclaimed;
         ] );
       ( "campaign",
         [

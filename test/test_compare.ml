@@ -1,4 +1,4 @@
-(* Cross-run comparison: span tolerance semantics (one-sided wall clock
+(* Cross-run comparison: layer tolerance semantics (one-sided self time
    with a jitter floor), two-sided counter and scalar drift, the
    regression exit code, JSON rendering, and a fault-injected slowdown
    caught end to end. *)
@@ -65,22 +65,30 @@ let jitter_floor_ignores_fast_spans () =
   let cur' = profile [ leaf "tiny" 0.2 ] in
   check_verdict (Cp.compare_profiles ~base cur') "tiny" Cp.Regressed
 
-let nested_spans_match_by_path () =
-  let tree slow =
-    [
-      {
-        T.span_name = "exp";
-        calls = 1;
-        total_s = 1.0;
-        children = [ leaf "solve" (if slow then 0.9 else 0.3) ];
-      };
-    ]
+let node name total children =
+  { T.span_name = name; calls = 1; total_s = total; children }
+
+let nested_spans_compare_self_time () =
+  (* [solve] takes 0.6 s more of an unchanged [exp]: [exp]'s own time
+     falls from 0.7 to 0.1 s. *)
+  let tree slow = [ node "exp" 1.0 [ leaf "solve" (if slow then 0.9 else 0.3) ] ] in
+  let items = Cp.compare_profiles ~base:(profile (tree false)) (profile (tree true)) in
+  Alcotest.(check (list string)) "one item per layer, no paths" [ "exp"; "solve" ]
+    (List.map (fun i -> i.Cp.i_name) items);
+  check_verdict items "exp" Cp.Improved;
+  check_verdict items "solve" Cp.Regressed
+
+let spread_slowdown_regresses () =
+  (* techmap.map slows 60 % in each of 20 circuits; every path stays
+     under min_wall_s, the layer does not. *)
+  let run map_s =
+    profile
+      (List.init 20 (fun i ->
+           node (Printf.sprintf "c%d" i) (0.07 +. map_s) [ leaf "techmap.map" map_s ]))
   in
-  let items = Cp.compare_profiles ~base:(profile (tree false))
-      (profile (tree true))
-  in
-  check_verdict items "exp" Cp.Within;
-  check_verdict items "exp/solve" Cp.Regressed
+  let items = Cp.compare_profiles ~base:(run 0.03) (run 0.048) in
+  check_verdict items "techmap.map" Cp.Regressed;
+  check_verdict items "c7" Cp.Within
 
 let attempts_do_not_regress () =
   (* calls legitimately differ between runs (retries); only wall clock is
@@ -228,7 +236,8 @@ let () =
         [
           tc "tolerance semantics" span_tolerance_semantics;
           tc "jitter floor" jitter_floor_ignores_fast_spans;
-          tc "nested spans match by path" nested_spans_match_by_path;
+          tc "nested spans compare on self time" nested_spans_compare_self_time;
+          tc "a slowdown spread over paths regresses" spread_slowdown_regresses;
           tc "attempt counts are not compared" attempts_do_not_regress;
         ] );
       ( "drift",

@@ -228,6 +228,23 @@ let corrupt_manifest_rerendered () =
   let m = ok (C.load ~path:(Cg.manifest_path cfg)) in
   Alcotest.(check bool) "manifest repaired" true (C.find m "alpha" <> None)
 
+(* The log's last record for [held] is a lease this very PID holds, as
+   when a restarted coordinator runs as PID 1 again: resume runs it. *)
+let own_lease_resumes_to_done () =
+  let cfg = all_cfg (temp_dir "all-runs") in
+  let wq, _ = ok (W.open_ ~path:(Cg.queue_path cfg)) in
+  ignore (W.enqueue wq "held");
+  ignore (W.lease wq "held");
+  W.close wq;
+  let s = ok (Cg.run { cfg with Cg.resume = true } [ ok_shard "held" [ ("v", 1.0) ] ]) in
+  (match outcome s "held" with
+  | Cg.Done _ -> ()
+  | _ -> Alcotest.fail "a lease left in the log must not skip its shard");
+  Alcotest.(check int) "the lease was reclaimed" 1 s.Cg.reclaimed;
+  Alcotest.(check int) "exit 0" 0 (Cg.exit_status cfg s);
+  let m = ok (C.load ~path:(Cg.manifest_path cfg)) in
+  Alcotest.(check bool) "held in the manifest" true (C.find m "held" <> None)
+
 let supervised_crash_isolated () =
   (* A worker that SIGKILLs itself fails typed once its attempts are
      spent; the runner and the other shards survive. *)
@@ -339,6 +356,8 @@ let () =
             resume_keyed_beyond_seed_and_patterns;
           Alcotest.test_case "corrupt manifest is re-rendered" `Quick
             corrupt_manifest_rerendered;
+          Alcotest.test_case "a lease this PID holds resumes to done" `Quick
+            own_lease_resumes_to_done;
         ] );
       ( "supervised",
         [

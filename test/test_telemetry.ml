@@ -1,7 +1,8 @@
-(* Telemetry registry: span nesting and aggregation, counters,
-   distribution statistics and their stated error, disabled-mode no-op
-   guarantees, exact and order-free merges (across a real fork too), the
-   daemon's bounded aggregate, and JSON/file round-trips. *)
+(* Telemetry registry: span nesting and aggregation, the per-layer
+   rollup, counters, distribution statistics and their stated error,
+   disabled-mode no-op guarantees, exact and order-free merges (across a
+   real fork too), the daemon's bounded aggregate, and JSON/file
+   round-trips. *)
 
 module T = Runtime.Telemetry
 module C = Runtime.Checkpoint
@@ -133,6 +134,47 @@ let span_exception_safe =
         true
         (find_span p [ "throws"; "after" ] = None
         && find_span p [ "after" ] <> None))
+
+(* [b] sits under [a] and [e], [c] under [b] and [d]; [e]'s child
+   outgrows it, so [e]'s self time reads negative. *)
+let rollup_sums_names_over_the_forest () =
+  let span ?(calls = 1) name total children =
+    { T.span_name = name; calls; total_s = total; children }
+  in
+  let forest =
+    [
+      span "a" 10.0
+        [
+          span ~calls:2 "b" 4.0 [ span ~calls:3 "c" 1.0 [] ];
+          span "d" 3.0 [ span "c" 0.5 [] ];
+        ];
+      span "e" 2.0 [ span "b" 2.5 [] ];
+    ]
+  in
+  let layers = T.rollup forest in
+  Alcotest.(check (list string))
+    "one layer per name, largest self first" [ "b"; "a"; "d"; "c"; "e" ]
+    (List.map (fun l -> l.T.l_name) layers);
+  let row (l : T.layer) = (l.T.l_calls, l.T.l_total_s, l.T.l_self_s) in
+  Alcotest.(check (list (triple int (float 1e-12) (float 1e-12))))
+    "calls, total and self per name"
+    [ (3, 6.5, 5.5); (1, 10.0, 3.0); (1, 3.0, 2.5); (4, 1.5, 1.5); (1, 2.0, -0.5) ]
+    (List.map row layers);
+  Alcotest.(check (float 1e-12)) "the self times add up to the roots' totals" 12.0
+    (List.fold_left (fun acc l -> acc +. l.T.l_self_s) 0.0 layers);
+  (* [stats] opens with the same rows. *)
+  let text =
+    Format.asprintf "%a" T.pp { T.p_spans = forest; p_counters = []; p_dists = [] }
+  in
+  match String.split_on_char '\n' text with
+  | header :: first :: _ ->
+      Alcotest.(check bool) "the layer table comes first" true
+        (String.starts_with ~prefix:"layers" header);
+      Alcotest.(check (list string)) "its first row is the largest self"
+        [ "b"; "5.500000000" ]
+        (List.filteri (fun i _ -> i < 2)
+           (List.filter (( <> ) "") (String.split_on_char ' ' first)))
+  | _ -> Alcotest.fail "no layer table"
 
 (* --- counters and distributions ------------------------------------ *)
 
@@ -373,12 +415,14 @@ let request_aggregate_stays_bounded =
           T.merge ~prefix:[ "serve.request" ] request
         done;
         let p = T.snapshot () in
-        let paths = List.sort compare (List.map fst (T.flatten p.T.p_spans)) in
-        (p, paths, Obj.reachable_words (Obj.repr p))
+        let layers =
+          List.sort compare (List.map (fun l -> l.T.l_name) (T.rollup p.T.p_spans))
+        in
+        (p, layers, Obj.reachable_words (Obj.repr p))
       in
-      let _, paths_100, words_100 = after 100 in
-      let p, paths, words = after 9_900 in
-      Alcotest.(check (list string)) "the same span paths" paths_100 paths;
+      let _, layers_100, words_100 = after 100 in
+      let p, layers, words = after 9_900 in
+      Alcotest.(check (list string)) "the same layers" layers_100 layers;
       Alcotest.(check int) "the same reachable words" words_100 words;
       Alcotest.(check int) "each stage counts every request" 10_000
         (get_span p [ "serve.request"; "flow.verify" ]).T.calls)
@@ -548,6 +592,7 @@ let () =
           tc "aggregation by path" span_aggregation;
           tc "children sorted by cost" span_ordering;
           tc "exception safety" span_exception_safe;
+          tc "rollup sums each name over the forest" rollup_sums_names_over_the_forest;
         ] );
       ( "metrics",
         [
